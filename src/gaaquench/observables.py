@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .gaussian import (
     QuenchEvolution,
@@ -253,4 +252,5 @@ def pearson(x, y) -> float:
         raise ValueError("pearson needs two equal-length samples of size >= 3")
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise ValueError("degenerate variance")
-    return float(stats.pearsonr(x, y).statistic)
+    dx, dy = x - x.mean(), y - y.mean()
+    return float(np.clip(dx @ dy / np.sqrt((dx @ dx) * (dy @ dy)), -1.0, 1.0))

@@ -3,7 +3,8 @@
 Configs are flat "key = value" text (# comments). Scalar keys take one value;
 sweepable keys (lambda, a, L, sizes, times) also take comma lists or inclusive
 start:stop:step grids. Unknown keys are fatal: silent typos in physics
-parameters are the costliest failure mode.
+parameters are the costliest failure mode, so nothing is rounded either:
+integer keys (L, sizes) and the span of a grid must be exact.
 
 Each experiment writes fixed-schema CSV files plus a manifest.json run record.
 Sweep points are pure functions of (config, point index); per-point RNG seeds
@@ -16,35 +17,22 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import observables, oracle, spectral
+from . import __version__, observables, oracle, spectral
 from .gaussian import INITIAL_STATES, QuenchSetup, _embed_reference, mutual_information, quench_evolution, subsystem_entropy
 from .model import GOLDEN_INVERSE, LatticeSpec, build_hamiltonian
 from .observables import SamplingProtocol
-
-EXPERIMENTS = (
-    "spectrum",
-    "ee",
-    "velocity",
-    "saturation",
-    "scaling",
-    "sic_profile",
-    "sic_jump",
-    "fractions",
-    "verify",
-)
-
-# experiments whose half-filling quench has no reference mode: L must be even
-_EVEN_L_EXPERIMENTS = ("ee", "velocity", "saturation", "scaling", "verify")
 
 _ORACLE_TOLERANCE = 1e-8
 
@@ -94,8 +82,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        experiment = EXPERIMENTS.get(self.experiment)
+        if experiment is None:
+            raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}")
         for name, values in (("L", self.L), ("lambda", self.lam), ("a", self.a)):
             if not values:
                 raise ConfigError(f"sweep range for '{name}' is empty")
@@ -104,20 +93,18 @@ class ExperimentConfig:
         object.__setattr__(self, "a", tuple(sorted(float(v) for v in self.a)))
         if any(L < 2 for L in self.L):
             raise ConfigError("all L must be >= 2")
-        if self.experiment in _EVEN_L_EXPERIMENTS and any(L % 2 for L in self.L):
+        if experiment.even_L and any(L % 2 for L in self.L):
             raise ConfigError(f"odd L invalid for experiment '{self.experiment}' (half filling)")
-        if self.experiment in ("spectrum", "ee", "verify") and (
-            len(self.L) > 1 or len(self.lam) > 1 or len(self.a) > 1
-        ):
+        if experiment.lengths == "point" and (len(self.L) > 1 or len(self.lam) > 1 or len(self.a) > 1):
             raise ConfigError(f"experiment '{self.experiment}' takes a single (L, lambda, a) point")
-        if self.experiment in ("velocity", "fractions", "sic_profile", "sic_jump") and len(self.L) > 1:
+        if experiment.lengths == "single" and len(self.L) > 1:
             raise ConfigError(f"experiment '{self.experiment}' takes a single L")
-        if self.experiment == "scaling" and len(self.L) < 3:
-            raise ConfigError("scaling needs at least 3 chain lengths")
-        if self.experiment == "verify" and self.L[0] > oracle.MAX_MODES:
-            raise ConfigError(f"verify is limited to L <= {oracle.MAX_MODES}")
-        if self.experiment == "sic_jump" and self.sizes is not None:
-            raise ConfigError("sizes are fixed to {0, 5, L} for sic_jump")
+        if experiment.lengths == "fit" and len(self.L) < 3:
+            raise ConfigError(f"{self.experiment} needs at least 3 chain lengths")
+        if experiment.max_L is not None and self.L[0] > experiment.max_L:
+            raise ConfigError(f"{self.experiment} is limited to L <= {experiment.max_L}")
+        if experiment.fixed_sizes and self.sizes is not None:
+            raise ConfigError(f"sizes are fixed to {{0, {observables.JUMP_SIZE}, L}} for {self.experiment}")
         if self.sizes is not None:
             sizes = tuple(sorted(int(s) for s in self.sizes))
             if not sizes:
@@ -162,59 +149,34 @@ class ExperimentConfig:
         )
 
     def protocol(self, seed: int) -> SamplingProtocol:
+        """The sampling protocol of this config, seeded with `seed` (the fields share their names)."""
+        settings = {f.name: getattr(self, f.name) for f in fields(SamplingProtocol) if f.name != "seed"}
         try:
-            return SamplingProtocol(
-                fit_window=self.fit_window,
-                fit_dt=self.fit_dt,
-                burn_in=self.burn_in,
-                n_samples=self.n_samples,
-                mean_interval=self.mean_interval,
-                jitter=self.jitter,
-                seed=seed,
-            )
+            return SamplingProtocol(**settings, seed=seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "L": list(self.L),
-            "lambda": list(self.lam),
-            "a": list(self.a),
-            "t": self.t,
-            "b": str(self.b) if isinstance(self.b, Fraction) else self.b,
-            "phi": self.phi,
-            "boundary": self.boundary,
-            "initial": self.initial,
-            "occupations": list(self.occupations) if self.occupations is not None else None,
-            "initial_seed": self.initial_seed,
-            "n_random": self.n_random,
-            "coupling": self.coupling,
-            "sizes": list(self.sizes) if self.sizes is not None else None,
-            "times": list(self.times) if self.times is not None else None,
-            "fit_window": list(self.fit_window),
-            "fit_dt": self.fit_dt,
-            "burn_in": self.burn_in,
-            "n_samples": self.n_samples,
-            "mean_interval": self.mean_interval,
-            "jitter": self.jitter,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
+        """JSON-ready echo of every field, keyed as in a config file (the manifest's `config`)."""
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            data[_KEY_OF_FIELD.get(f.name, f.name)] = list(value) if isinstance(value, tuple) else value
+        if isinstance(self.b, Fraction):
+            data["b"] = str(self.b)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        d = dict(data)
-        d["lam"] = tuple(d.pop("lambda"))
-        d["L"] = tuple(d["L"])
-        d["a"] = tuple(d["a"])
-        if isinstance(d.get("b"), str):
-            d["b"] = Fraction(d["b"])
-        for key in ("occupations", "sizes", "times"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        d["fit_window"] = tuple(d["fit_window"])
-        return cls(**d)
+        kwargs = {_FIELD_OF_KEY.get(key, key): tuple(v) if isinstance(v, list) else v for key, v in data.items()}
+        if isinstance(kwargs.get("b"), str):
+            kwargs["b"] = Fraction(kwargs["b"])
+        return cls(**kwargs)
+
+
+# the one config key that differs from the ExperimentConfig field it sets
+_KEY_OF_FIELD = {"lam": "lambda"}
+_FIELD_OF_KEY = {key: name for name, key in _KEY_OF_FIELD.items()}
 
 
 def _parse_float_list(value: str) -> tuple[float, ...]:
@@ -224,15 +186,21 @@ def _parse_float_list(value: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid syntax is start:stop:step, got {value!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if step <= 0 or stop < start or not all(map(math.isfinite, (start, stop, step))):
             raise ValueError(f"invalid grid {value!r}")
-        n = int(round((stop - start) / step)) + 1
-        return tuple(start + step * k for k in range(n))
+        steps = (stop - start) / step
+        n = round(steps)
+        if not math.isclose(steps, n, rel_tol=1e-9):
+            raise ValueError(f"grid {value!r}: span {stop - start:g} is not a whole number of steps of {step:g}")
+        return tuple(start + step * k for k in range(n + 1))
     return tuple(float(p) for p in value.split(","))
 
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(round(v)) for v in _parse_float_list(value))
+    values = _parse_float_list(value)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"expected integers, got {value!r}")
+    return tuple(int(v) for v in values)
 
 
 def _parse_b(value: str):
@@ -257,29 +225,15 @@ def _parse_initial(value: str):
     return value, None
 
 
+# parsers by field annotation; b, initial and fit_window have a syntax of their own
+_TYPE_PARSERS = {"str": str, "int": int, "float": float,
+                 "tuple[int, ...]": _parse_int_list, "tuple[float, ...]": _parse_float_list}
+_SYNTAX_PARSERS = {"b": _parse_b, "initial": _parse_initial, "fit_window": _parse_window}
+
 _KEY_PARSERS = {
-    "experiment": str,
-    "L": _parse_int_list,
-    "lambda": _parse_float_list,
-    "a": _parse_float_list,
-    "t": float,
-    "b": _parse_b,
-    "phi": float,
-    "boundary": str,
-    "initial": _parse_initial,
-    "initial_seed": int,
-    "n_random": int,
-    "coupling": str,
-    "sizes": _parse_int_list,
-    "times": _parse_float_list,
-    "fit_window": _parse_window,
-    "fit_dt": float,
-    "burn_in": float,
-    "n_samples": int,
-    "mean_interval": float,
-    "jitter": float,
-    "seed": int,
-    "workers": int,
+    _KEY_OF_FIELD.get(f.name, f.name): _SYNTAX_PARSERS.get(f.name) or _TYPE_PARSERS[f.type.removesuffix(" | None")]
+    for f in fields(ExperimentConfig)
+    if f.name != "occupations"  # set by initial = custom:...
 }
 
 
@@ -302,16 +256,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: key {key!r} has no value")
         try:
             raw[key] = _KEY_PARSERS[key](value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
     for required in ("experiment", "L", "lambda", "a"):
         if required not in raw:
             raise ConfigError(f"missing required key {required!r}")
-    kwargs = dict(raw)
-    kwargs["lam"] = kwargs.pop("lambda")
-    if "initial" in kwargs:
-        kwargs["initial"], kwargs["occupations"] = kwargs["initial"]
-    return ExperimentConfig(**kwargs)
+    if "initial" in raw:
+        raw["initial"], raw["occupations"] = raw["initial"]
+    return ExperimentConfig.from_dict(raw)
 
 
 def derived_seed(base: int, index: int) -> int:
@@ -334,20 +286,33 @@ def _default_sizes(L: int) -> tuple[int, ...]:
     return tuple(sorted(set(range(0, L + 1, 5)) | {L}))
 
 
-def _point_velocity(config: ExperimentConfig, index: int, a: float, lam: float) -> list[tuple]:
-    protocol = config.protocol(derived_seed(config.seed, index))
+def _point_spectrum(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
+    data = spectral.analyze(config.spec_at(a, lam, config.L[0]))
+    return [
+        (n + 1, data.energies[n], data.ipr[n], data.labels[n])
+        for n in range(data.energies.size)
+    ]
+
+
+def _point_ee(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
+    times = config.times if config.times is not None else tuple(np.arange(0.0, 100.5, 0.5))
+    setups = _realization_setups(config, a, lam, config.L[0])
+    series = [observables.ee_timeseries(s, times) for s in setups]
+    entropies = np.mean([s.entropies for s in series], axis=0)
+    return list(zip(times, entropies))
+
+
+def _point_velocity(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
     values = [observables.quench_velocity(s, protocol) for s in _realization_setups(config, a, lam, config.L[0])]
     return [(a, lam, float(np.mean(values)))]
 
 
-def _point_saturation(config: ExperimentConfig, index: int, a: float, lam: float, L: int) -> list[tuple]:
-    protocol = config.protocol(derived_seed(config.seed, index))
+def _point_saturation(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float, L: int) -> list[tuple]:
     values = [observables.saturation_value(s, protocol) for s in _realization_setups(config, a, lam, L)]
     return [(a, lam, L, float(np.mean(values)))]
 
 
-def _point_scaling(config: ExperimentConfig, index: int, a: float, lam: float) -> list[tuple]:
-    protocol = config.protocol(derived_seed(config.seed, index))
+def _point_scaling(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
     means = []
     for L in config.L:
         values = [observables.saturation_value(s, protocol) for s in _realization_setups(config, a, lam, L)]
@@ -356,18 +321,17 @@ def _point_scaling(config: ExperimentConfig, index: int, a: float, lam: float) -
     return [(a, lam, alpha, stderr)]
 
 
-def _point_fractions(config: ExperimentConfig, index: int, a: float, lam: float) -> list[tuple]:
+def _point_fractions(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
     data = spectral.analyze(config.spec_at(a, lam, config.L[0]))
     return [(a, lam, data.n_e, data.n_l)]
 
 
-def _point_sic(config: ExperimentConfig, index: int, a: float, lam: float) -> list[tuple]:
+def _point_sic(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
     L = config.L[0]
-    if config.experiment == "sic_jump":
+    if EXPERIMENTS[config.experiment].fixed_sizes:
         sizes = tuple(sorted({0, observables.JUMP_SIZE, L}))
     else:
         sizes = config.sizes if config.sizes is not None else _default_sizes(L)
-    protocol = config.protocol(derived_seed(config.seed, index))
     reference = observables.reference_site_for(L, config.coupling)
     profiles = [
         observables.sic_profile(s, sizes, config.coupling, protocol)
@@ -380,130 +344,8 @@ def _point_sic(config: ExperimentConfig, index: int, a: float, lam: float) -> li
     ]
 
 
-_POINT_FUNCTIONS = {
-    "velocity": _point_velocity,
-    "saturation": _point_saturation,
-    "scaling": _point_scaling,
-    "fractions": _point_fractions,
-    "sic_profile": _point_sic,
-    "sic_jump": _point_sic,
-}
-
-_OUTPUT_FILES = {
-    "velocity": "velocity.csv",
-    "saturation": "saturation.csv",
-    "scaling": "scaling.csv",
-    "fractions": "fractions.csv",
-    "sic_profile": "sic_profile.csv",
-    "sic_jump": "sic_profile.csv",
-}
-
-
-def _sweep_points(config: ExperimentConfig) -> list[tuple]:
-    if config.experiment == "saturation":
-        return [(a, lam, L) for a, lam, L in product(config.a, config.lam, config.L)]
-    return [(a, lam) for a, lam in product(config.a, config.lam)]
-
-
-def _run_point(payload) -> tuple[int, list[tuple] | None, str | None]:
-    config, index, point = payload
-    try:
-        rows = _POINT_FUNCTIONS[config.experiment](config, index, *point)
-        return index, rows, None
-    except Exception as exc:  # recorded in the manifest; the sweep continues
-        return index, None, f"{type(exc).__name__}: {exc}"
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, str)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
-def _write_csv(path: Path, name: str, rows: list[tuple]) -> dict:
-    header = _SCHEMAS[name]
-    with open(path / name, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
-    digest = hashlib.sha256((path / name).read_bytes()).hexdigest()
-    return {"file": name, "rows": len(rows), "sha256": digest}
-
-
-def _correlation_rows(config: ExperimentConfig, keyed: dict[float, float]):
-    """Pearson row tying a lambda sweep to the spectral fractions (single a, single L)."""
-    if len(config.a) != 1 or len(config.L) != 1 or len(config.lam) < 3:
-        return None
-    fractions = [
-        spectral.analyze(config.spec_at(config.a[0], lam, config.L[0])) for lam in config.lam
-    ]
-    values = [keyed[lam] for lam in config.lam]
-    try:
-        if config.experiment == "saturation":
-            corr = [("s_sat_vs_n_e", observables.pearson(values, [d.n_e for d in fractions]))]
-        else:
-            corr = [("sic_jump_vs_n_l", observables.pearson(values, [d.n_l for d in fractions]))]
-    except ValueError:
-        return None  # degenerate sweep; nothing meaningful to report
-    fraction_rows = [(config.a[0], lam, d.n_e, d.n_l) for lam, d in zip(config.lam, fractions)]
-    return corr, fraction_rows
-
-
-def _run_sweep(config: ExperimentConfig, out: Path) -> dict:
-    points = _sweep_points(config)
-    payloads = [(config, index, point) for index, point in enumerate(points)]
-    if config.workers == 1 or len(points) == 1:
-        results = [_run_point(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_point, payloads))
-    results.sort(key=lambda r: r[0])
-
-    rows: list[tuple] = []
-    failures = []
-    for index, point_rows, error in results:
-        if error is not None:
-            failures.append({"point_index": index, "params": list(points[index]), "error": error})
-        else:
-            rows.extend(point_rows)
-    outputs = [_write_csv(out, _OUTPUT_FILES[config.experiment], rows)]
-
-    if config.experiment in ("saturation", "sic_jump") and not failures:
-        if config.experiment == "saturation":
-            keyed = {row[1]: row[3] for row in rows}
-        else:
-            keyed = {row[3]: row[5] for row in rows if row[4] == observables.JUMP_SIZE}
-        extra = _correlation_rows(config, keyed)
-        if extra is not None:
-            corr_rows, fraction_rows = extra
-            outputs.append(_write_csv(out, "fractions.csv", fraction_rows))
-            outputs.append(_write_csv(out, "correlation.csv", corr_rows))
-    return {"outputs": outputs, "failures": failures}
-
-
-def _run_spectrum(config: ExperimentConfig, out: Path) -> dict:
-    data = spectral.analyze(config.spec_at(config.a[0], config.lam[0], config.L[0]))
-    rows = [
-        (n + 1, data.energies[n], data.ipr[n], data.labels[n])
-        for n in range(data.energies.size)
-    ]
-    return {"outputs": [_write_csv(out, "spectrum.csv", rows)], "failures": []}
-
-
-def _run_ee(config: ExperimentConfig, out: Path) -> dict:
-    times = config.times if config.times is not None else tuple(np.arange(0.0, 100.5, 0.5))
-    setups = _realization_setups(config, config.a[0], config.lam[0], config.L[0])
-    series = [observables.ee_timeseries(s, times) for s in setups]
-    entropies = np.mean([s.entropies for s in series], axis=0)
-    rows = list(zip(times, entropies))
-    return {"outputs": [_write_csv(out, "ee_timeseries.csv", rows)], "failures": []}
-
-
-def _run_verify(config: ExperimentConfig, out: Path) -> dict:
-    a, lam, L = config.a[0], config.lam[0], config.L[0]
+def _point_verify(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
+    L = config.L[0]
     rows = []
 
     setup = config.setup_at(a, lam, L)
@@ -532,15 +374,100 @@ def _run_verify(config: ExperimentConfig, out: Path) -> dict:
                 i_gauss = mutual_information(c, window)
                 i_exact = oracle.exact_mutual_information(psi_t, basis_r, window, L + 1)
                 rows.append(("sic", t, size, i_gauss, i_exact, abs(i_gauss - i_exact)))
+    return rows
 
-    max_delta = max(row[5] for row in rows)
-    passed = bool(max_delta <= _ORACLE_TOLERANCE)
-    return {
-        "outputs": [_write_csv(out, "verify.csv", rows)],
-        "failures": [],
-        "max_abs_delta": max_delta,
-        "verify_passed": passed,
-    }
+
+@dataclass(frozen=True)
+class Experiment:
+    """How one experiment sweeps, which configs it accepts and which CSV it writes."""
+
+    point: Callable[..., list[tuple]]  # (config, the point's seeded protocol, a, lambda[, L]) -> CSV rows
+    output: str
+    # how L enters: "point" is one (L, lambda, a) point that raises instead of recording a failure,
+    # "single" sweeps (a, lambda) at one L, "swept" adds L to the sweep, "fit" gives each point all (>= 3) L
+    lengths: str
+    even_L: bool  # a half-filling quench without a reference mode
+    max_L: int | None = None
+    fixed_sizes: bool = False  # sizes are {0, JUMP_SIZE, L}; the sizes key is rejected
+    # on a lambda sweep at single a and L: (correlation.csv figure, fraction attribute, rows -> {lambda: value})
+    figure: tuple[str, str, Callable[[list[tuple]], dict]] | None = None
+
+
+EXPERIMENTS = {
+    "spectrum": Experiment(_point_spectrum, "spectrum.csv", "point", even_L=False),
+    "ee": Experiment(_point_ee, "ee_timeseries.csv", "point", even_L=True),
+    "velocity": Experiment(_point_velocity, "velocity.csv", "single", even_L=True),
+    "saturation": Experiment(_point_saturation, "saturation.csv", "swept", even_L=True,
+                             figure=("s_sat_vs_n_e", "n_e", lambda rows: {r[1]: r[3] for r in rows})),
+    "scaling": Experiment(_point_scaling, "scaling.csv", "fit", even_L=True),
+    "sic_profile": Experiment(_point_sic, "sic_profile.csv", "single", even_L=False),
+    "sic_jump": Experiment(_point_sic, "sic_profile.csv", "single", even_L=False, fixed_sizes=True,
+                           figure=("sic_jump_vs_n_l", "n_l",
+                                   lambda rows: {r[3]: r[5] for r in rows if r[4] == observables.JUMP_SIZE})),
+    "fractions": Experiment(_point_fractions, "fractions.csv", "single", even_L=False),
+    "verify": Experiment(_point_verify, "verify.csv", "point", even_L=True, max_L=oracle.MAX_MODES),
+}
+
+
+def _run_point(payload) -> tuple[list[tuple], dict | None]:
+    """The point's CSV rows, or no rows and the failure record for the manifest."""
+    config, index, point = payload
+    experiment = EXPERIMENTS[config.experiment]
+    try:
+        return experiment.point(config, config.protocol(derived_seed(config.seed, index)), *point), None
+    except Exception as exc:  # recorded in the manifest; the sweep continues
+        if experiment.lengths == "point":
+            raise  # a single-point run has no sweep to continue
+        return [], {"point_index": index, "params": list(point), "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, (bool, str)):
+        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12g}"
+
+
+def _write_csv(path: Path, name: str, rows: list[tuple]) -> dict:
+    header = _SCHEMAS[name]
+    with open(path / name, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_cell(cell) for cell in row])
+    digest = hashlib.sha256((path / name).read_bytes()).hexdigest()
+    return {"file": name, "rows": len(rows), "sha256": digest}
+
+
+def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list[tuple]) -> list[dict]:
+    """fractions.csv and the Pearson row tying a lambda sweep to them (single a, single L)."""
+    if len(config.a) != 1 or len(config.L) != 1 or len(config.lam) < 3:
+        return []
+    name, fraction, by_lambda = figure
+    keyed = by_lambda(rows)
+    fractions = [
+        spectral.analyze(config.spec_at(config.a[0], lam, config.L[0])) for lam in config.lam
+    ]
+    values = [keyed[lam] for lam in config.lam]
+    try:
+        corr = [(name, observables.pearson(values, [getattr(d, fraction) for d in fractions]))]
+    except ValueError:
+        return []  # degenerate sweep; nothing meaningful to report
+    fraction_rows = [(config.a[0], lam, d.n_e, d.n_l) for lam, d in zip(config.lam, fractions)]
+    return [_write_csv(out, "fractions.csv", fraction_rows), _write_csv(out, "correlation.csv", corr)]
+
+
+def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict]]:
+    axes = (config.a, config.lam, config.L) if experiment.lengths == "swept" else (config.a, config.lam)
+    payloads = [(config, index, point) for index, point in enumerate(product(*axes))]
+    if config.workers == 1 or len(payloads) == 1:
+        results = [_run_point(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(_run_point, payloads))  # in payload order
+    rows = [row for point_rows, _ in results for row in point_rows]
+    return rows, [failure for _, failure in results if failure is not None]
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
@@ -549,30 +476,25 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    if config.experiment == "spectrum":
-        result = _run_spectrum(config, out)
-    elif config.experiment == "ee":
-        result = _run_ee(config, out)
-    elif config.experiment == "verify":
-        result = _run_verify(config, out)
-    else:
-        result = _run_sweep(config, out)
+    experiment = EXPERIMENTS[config.experiment]
+    rows, failures = _run_points(config, experiment)
+    outputs = [_write_csv(out, experiment.output, rows)]
+    if experiment.figure is not None and not failures:
+        outputs += _write_figure(out, config, experiment.figure, rows)
     manifest = {
         "experiment": config.experiment,
         "config": config.to_dict(),
         "seed": config.seed,
-        "version": _package_version(),
+        "version": __version__,
         "started": started,
         "wall_time_s": time.perf_counter() - t0,
-        **result,
+        "outputs": outputs,
+        "failures": failures,
     }
+    if config.experiment == "verify":
+        manifest["max_abs_delta"] = max(row[5] for row in rows)
+        manifest["verify_passed"] = bool(manifest["max_abs_delta"] <= _ORACLE_TOLERANCE)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__

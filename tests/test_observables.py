@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gaaquench
 from gaaquench.gaussian import CorrelationMatrix, QuenchEvolution, QuenchSetup
 from gaaquench.model import LatticeSpec
 from gaaquench.observables import (
@@ -279,6 +285,16 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    def test_textbook_value(self):
+        # deviations from the mean 2.5: (-1.5, -0.5, 0.5, 1.5) and (-1.5, 0.5, -0.5, 1.5), so r = 4 / 5
+        assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
+
+    def test_package_does_not_import_scipy(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(gaaquench.__file__).parents[1])}
+        code = "import sys, gaaquench, gaaquench.cli; print('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestVelocityOnQuench:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,31 @@ L = 8
 a = 0, 0.3
 lambda = 0:1:0.5
 seed = 3
+"""
+
+# every key set away from its default (boundary aside: a float b needs an open chain)
+NON_DEFAULT = """
+experiment = sic_profile
+L = 8
+lambda = 0.5, 1.5
+a = 0.1, 0.3
+t = 0.9
+b = 0.3
+phi = 0.25
+initial = custom:10110010
+initial_seed = 7
+n_random = 4
+coupling = edge
+sizes = 0, 4, 8
+times = 0:2:0.5
+fit_window = 1:9
+fit_dt = 0.25
+burn_in = 500
+n_samples = 40
+mean_interval = 4
+jitter = 1.5
+seed = 11
+workers = 3
 """
 
 
@@ -62,6 +88,32 @@ class TestParseConfig:
         assert config.lam[0] == 0.0
         assert config.lam[-1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("lines, key", [
+        ("L = 100.5\n", "L"),
+        ("L = 8, 9.5\n", "L"),
+        ("L = 8\nsizes = 2.6\n", "sizes"),
+    ], ids=["L", "L-list", "sizes"])
+    def test_non_integer_rejected(self, lines, key):
+        with pytest.raises(ConfigError, match=rf"line \d: key '{key}': expected integers"):
+            parse_config("experiment = sic_profile\na = 0\nlambda = 1\n" + lines)
+
+    @pytest.mark.parametrize("lines, key", [
+        ("L = 80:240:60\nlambda = 1\n", "L"),
+        ("L = 8, 10, 12\nlambda = 0:1:0.35\n", "lambda"),
+        ("L = 8, 10, 12\nlambda = 0:inf:1\n", "lambda"),
+        ("L = 8, 10, 12\nlambda = 0:1:inf\n", "lambda"),
+        ("L = 8, 10, 12\nlambda = 0:1:1e-320\n", "lambda"),
+    ], ids=["L-overshoots", "lambda-overshoots", "lambda-infinite-stop", "lambda-infinite-step",
+            "lambda-step-count-overflows"])
+    def test_grid_must_span_whole_steps(self, lines, key):
+        with pytest.raises(ConfigError, match=rf"line \d: key '{key}'"):
+            parse_config("experiment = scaling\na = 0\n" + lines)
+
+    def test_exact_grids_unchanged(self):
+        config = parse_config("experiment = scaling\nL = 80:240:40\na = 0\nlambda = 0:1:0.5\n")
+        assert config.L == (80, 120, 160, 200, 240)
+        assert config.lam == (0.0, 0.5, 1.0)
+
     def test_odd_L_rejected_for_half_filling_quenches(self):
         with pytest.raises(ConfigError, match="odd L"):
             parse_config("experiment = velocity\nL = 9\na = 0\nlambda = 1\n")
@@ -100,12 +152,25 @@ class TestParseConfig:
             )
 
     def test_round_trip_through_dict(self):
-        config = parse_config(
+        periodic = parse_config(
             "experiment = sic_profile\nL = 233\na = 0\nlambda = 0.5, 1.5\n"
             "boundary = periodic\nb = 144/233\ncoupling = edge\nsizes = 0, 5, 233\nseed = 11\n"
         )
-        assert ExperimentConfig.from_dict(config.to_dict()) == config
-        assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+        for config in (periodic, parse_config(NON_DEFAULT)):
+            assert ExperimentConfig.from_dict(config.to_dict()) == config
+            assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_every_field_in_round_trip_case(self):
+        config = parse_config(NON_DEFAULT)
+        defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+        assert [name for name, value in defaults.items() if getattr(config, name) == value] == ["boundary"]
+
+    def test_manifest_config_keys(self):
+        assert set(parse_config(NON_DEFAULT).to_dict()) == {
+            "experiment", "L", "lambda", "a", "t", "b", "phi", "boundary", "initial", "occupations",
+            "initial_seed", "n_random", "coupling", "sizes", "times", "fit_window", "fit_dt", "burn_in",
+            "n_samples", "mean_interval", "jitter", "seed", "workers",
+        }
 
 
 class TestRun:
