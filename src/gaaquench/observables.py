@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import (
-    QuenchEvolution,
-    QuenchSetup,
-    binary_entropy,
-    entropy_of_block,
-    quench_evolution,
-)
+from .gaussian import QuenchEvolution, QuenchSetup, entropies, quench_evolution, reference_information
 
 COUPLINGS = ("center", "edge")
 
@@ -106,11 +100,9 @@ def ee_timeseries(setup: QuenchSetup, times) -> EETimeSeries:
     """Half-chain entropy (sites 1..L/2, natural log) at each requested time."""
     if setup.reference_site is not None:
         raise ValueError("entropy time series expects a plain chain without a reference mode")
-    ev = quench_evolution(setup)
-    sites = half_chain_sites(setup.spec.L)
     times = np.asarray(times, dtype=float)
-    entropies = np.array([entropy_of_block(ev.block_at(t, sites)) for t in times])
-    return EETimeSeries(times, entropies)
+    values = entropies(quench_evolution(setup), [half_chain_sites(setup.spec.L)], times)
+    return EETimeSeries(times, values[:, 0])
 
 
 def early_velocity(series: EETimeSeries, protocol: SamplingProtocol) -> float:
@@ -134,9 +126,7 @@ def steady_entropy_mean(
     log_base: str = "natural",
 ) -> float:
     """Mean subsystem entropy over the protocol's steady-state sample times."""
-    sites = list(sites)
-    values = [entropy_of_block(ev.block_at(t, sites), log_base) for t in sample_times(protocol)]
-    return float(np.mean(values))
+    return float(np.mean(entropies(ev, [sites], sample_times(protocol), log_base)[:, 0]))
 
 
 def saturation_value(setup: QuenchSetup, protocol: SamplingProtocol) -> float:
@@ -220,20 +210,11 @@ def sic_profile(
     sizes = sorted(int(s) for s in sizes)
     if sizes and sizes[-1] > L:
         raise ValueError(f"subsystem size {sizes[-1]} exceeds L={L}")
-    windows = [np.asarray(subsystem_window(L, coupling, s), dtype=int) - 1 for s in sizes]
-    r = L  # 0-based row of the reference mode
+    windows = [subsystem_window(L, coupling, s) for s in sizes]
     ev = quench_evolution(setup)
-    totals = np.zeros(len(sizes))
     ts = sample_times(protocol)
-    for t in ts:
-        c = ev.correlation_at(t).matrix
-        s_r = binary_entropy(np.real(c[r, r]).reshape(1), "two")
-        for k, idx in enumerate(windows):
-            s_a = entropy_of_block(c[np.ix_(idx, idx)], "two")
-            idx_ar = np.append(idx, r)
-            s_ar = entropy_of_block(c[np.ix_(idx_ar, idx_ar)], "two")
-            totals[k] += s_a + s_r - s_ar
-    return SicProfile(coupling, np.asarray(sizes), totals / len(ts), setup.spec.boundary)
+    mi = reference_information(windows, ev.reference_index, lambda sets: entropies(ev, sets, ts, "two"))
+    return SicProfile(coupling, np.asarray(sizes), mi.mean(axis=0), setup.spec.boundary)
 
 
 def sic_jump(profile: SicProfile) -> float:

@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} needs at least 3 chain lengths")
         if experiment.max_L is not None and self.L[0] > experiment.max_L:
             raise ConfigError(f"{self.experiment} is limited to L <= {experiment.max_L}")
+        if experiment.min_L is not None and self.L[0] < experiment.min_L:
+            raise ConfigError(f"{self.experiment} needs L >= {experiment.min_L}")
         if experiment.fixed_sizes and self.sizes is not None:
             raise ConfigError(f"sizes are fixed to {{0, {observables.JUMP_SIZE}, L}} for {self.experiment}")
         if self.sizes is not None:
@@ -388,6 +390,7 @@ class Experiment:
     lengths: str
     even_L: bool  # a half-filling quench without a reference mode
     max_L: int | None = None
+    min_L: int | None = None
     fixed_sizes: bool = False  # sizes are {0, JUMP_SIZE, L}; the sizes key is rejected
     # on a lambda sweep at single a and L: (correlation.csv figure, fraction attribute, rows -> {lambda: value})
     figure: tuple[str, str, Callable[[list[tuple]], dict]] | None = None
@@ -401,7 +404,8 @@ EXPERIMENTS = {
                              figure=("s_sat_vs_n_e", "n_e", lambda rows: {r[1]: r[3] for r in rows})),
     "scaling": Experiment(_point_scaling, "scaling.csv", "fit", even_L=True),
     "sic_profile": Experiment(_point_sic, "sic_profile.csv", "single", even_L=False),
-    "sic_jump": Experiment(_point_sic, "sic_profile.csv", "single", even_L=False, fixed_sizes=True,
+    "sic_jump": Experiment(_point_sic, "sic_profile.csv", "single", even_L=False,
+                           min_L=observables.JUMP_SIZE, fixed_sizes=True,
                            figure=("sic_jump_vs_n_l", "n_l",
                                    lambda rows: {r[3]: r[5] for r in rows if r[4] == observables.JUMP_SIZE})),
     "fractions": Experiment(_point_fractions, "fractions.csv", "single", even_L=False),

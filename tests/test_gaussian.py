@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaaquench.gaussian import (
     CorrelationMatrix,
     QuenchEvolution,
     QuenchSetup,
+    entropies,
+    entropy_of_block,
     evolve,
     initial_correlation,
     mutual_information,
@@ -206,3 +210,80 @@ class TestMutualInformation:
             nested = [mutual_information(c, range(1, k + 1)) for k in range(9)]
             assert np.all(np.diff(nested) >= -1e-9)
             assert min(nested) >= -1e-9 and max(nested) <= 2 + 1e-9
+
+
+class TestEntropiesKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_direct_blocks_at_late_times(self, data):
+        L = data.draw(st.integers(4, 24), label="L")
+        reference = data.draw(st.none() | st.integers(1, L), label="reference")
+        if reference is None:
+            L -= L % 2  # half filling without a reference needs an even L
+        initial = data.draw(st.sampled_from(("neel", "domain_wall", "random_product")), label="initial")
+        spec = LatticeSpec(
+            L=L,
+            lam=data.draw(st.floats(0.0, 2.5), label="lam"),
+            a=data.draw(st.floats(-0.6, 0.6), label="a"),
+            phi=data.draw(st.floats(0.0, 2 * np.pi), label="phi"),
+        )
+        seed = data.draw(st.integers(0, 2**16), label="seed") if initial == "random_product" else None
+        ev = quench_evolution(QuenchSetup(spec, initial, initial_seed=seed, reference_site=reference))
+        assert ev.pure
+        order = data.draw(st.permutations(range(1, ev.dim + 1)), label="order")
+        small = data.draw(st.integers(0, ev.dim // 2), label="small")
+        large = data.draw(st.integers(ev.dim // 2 + 1, ev.dim), label="large")
+        subsets = [order[:small], order[:large], order[small:], order[large:]]
+        times = data.draw(st.lists(st.floats(1e4, 2e4), min_size=1, max_size=3), label="times")
+        got = entropies(ev, subsets, times)
+        assert got.shape == (len(times), len(subsets))
+        for k, t in enumerate(times):
+            for j, subset in enumerate(subsets):
+                assert got[k, j] == pytest.approx(entropy_of_block(ev.block_at(t, subset)), abs=1e-9)
+
+    def test_mixed_state_is_evaluated_directly(self):
+        # sites 1 and 3 are half filled without a Bell partner: C0 is no projector
+        c0 = CorrelationMatrix(np.diag([0.5, 1.0, 0.5, 0.0, 1.0, 0.0]).astype(complex))
+        ev = QuenchEvolution(c0, build_hamiltonian(LatticeSpec(L=6, lam=1.0, a=0.3)))
+        assert not ev.pure
+        subsets = [[1, 2, 3, 4, 5], [6], [2, 4, 5, 6], [1, 3]]
+        times = [0.0, 2.5, 1.3e4]
+        got = entropies(ev, subsets, times, "two")
+        for k, t in enumerate(times):
+            direct = [entropy_of_block(ev.block_at(t, x), "two") for x in subsets]
+            assert got[k] == pytest.approx(direct, abs=1e-12)
+        # the complement rule would have put S({1..5}) = S({6}) = 0 at t = 0
+        assert got[0, 0] == pytest.approx(2.0, abs=1e-9)
+        assert got[0, 1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_tie_keeps_the_half_chain_block(self):
+        ev = quench_evolution(neel_setup(12, lam=1.2, a=0.3))
+        half = range(1, 7)
+        times = [1.0e4, 1.5e4]
+        got = entropies(ev, [half], times)[:, 0]
+        assert got.tolist() == [entropy_of_block(ev.block_at(t, half)) for t in times]
+
+    def test_builds_only_the_rows_of_the_chosen_sides(self, monkeypatch):
+        ev = quench_evolution(neel_setup(24, reference=12))
+        built = []
+        block_at = QuenchEvolution.block_at
+
+        def recording_block_at(self, time, sites):
+            built.append(sorted(int(s) for s in sites))
+            return block_at(self, time, sites)
+
+        monkeypatch.setattr(QuenchEvolution, "block_at", recording_block_at)
+        window = list(range(10, 15))
+        # |A| = 0, 5 and L with and without R: the two largest sets flip to {R} and {}
+        subsets = [[], window, list(range(1, 25)), [25], window + [25], list(range(1, 26))]
+        got = entropies(ev, subsets, [1.0e4, 1.2e4], "two")
+        assert built == [window + [25]] * 2
+        assert got[:, 2] == pytest.approx(got[:, 3], abs=1e-12)
+        assert got[:, 5] == pytest.approx(0.0, abs=1e-9)
+
+    def test_bad_input_rejected(self):
+        ev = quench_evolution(neel_setup(6))
+        with pytest.raises(ValueError):
+            entropies(ev, [[7]], [1.0])
+        with pytest.raises(ValueError):
+            entropies(ev, [[1]], [1.0], "ten")

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import gaaquench
-from gaaquench.gaussian import CorrelationMatrix, QuenchEvolution, QuenchSetup
+from gaaquench.gaussian import (
+    CorrelationMatrix,
+    QuenchEvolution,
+    QuenchSetup,
+    entropy_of_block,
+    mutual_information,
+    quench_evolution,
+)
 from gaaquench.model import LatticeSpec
 from gaaquench.observables import (
     EETimeSeries,
@@ -17,6 +24,7 @@ from gaaquench.observables import (
     ee_timeseries,
     fit_power_law,
     fit_window_times,
+    half_chain_sites,
     pearson,
     quench_velocity,
     reference_site_for,
@@ -265,6 +273,45 @@ class TestSicProfile:
         profile = SicProfile("center", [0, 4, 8], [0.0, 1.0, 2.0], "open")
         with pytest.raises(ValueError):
             sic_jump(profile)
+
+
+LATE = SamplingProtocol(burn_in=10000.0, n_samples=30, mean_interval=10.0, jitter=5.0, seed=4)
+
+
+class TestSamplingKernelEquivalence:
+    """The shared entropy kernel against direct per-time evaluation."""
+
+    @pytest.mark.parametrize("coupling", ["center", "edge"])
+    def test_sic_profile_matches_mutual_information_per_time(self, coupling):
+        L = 24
+        setup = QuenchSetup(LatticeSpec(L=L, lam=1.0, a=0.3), "neel",
+                            reference_site=reference_site_for(L, coupling))
+        profile = sic_profile(setup, range(L + 1), coupling, LATE)
+        ev = quench_evolution(setup)
+        direct = [
+            np.mean([mutual_information(ev.correlation_at(t), subsystem_window(L, coupling, size))
+                     for t in sample_times(LATE)])
+            for size in range(L + 1)
+        ]
+        assert profile.mi == pytest.approx(direct, abs=1e-9)
+
+    def test_ee_timeseries_unchanged(self):
+        setup = QuenchSetup(LatticeSpec(L=24, lam=1.2, a=0.3), "neel")
+        times = [0.0, 0.5, 3.0, 1.0e4, 1.7e4]
+        ev = quench_evolution(setup)
+        direct = [entropy_of_block(ev.block_at(t, half_chain_sites(24))) for t in times]
+        assert ee_timeseries(setup, times).entropies.tolist() == direct
+
+    def test_steady_entropy_mean_unchanged(self):
+        ev = quench_evolution(QuenchSetup(LatticeSpec(L=24, lam=0.9, a=0.3), "neel"))
+        half = half_chain_sites(24)
+        direct = np.mean([entropy_of_block(ev.block_at(t, half)) for t in sample_times(LATE)])
+        assert steady_entropy_mean(ev, half, LATE) == direct
+        # with a reference mode the larger side is evaluated through its complement
+        ev_r = quench_evolution(QuenchSetup(LatticeSpec(L=24, lam=0.9, a=0.3), "neel", reference_site=12))
+        sites = list(range(3, 23))
+        direct = np.mean([entropy_of_block(ev_r.block_at(t, sites), "two") for t in sample_times(LATE)])
+        assert steady_entropy_mean(ev_r, sites, LATE, "two") == pytest.approx(direct, abs=1e-9)
 
 
 class TestPearson:

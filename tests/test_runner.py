@@ -145,6 +145,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="at least 3"):
             parse_config("experiment = scaling\nL = 100, 200\na = 0\nlambda = 0.5\n")
 
+    def test_sic_jump_needs_the_probe_size(self):
+        # below |A| = 5 every point would fail at run time and leave an empty CSV
+        with pytest.raises(ConfigError, match=f"L >= {observables.JUMP_SIZE}"):
+            parse_config("experiment = sic_jump\nL = 4\na = 0.3\nlambda = 0.5, 1, 2\n")
+        config = parse_config(f"experiment = sic_jump\nL = {observables.JUMP_SIZE}\na = 0.3\nlambda = 1\n")
+        assert config.L == (observables.JUMP_SIZE,)
+
     def test_bad_protocol_surfaces(self):
         with pytest.raises(ConfigError, match="jitter"):
             parse_config(
