@@ -1,13 +1,18 @@
 """Brute-force many-body reference for small chains.
 
-Validates the Gaussian fast path on the full Fock space: second-quantized
-Hamiltonian matrices, exact state-vector evolution, and reduced-density-matrix
-entropies with fermionic (Jordan-Wigner) sign bookkeeping. Mode ordering is
-chain sites 1..L with the reference mode last; a canonical basis ket is
+Validates the Gaussian fast path on exact many-body state vectors:
+second-quantized Hamiltonian matrices, exact state-vector evolution, and
+reduced-density-matrix entropies with fermionic (Jordan-Wigner) sign
+bookkeeping. Mode ordering is chain sites 1..L with the reference mode last;
+a canonical basis ket is
 
     |n> = (c_1^dag)^{n_1} (c_2^dag)^{n_2} ... (c_M^dag)^{n_M} |vac>,
 
-stored as the bitmask sum_m n_m 2^{m-1}. Hard size guard: M <= 12 modes.
+stored as the bitmask sum_m n_m 2^{m-1}. The Hamiltonian conserves particle
+number, so every initial state lives in one fixed-number sector, the reference
+mode included. A state vector is pure, so S(A) = S(complement of A) and
+`exact_entropy` builds the reduced density matrix of the smaller side.
+Hard size guard: M <= 12 modes.
 """
 
 from __future__ import annotations
@@ -92,11 +97,14 @@ def exact_evolve(state: np.ndarray, hamiltonian: np.ndarray, time: float) -> np.
     return vectors @ (np.exp(-1j * energies * time) * (vectors.conj().T @ state))
 
 
-def _split_indices(basis: FockBasis, subset: list[int]) -> tuple[list[int], list[int]]:
-    bits_a = [m - 1 for m in subset]
-    in_a = set(bits_a)
-    bits_b = [b for b in range(basis.modes) if b not in in_a]
-    return bits_a, bits_b
+def _mode_labels(basis: FockBasis, subset) -> list[int]:
+    """Sorted 1-based mode labels, checked to be distinct and inside 1..modes."""
+    labels = sorted(int(m) for m in subset)
+    if labels and (labels[0] < 1 or labels[-1] > basis.modes):
+        raise ValueError(f"mode labels must lie in 1..{basis.modes}")
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate mode labels")
+    return labels
 
 
 def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.ndarray:
@@ -106,34 +114,33 @@ def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.nd
     fermionic reordering sign: each occupied subset mode i contributes a swap
     for every occupied complement mode j < i.
     """
-    subset = sorted(int(m) for m in subset)
-    if subset and (subset[0] < 1 or subset[-1] > basis.modes):
-        raise ValueError(f"mode labels must lie in 1..{basis.modes}")
-    if len(set(subset)) != len(subset):
-        raise ValueError("duplicate mode labels")
-    bits_a, bits_b = _split_indices(basis, subset)
-    psi = np.zeros((2 ** len(bits_a), 2 ** len(bits_b)), dtype=complex)
-    for amp, n in zip(np.asarray(state, dtype=complex), basis.states):
-        if amp == 0:
-            continue
-        a_idx = sum(((n >> b) & 1) << r for r, b in enumerate(bits_a))
-        b_idx = sum(((n >> b) & 1) << r for r, b in enumerate(bits_b))
-        swaps = sum(
-            bin(n & sum(1 << bb for bb in bits_b if bb < ba)).count("1")
-            for ba in bits_a
-            if (n >> ba) & 1
-        )
-        psi[a_idx, b_idx] += amp if swaps % 2 == 0 else -amp
+    in_a = np.zeros(basis.modes, dtype=bool)
+    in_a[[m - 1 for m in _mode_labels(basis, subset)]] = True
+    occ = (np.asarray(basis.states, dtype=np.int64)[:, None] >> np.arange(basis.modes)) & 1
+    occ_a, occ_b = occ[:, in_a], occ[:, ~in_a]
+    # at a subset mode, the running count of occupied complement modes is the count below it
+    swaps = (occ_a * np.cumsum(occ * ~in_a, axis=1)[:, in_a]).sum(axis=1)
+    a_idx = occ_a @ (1 << np.arange(occ_a.shape[1]))
+    b_idx = occ_b @ (1 << np.arange(occ_b.shape[1]))
+    psi = np.zeros((2 ** occ_a.shape[1], 2 ** occ_b.shape[1]), dtype=complex)
+    np.add.at(psi, (a_idx, b_idx), (1 - 2 * (swaps % 2)) * np.asarray(state, dtype=complex))
     return psi @ psi.conj().T
 
 
 def exact_entropy(state: np.ndarray, basis: FockBasis, subset, log_base: str = "natural") -> float:
-    """Von Neumann entropy of the reduced density matrix on `subset` (1-based modes)."""
+    """Von Neumann entropy of the reduced density matrix on `subset` (1-based modes).
+
+    The state vector is pure, so the larger side is replaced by its complement
+    (a tie keeps `subset`); an empty side has entropy 0 and builds no matrix.
+    """
     if log_base not in ("natural", "two"):
         raise ValueError("log_base must be 'natural' or 'two'")
-    if not list(subset):
+    labels = _mode_labels(basis, subset)
+    if 2 * len(labels) > basis.modes:
+        labels = sorted(set(range(1, basis.modes + 1)) - set(labels))
+    if not labels:
         return 0.0
-    rho = reduced_density_matrix(state, basis, subset)
+    rho = reduced_density_matrix(state, basis, labels)
     p = np.linalg.eigvalsh(rho)
     p = p[p > 1e-14]
     s = float(-(p * np.log(p)).sum())
@@ -161,10 +168,12 @@ def mode_occupation(state: np.ndarray, basis: FockBasis, mode: int) -> float:
 def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
     """Many-body state vector matching gaussian.initial_correlation.
 
-    Without a reference the fixed-N basis is used (one Fock ket). With a
-    reference the full space over L+1 modes carries the two-branch Bell
-    superposition (c_E^dag + c_R^dag)/sqrt(2) applied to the product pattern,
-    with each branch reordered into the canonical ket (signs included).
+    Without a reference the fixed-N basis over L modes holds one Fock ket.
+    With a reference the fixed-N basis over L+1 modes (reference last) holds
+    the two-branch Bell superposition (c_E^dag + c_R^dag)/sqrt(2) applied to
+    the product pattern without site E, with each branch reordered into the
+    canonical ket (signs included); both branches carry that pattern's
+    particles plus one.
     """
     occ = occupation_pattern(setup)
     L = setup.spec.L
@@ -173,10 +182,10 @@ def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
         state = np.zeros(len(basis), dtype=complex)
         state[basis.index[int(sum(1 << i for i in np.flatnonzero(occ)))]] = 1.0
         return basis, state
-    basis = full_basis(L + 1)
     e_bit = setup.reference_site - 1
     r_bit = L
     rest = int(sum(1 << i for i in np.flatnonzero(occ) if i != e_bit))
+    basis = fixed_number_basis(L + 1, rest.bit_count() + 1)
     sign_e = _parity(rest & ((1 << e_bit) - 1))
     sign_r = _parity(rest)  # r is the last mode; swaps past every occupied site
     state = np.zeros(len(basis), dtype=complex)

@@ -28,6 +28,8 @@ PHASE_INTERMEDIATE = "intermediate"
 PHASE_LOCALIZED = "localized"
 
 _SYMMETRY_TOL = 1e-10
+# energies within TIE_BAND * max(1, |E_c|) of the mobility edge go to the IPR tie-break
+TIE_BAND = 1e-12
 
 
 @dataclass
@@ -101,9 +103,10 @@ def classify(
     """Label each state extended/localized and return the fractions (labels, n_e, n_l).
 
     With a mobility edge, E < E_c is extended and E > E_c localized; a state
-    sitting exactly on E_c is resolved by the IPR tie-break (extended iff
-    IPR < 2/sqrt(L)). Without one, the AA criterion decides the whole
-    spectrum, leaving labels undefined (n_e = n_l = NaN) at |lam| = |t|.
+    within TIE_BAND * max(1, |E_c|) of E_c, where rounding decides the side,
+    is resolved by the IPR tie-break (extended iff IPR < 2/sqrt(L)). Without
+    one, the AA criterion decides the whole spectrum, leaving labels undefined
+    (n_e = n_l = NaN) at |lam| = |t|.
     """
     energies = np.asarray(energies)
     L = energies.size
@@ -119,12 +122,14 @@ def classify(
         labels[:] = UNDEFINED
         return labels, float("nan"), float("nan")
 
-    labels[energies < e_c] = EXTENDED
-    labels[energies > e_c] = LOCALIZED
-    ties = np.flatnonzero(energies == e_c)
+    offset = energies - e_c
+    band = TIE_BAND * max(1.0, abs(e_c))
+    labels[offset < -band] = EXTENDED
+    labels[offset > band] = LOCALIZED
+    ties = np.flatnonzero(np.abs(offset) <= band)
     if ties.size:
         if iprs is None:
-            raise ValueError("energies coincide with E_c; IPR values needed for the tie-break")
+            raise ValueError("energies lie within the tie band of E_c; IPR values needed for the tie-break")
         thr = _ipr_threshold(L)
         for n in ties:
             labels[n] = EXTENDED if iprs[n] < thr else LOCALIZED

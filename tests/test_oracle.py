@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaaquench.gaussian import (
     QuenchSetup,
@@ -197,3 +199,115 @@ class TestOracleAgreesWithGaussian:
                 assert exact_mutual_information(psi_t, basis, a_sites, 5) == pytest.approx(
                     mutual_information(c, a_sites), abs=1e-8
                 )
+
+
+def _loop_reduced_density_matrix(state, basis, subset):
+    """Per-amplitude reference for reduced_density_matrix: one Python pass per basis ket."""
+    bits_a = sorted(m - 1 for m in subset)
+    bits_b = [b for b in range(basis.modes) if b not in bits_a]
+    psi = np.zeros((2 ** len(bits_a), 2 ** len(bits_b)), dtype=complex)
+    for amp, n in zip(np.asarray(state, dtype=complex), basis.states):
+        if amp == 0:
+            continue
+        a_idx = sum(((n >> b) & 1) << r for r, b in enumerate(bits_a))
+        b_idx = sum(((n >> b) & 1) << r for r, b in enumerate(bits_b))
+        swaps = sum(
+            bin(n & sum(1 << bb for bb in bits_b if bb < ba)).count("1")
+            for ba in bits_a
+            if (n >> ba) & 1
+        )
+        psi[a_idx, b_idx] += amp if swaps % 2 == 0 else -amp
+    return psi @ psi.conj().T
+
+
+def _von_neumann(rho):
+    p = np.linalg.eigvalsh(rho)
+    p = p[p > 1e-14]
+    return float(-(p * np.log(p)).sum())
+
+
+def _draw_reference_quench(data, max_L=9):
+    """A random chain with a reference mode, its sector state at a random t <= 10, and h over L+1 modes."""
+    L = data.draw(st.integers(2, max_L), label="L")
+    initial = data.draw(st.sampled_from(("neel", "domain_wall", "random_product")), label="initial")
+    seed = data.draw(st.integers(0, 2**16), label="seed") if initial == "random_product" else None
+    spec = LatticeSpec(
+        L=L, lam=data.draw(st.floats(0.0, 2.5), label="lam"), a=data.draw(st.floats(-0.6, 0.6), label="a")
+    )
+    setup = QuenchSetup(spec, initial, initial_seed=seed, reference_site=data.draw(st.integers(1, L), label="E"))
+    h = _embed_reference(build_hamiltonian(spec), L + 1)
+    t = data.draw(st.floats(0.0, 10.0), label="t")
+    basis, psi = initial_state(setup)
+    return setup, h, t, basis, exact_evolve(psi, many_body_hamiltonian(h, basis), t)
+
+
+class TestSectorAndComplement:
+    @pytest.mark.parametrize(
+        "subset",
+        [[99], [0], [-1, 2], [2, 2], [1, 2, 3, 4, 5, 6, 99], [0, 1, 2, 3, 4, 5, 6], [1, 1, 2, 3, 4, 5, 6]],
+        ids=["out-small", "zero-small", "negative-small", "duplicate-small",
+             "out-large", "zero-large", "duplicate-large"],
+    )
+    def test_bad_labels_raise_on_both_sides_of_half(self, subset):
+        # 11 modes: a 7-label subset would be evaluated through its complement
+        setup = QuenchSetup(LatticeSpec(L=10, lam=1.0, a=0.3), "neel", reference_site=5)
+        basis, psi = initial_state(setup)
+        with pytest.raises(ValueError):
+            exact_entropy(psi, basis, subset)
+
+    @pytest.mark.parametrize("site, particles", [(5, 5), (4, 6)])
+    def test_reference_state_lives_in_one_sector(self, site, particles):
+        # Neel at L = 10 fills sites 1, 3, ..., 9; the Bell pair puts one particle on E or R
+        setup = QuenchSetup(LatticeSpec(L=10, lam=1.0, a=0.3), "neel", reference_site=site)
+        basis, psi = initial_state(setup)
+        assert (basis.modes, basis.particles, len(basis)) == (11, particles, 462)
+        assert np.count_nonzero(psi) == 2
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_vectorised_rdm_matches_amplitude_loop(self, data):
+        modes = data.draw(st.integers(1, 7), label="modes")
+        basis = full_basis(modes)
+        order = data.draw(st.permutations(range(1, modes + 1)), label="order")
+        subset = order[: data.draw(st.integers(0, modes), label="size")]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        psi = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        psi /= np.linalg.norm(psi)
+        rho = reduced_density_matrix(psi, basis, subset)
+        assert rho.shape == (2 ** len(subset),) * 2
+        assert np.max(np.abs(rho - _loop_reduced_density_matrix(psi, basis, subset))) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_sector_path_matches_full_space(self, data):
+        setup, h, t, basis, psi_t = _draw_reference_quench(data)
+        L = setup.spec.L
+        full = full_basis(L + 1)
+        psi0_full = np.zeros(len(full), dtype=complex)
+        psi0_full[[full.index[n] for n in basis.states]] = initial_state(setup)[1]
+        psi_full = exact_evolve(psi0_full, many_body_hamiltonian(h, full), t)
+        order = data.draw(st.permutations(range(1, L + 2)), label="order")
+        small = data.draw(st.integers(1, (L + 1) // 2), label="small")
+        large = data.draw(st.integers((L + 1) // 2 + 1, L + 1), label="large")
+        for size in (small, large):
+            assert exact_entropy(psi_t, basis, order[:size]) == pytest.approx(
+                exact_entropy(psi_full, full, order[:size]), abs=1e-10
+            )
+        sites = data.draw(st.permutations(range(1, L + 1)), label="sites")
+        window = sites[: data.draw(st.integers(0, L), label="size_A")]
+        assert exact_mutual_information(psi_t, basis, window, L + 1) == pytest.approx(
+            exact_mutual_information(psi_full, full, window, L + 1), abs=1e-10
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_large_subsets_match_their_own_rdm(self, data):
+        # an independent check of the complement rule: the RDM on A itself, not on its complement
+        setup, _, _, basis, psi_t = _draw_reference_quench(data, max_L=8)
+        modes = setup.spec.L + 1
+        order = data.draw(st.permutations(range(1, modes + 1)), label="order")
+        subset = order[: data.draw(st.integers(modes // 2 + 1, modes), label="size")]
+        assert exact_entropy(psi_t, basis, subset) == pytest.approx(
+            _von_neumann(reduced_density_matrix(psi_t, basis, subset)), abs=1e-10
+        )

@@ -150,6 +150,25 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(energies, 0.0, spec, None)
 
+    def test_near_tie_follows_ipr(self):
+        spec = LatticeSpec(L=4, lam=0.5, a=0.3)
+        e_c = 0.7
+        energies = np.array([e_c - 1, e_c + 1e-15, e_c + 1])
+        # threshold 2/sqrt(4) = 1: each near-tie is sent against the side it rounds to
+        labels, _, _ = classify(energies, e_c, spec, np.array([0.5, 0.3, 0.5]))
+        assert list(labels) == [EXTENDED, EXTENDED, LOCALIZED]
+        labels, _, _ = classify(energies - 2e-15, e_c, spec, np.array([0.5, 1.5, 0.5]))
+        assert list(labels) == [EXTENDED, LOCALIZED, LOCALIZED]
+        with pytest.raises(ValueError):
+            classify(energies, e_c, spec, None)
+
+    def test_tie_band_scales_with_the_edge(self):
+        spec = LatticeSpec(L=4, lam=0.5, a=0.3)
+        e_c = -35.0  # band 3.5e-11: an offset of 1e-11 is a tie, 1e-10 is not
+        energies = np.array([e_c - 1e-10, e_c + 1e-11, e_c + 1e-10])
+        labels, _, _ = classify(energies, e_c, spec, np.array([0.5, 0.3, 0.5]))
+        assert list(labels) == [EXTENDED, EXTENDED, LOCALIZED]
+
     def test_fraction_of_extended_states_non_increasing_in_lambda(self):
         grid = np.arange(0.2, 2.01, 0.2)
         fractions = [analyze(LatticeSpec(L=100, lam=lam, a=0.3)).n_e for lam in grid]
