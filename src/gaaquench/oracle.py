@@ -23,7 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gaussian import QuenchSetup, occupation_pattern
+from .gaussian import QuenchSetup, occupation_pattern, reference_information
+from .model import build_hamiltonian
 
 MAX_MODES = 12
 
@@ -86,15 +87,25 @@ def many_body_hamiltonian(h: np.ndarray, basis: FockBasis) -> np.ndarray:
     return out
 
 
+class ExactEvolution:
+    """exp(-iHt)|state> from one eigendecomposition of H for all times, like gaussian.QuenchEvolution."""
+
+    def __init__(self, state: np.ndarray, hamiltonian: np.ndarray):
+        state = np.asarray(state, dtype=complex)
+        if hamiltonian.shape[0] > 2**MAX_MODES:
+            raise ValueError("many-body dimension exceeds the oracle guard")
+        if hamiltonian.shape[0] != state.size:
+            raise ValueError("state and Hamiltonian dimensions disagree")
+        self.energies, self.vectors = np.linalg.eigh(hamiltonian)
+        self._state_eig = self.vectors.conj().T @ state  # the state in the eigenbasis, shared by all times
+
+    def state_at(self, time: float) -> np.ndarray:
+        return self.vectors @ (np.exp(-1j * self.energies * time) * self._state_eig)
+
+
 def exact_evolve(state: np.ndarray, hamiltonian: np.ndarray, time: float) -> np.ndarray:
-    """exp(-i H t) |state> via full Hermitian eigendecomposition."""
-    state = np.asarray(state, dtype=complex)
-    if hamiltonian.shape[0] > 2**MAX_MODES:
-        raise ValueError("many-body dimension exceeds the oracle guard")
-    if hamiltonian.shape[0] != state.size:
-        raise ValueError("state and Hamiltonian dimensions disagree")
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    return vectors @ (np.exp(-1j * energies * time) * (vectors.conj().T @ state))
+    """One-shot exp(-i H t) |state>; build an ExactEvolution directly for many times."""
+    return ExactEvolution(state, hamiltonian).state_at(time)
 
 
 def _mode_labels(basis: FockBasis, subset) -> list[int]:
@@ -149,20 +160,8 @@ def exact_entropy(state: np.ndarray, basis: FockBasis, subset, log_base: str = "
 
 def exact_mutual_information(state: np.ndarray, basis: FockBasis, a_modes, r_mode: int) -> float:
     """I(A:R) in bits from exact reduced density matrices."""
-    a = sorted(int(m) for m in a_modes)
-    if r_mode in a:
-        raise ValueError("subsystem A must not contain the reference mode")
-    s_a = exact_entropy(state, basis, a, "two")
-    s_r = exact_entropy(state, basis, [r_mode], "two")
-    s_ar = exact_entropy(state, basis, a + [r_mode], "two")
-    return s_a + s_r - s_ar
-
-
-def mode_occupation(state: np.ndarray, basis: FockBasis, mode: int) -> float:
-    """<n_mode> for a 1-based mode label."""
-    bit = 1 << (mode - 1)
-    amps = np.abs(np.asarray(state, dtype=complex)) ** 2
-    return float(sum(a for a, n in zip(amps, basis.states) if n & bit))
+    mi = reference_information([a_modes], r_mode, lambda sets: [exact_entropy(state, basis, x, "two") for x in sets])
+    return float(mi[0])
 
 
 def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
@@ -192,3 +191,15 @@ def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
     state[basis.index[rest | (1 << e_bit)]] += sign_e / math.sqrt(2.0)
     state[basis.index[rest | (1 << r_bit)]] += sign_r / math.sqrt(2.0)
     return basis, state
+
+
+def exact_entropies(setup: QuenchSetup, subsets, times, log_base: str = "natural") -> np.ndarray:
+    """gaussian.entropies(quench_evolution(setup), ...) on the exact sector state: entropy of each
+    subset (1-based modes) at each time, [n_times, n_subsets], from one many-body eigh."""
+    basis, state = initial_state(setup)
+    h = build_hamiltonian(setup.spec)
+    if setup.reference_site is not None:
+        h = np.pad(h, (0, 1))  # the reference mode never evolves
+    evolution = ExactEvolution(state, many_body_hamiltonian(h, basis))
+    values = [[exact_entropy(psi, basis, x, log_base) for x in subsets] for psi in map(evolution.state_at, times)]
+    return np.array(values, dtype=float).reshape(len(values), len(subsets))

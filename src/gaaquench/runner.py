@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, observables, oracle, spectral
-from .gaussian import INITIAL_STATES, QuenchSetup, _embed_reference, mutual_information, quench_evolution, subsystem_entropy
-from .model import GOLDEN_INVERSE, LatticeSpec, build_hamiltonian
+from .gaussian import INITIAL_STATES, QuenchSetup, entropies, quench_evolution, reference_information
+from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
 _ORACLE_TOLERANCE = 1e-8
@@ -128,8 +128,11 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.boundary == "periodic" and not isinstance(self.b, Fraction):
             raise ConfigError("periodic boundary requires b as a rational p/q (e.g. b = 144/233)")
+        if self.seed < 0 or (self.initial_seed is not None and self.initial_seed < 0):
+            raise ConfigError("seed and initial_seed must be non-negative")
         self.protocol(self.seed)  # surfaces invalid sampling parameters early
-        self.spec_at(self.a[0], self.lam[0], self.L[0])  # surfaces invalid lattice parameters
+        for a, L in product(self.a, self.L):  # the lattice checks do not depend on lambda
+            self.spec_at(a, self.lam[0], L)
 
     def spec_at(self, a: float, lam: float, L: int) -> LatticeSpec:
         b = self.b
@@ -181,21 +184,28 @@ _KEY_OF_FIELD = {"lam": "lambda"}
 _FIELD_OF_KEY = {key: name for name, key in _KEY_OF_FIELD.items()}
 
 
+def _parse_float(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value.strip()!r}")
+    return number
+
+
 def _parse_float_list(value: str) -> tuple[float, ...]:
     value = value.strip()
     if ":" in value:
         parts = value.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid syntax is start:stop:step, got {value!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start or not all(map(math.isfinite, (start, stop, step))):
+        start, stop, step = map(_parse_float, parts)
+        if step <= 0 or stop < start:
             raise ValueError(f"invalid grid {value!r}")
         steps = (stop - start) / step
         n = round(steps)
         if not math.isclose(steps, n, rel_tol=1e-9):
             raise ValueError(f"grid {value!r}: span {stop - start:g} is not a whole number of steps of {step:g}")
         return tuple(start + step * k for k in range(n + 1))
-    return tuple(float(p) for p in value.split(","))
+    return tuple(map(_parse_float, value.split(",")))
 
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
@@ -208,14 +218,14 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
 def _parse_b(value: str):
     if "/" in value:
         return Fraction(value)
-    return float(value)
+    return _parse_float(value)
 
 
 def _parse_window(value: str) -> tuple[float, float]:
     parts = value.split(":")
     if len(parts) != 2:
         raise ValueError(f"window syntax is start:stop, got {value!r}")
-    return float(parts[0]), float(parts[1])
+    return _parse_float(parts[0]), _parse_float(parts[1])
 
 
 def _parse_initial(value: str):
@@ -228,7 +238,7 @@ def _parse_initial(value: str):
 
 
 # parsers by field annotation; b, initial and fit_window have a syntax of their own
-_TYPE_PARSERS = {"str": str, "int": int, "float": float,
+_TYPE_PARSERS = {"str": str, "int": int, "float": _parse_float,
                  "tuple[int, ...]": _parse_int_list, "tuple[float, ...]": _parse_float_list}
 _SYNTAX_PARSERS = {"b": _parse_b, "initial": _parse_initial, "fit_window": _parse_window}
 
@@ -347,35 +357,24 @@ def _point_sic(config: ExperimentConfig, protocol: SamplingProtocol, a: float, l
 
 
 def _point_verify(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
+    """The Gaussian kernel's entropies and I(A:R) against the oracle's, on the same sets and times."""
     L = config.L[0]
-    rows = []
-
     setup = config.setup_at(a, lam, L)
-    h = build_hamiltonian(setup.spec)
-    ev = quench_evolution(setup)
-    basis, psi0 = oracle.initial_state(setup)
-    hamiltonian = oracle.many_body_hamiltonian(h, basis)
-    half = observables.half_chain_sites(L)
+    half = [observables.half_chain_sites(L)]
     times = config.times if config.times is not None else (0.5, 1.0, 2.0, 5.0, 10.0)
-    for t in times:
-        s_gauss = subsystem_entropy(ev.correlation_at(t), half)
-        s_exact = oracle.exact_entropy(oracle.exact_evolve(psi0, hamiltonian, t), basis, half)
-        rows.append(("ee", t, len(half), s_gauss, s_exact, abs(s_gauss - s_exact)))
+    gauss = entropies(quench_evolution(setup), half, times)[:, 0]
+    exact = oracle.exact_entropies(setup, half, times)[:, 0]
+    rows = [("ee", t, len(half[0]), g, e, abs(g - e)) for t, g, e in zip(times, gauss, exact)]
 
     if L + 1 <= oracle.MAX_MODES:
-        reference = observables.reference_site_for(L, "center")
-        setup_r = config.setup_at(a, lam, L, reference_site=reference)
+        setup_r = config.setup_at(a, lam, L, reference_site=observables.reference_site_for(L, "center"))
         ev_r = quench_evolution(setup_r)
-        basis_r, psi0_r = oracle.initial_state(setup_r)
-        hamiltonian_r = oracle.many_body_hamiltonian(_embed_reference(h, L + 1), basis_r)
-        for t in (1.0, 3.0, 7.0):
-            c = ev_r.correlation_at(t)
-            psi_t = oracle.exact_evolve(psi0_r, hamiltonian_r, t)
-            for size in range(L + 1):
-                window = observables.subsystem_window(L, "center", size)
-                i_gauss = mutual_information(c, window)
-                i_exact = oracle.exact_mutual_information(psi_t, basis_r, window, L + 1)
-                rows.append(("sic", t, size, i_gauss, i_exact, abs(i_gauss - i_exact)))
+        windows = [observables.subsystem_window(L, "center", size) for size in range(L + 1)]
+        times = (1.0, 3.0, 7.0)
+        gauss = reference_information(windows, L + 1, lambda sets: entropies(ev_r, sets, times, "two"))
+        exact = reference_information(windows, L + 1, lambda sets: oracle.exact_entropies(setup_r, sets, times, "two"))
+        rows += [("sic", t, size, g, e, abs(g - e))
+                 for t, g_t, e_t in zip(times, gauss, exact) for size, (g, e) in enumerate(zip(g_t, e_t))]
     return rows
 
 

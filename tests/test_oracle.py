@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from gaaquench.gaussian import (
     QuenchSetup,
     _embed_reference,
+    entropies,
     mutual_information,
     quench_evolution,
+    reference_information,
     subsystem_entropy,
 )
 from gaaquench.model import LatticeSpec, build_hamiltonian
 from gaaquench.oracle import (
     MAX_MODES,
+    ExactEvolution,
+    exact_entropies,
     exact_entropy,
     exact_evolve,
     exact_mutual_information,
@@ -22,9 +26,15 @@ from gaaquench.oracle import (
     full_basis,
     initial_state,
     many_body_hamiltonian,
-    mode_occupation,
     reduced_density_matrix,
 )
+
+
+def mode_occupation(state, basis, mode):
+    """<n_mode> for a 1-based mode label."""
+    bit = 1 << (mode - 1)
+    amps = np.abs(np.asarray(state, dtype=complex)) ** 2
+    return float(sum(a for a, n in zip(amps, basis.states) if n & bit))
 
 
 class TestFockBasis:
@@ -311,3 +321,83 @@ class TestSectorAndComplement:
         assert exact_entropy(psi_t, basis, subset) == pytest.approx(
             _von_neumann(reduced_density_matrix(psi_t, basis, subset)), abs=1e-10
         )
+
+
+def _one_shot_evolve(state, hamiltonian, time):
+    """exp(-iHt)|state> from its own eigendecomposition per call: the one-shot reference for ExactEvolution."""
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    return vectors @ (np.exp(-1j * energies * time) * (vectors.conj().T @ np.asarray(state, dtype=complex)))
+
+
+class TestExactEvolution:
+    def test_one_eigh_for_many_times(self, monkeypatch):
+        setup = QuenchSetup(LatticeSpec(L=8, lam=1.1, a=0.3), "neel")
+        basis, psi = initial_state(setup)
+        hm = many_body_hamiltonian(build_hamiltonian(setup.spec), basis)
+        times = np.linspace(0.0, 10.0, 21)
+        expected = [_one_shot_evolve(psi, hm, t) for t in times]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: calls.append(m.shape) or eigh(m, *args, **kw))
+        evolution = ExactEvolution(psi, hm)
+        states = [evolution.state_at(t) for t in times]
+        assert calls == [(70, 70)]
+        for state, reference in zip(states, expected):
+            assert np.max(np.abs(state - reference)) <= 1e-14
+        assert np.array_equal(exact_evolve(psi, hm, times[5]), states[5])
+
+    def test_guards(self):
+        basis = fixed_number_basis(4, 2)
+        hm = many_body_hamiltonian(build_hamiltonian(LatticeSpec(L=4, lam=1.0)), basis)
+        with pytest.raises(ValueError, match="disagree"):
+            ExactEvolution(np.ones(5), hm)
+
+    def test_entropy_table_shape(self):
+        setup = QuenchSetup(LatticeSpec(L=4, lam=0.6, a=0.2), "neel", reference_site=2)
+        assert exact_entropies(setup, [[1], [2, 5]], []).shape == (0, 2)
+        table = exact_entropies(setup, [[2], [5], [2, 5]], [0.0], "two")
+        assert table == pytest.approx(np.array([[1.0, 1.0, 0.0]]), abs=1e-12)
+
+
+def _draw_subsets(data, modes, label):
+    """One random subset of 1..modes on each side of modes/2 (the small one may be empty)."""
+    order = data.draw(st.permutations(range(1, modes + 1)), label=f"{label} order")
+    small = data.draw(st.integers(0, modes // 2), label=f"{label} small")
+    large = data.draw(st.integers(modes // 2 + 1, modes), label=f"{label} large")
+    return [sorted(order[:small]), sorted(order[:large])]
+
+
+class TestProductionKernelAgreesWithOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_entropies_and_reference_information(self, data):
+        # the Gaussian production path (entropies with the complement rule, and
+        # reference_information on it) against the many-body state, to 1e-8
+        reference = data.draw(st.booleans(), label="reference")
+        L = data.draw(st.integers(2, MAX_MODES - 1) if reference else st.sampled_from((2, 4, 6, 8, 10, 12)), label="L")
+        initial = data.draw(st.sampled_from(("neel", "domain_wall", "random_product")), label="initial")
+        spec = LatticeSpec(
+            L=L,
+            lam=data.draw(st.floats(0.0, 2.5), label="lam"),
+            a=data.draw(st.floats(-0.6, 0.6), label="a"),
+            phi=data.draw(st.floats(0.0, 2 * np.pi), label="phi"),
+        )
+        setup = QuenchSetup(
+            spec,
+            initial,
+            initial_seed=data.draw(st.integers(0, 2**16), label="seed") if initial == "random_product" else None,
+            reference_site=data.draw(st.integers(1, L), label="E") if reference else None,
+        )
+        t = data.draw(st.floats(0.0, 10.0), label="t")
+        ev = quench_evolution(setup)
+        subsets = _draw_subsets(data, ev.dim, "modes")
+        assert entropies(ev, subsets, [t]) == pytest.approx(exact_entropies(setup, subsets, [t]), abs=1e-8)
+        if reference:
+            windows = _draw_subsets(data, L, "sites")
+            mi = reference_information(windows, L + 1, lambda sets: entropies(ev, sets, [t], "two"))
+            basis, psi = initial_state(setup)
+            hm = many_body_hamiltonian(_embed_reference(build_hamiltonian(spec), L + 1), basis)
+            psi_t = ExactEvolution(psi, hm).state_at(t)
+            exact = [exact_mutual_information(psi_t, basis, w, L + 1) for w in windows]
+            assert mi[0] == pytest.approx(exact, abs=1e-8)
+

@@ -1,7 +1,8 @@
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gaaquench import observables
@@ -151,6 +152,33 @@ class TestParseConfig:
             parse_config("experiment = sic_jump\nL = 4\na = 0.3\nlambda = 0.5, 1, 2\n")
         config = parse_config(f"experiment = sic_jump\nL = {observables.JUMP_SIZE}\na = 0.3\nlambda = 1\n")
         assert config.L == (observables.JUMP_SIZE,)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", "nan"), ("phi", "nan"), ("t", "nan"), ("burn_in", "nan"), ("times", "0, nan"),
+        ("a", "0, inf"), ("b", "nan"), ("fit_window", "0:inf"), ("jitter", "-inf"), ("mean_interval", "1e999"),
+    ])
+    def test_non_finite_floats_rejected(self, key, value):
+        # each of these used to parse, and then every point failed inside eigh
+        keys = {"experiment": "ee", "L": "8", "a": "0.3", "lambda": "1", key: value}
+        with pytest.raises(ConfigError, match=rf"key '{key}': expected a finite number"):
+            parse_config("".join(f"{k} = {v}\n" for k, v in keys.items()))
+
+    @pytest.mark.parametrize("text, message", [
+        ("experiment = fractions\nL = 8\na = 0.3, 1.5\nlambda = 1\n", r"a=1\.5"),
+        ("experiment = saturation\nL = 8, 10\na = 0\nlambda = 1\nboundary = periodic\nb = 1/4\n",
+         "does not divide L=10"),
+    ], ids=["second-a", "second-L"])
+    def test_every_sweep_lattice_validated(self, text, message):
+        # the first (a, L) point is valid; the sweep used to run and record the rest as failures
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    @pytest.mark.parametrize("line", ["seed = -1", "initial_seed = -1"])
+    def test_negative_seed_rejected(self, line):
+        with pytest.raises(ConfigError, match="non-negative"):
+            parse_config(f"experiment = velocity\nL = 8\na = 0\nlambda = 1\ninitial = random_product\n{line}\n")
+        with pytest.raises(ConfigError, match="non-negative"):
+            replace(parse_config(VELOCITY_TOY), seed=-1)
 
     def test_bad_protocol_surfaces(self):
         with pytest.raises(ConfigError, match="jitter"):
@@ -328,6 +356,17 @@ class TestRun:
         assert checks == {"ee", "sic"}
 
 
+    def test_verify_diagonalises_each_many_body_hamiltonian_once(self, tmp_path, monkeypatch):
+        dims = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: dims.append(m.shape[0]) or eigh(m, *args, **kw))
+        manifest = run(parse_config("experiment = verify\nL = 10\na = 0.3\nlambda = 1.0\n"), tmp_path)
+        assert manifest["verify_passed"] is True
+        # per engine, the chain without and with the reference (10 and 11 modes); the oracle
+        # diagonalises each many-body sector (C(10, 5) = 252 and C(11, 5) = 462 states) once
+        assert sorted(dims) == [10, 11, 252, 462]
+
+
 class TestCli:
     def test_velocity_roundtrip(self, tmp_path, capsys):
         path = write_config(tmp_path, VELOCITY_TOY)
@@ -354,6 +393,12 @@ class TestCli:
         assert main(["velocity", "--config", str(path), "--out", str(tmp_path / "a"), "--seed", "9"]) == 0
         assert main(["velocity", "--config", str(path), "--out", str(tmp_path / "b"), "--seed", "9"]) == 0
         assert (tmp_path / "a/velocity.csv").read_bytes() == (tmp_path / "b/velocity.csv").read_bytes()
+
+    def test_negative_seed_override_reported(self, tmp_path, capsys):
+        path = write_config(tmp_path, VELOCITY_TOY)
+        assert main(["velocity", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        assert "non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_cli_reports_status(self, tmp_path, capsys):
         path = write_config(tmp_path, "experiment = verify\nL = 6\na = 0\nlambda = 0.5\n")
