@@ -160,10 +160,14 @@ class QuenchEvolution:
     """Propagator C(t) = e^{+iht} C0 e^{-iht} from one eigendecomposition of h.
 
     If C0 carries a reference mode and h is chain-sized, h is embedded with a
-    zero row/column at the reference index first. The decomposition is reused
-    for every requested time, so evaluation is exact at arbitrary t. `pure`
-    records once whether C0 is a projector (max |C0^2 - C0| <= 1e-10), i.e. a
-    pure Gaussian state; unitary evolution keeps it one.
+    zero row/column at the reference index first. C0, rotated to the
+    eigenbasis of h, is factored once as Q diag(n) Q^dag, keeping the orbitals
+    Q with occupation |n| > 1e-12 (for a Slater determinant, n = 1 on its N
+    occupied orbitals; Peschel & Eisler, J. Phys. A 42, 504003 (2009)). Every
+    block is then W diag(n) W^dag with W = V_rows e^{iEt} Q, exact at arbitrary
+    t. An occupation outside [0, 1] by more than 1e-10 is no physical state
+    and is rejected. `pure` records whether every occupation lies within
+    1e-10 of 0 or 1, i.e. C0 is a projector; unitary evolution keeps it one.
     """
 
     def __init__(self, c0: CorrelationMatrix, h: np.ndarray):
@@ -178,24 +182,31 @@ class QuenchEvolution:
         self.reference_index = c0.reference_index
         self.dim = c0.dim
         c = c0.matrix
-        self.pure = bool(np.max(np.abs(c @ c - c)) <= _PROJECTOR_TOL)
-        # correlation matrix rotated to the eigenbasis, shared by all times
-        self._c0_eig = self.modes.T @ c0.matrix @ self.modes
+        if not c.imag.any():  # every state the package builds: the factor stays real
+            c = c.real
+        occupations, orbitals = np.linalg.eigh(self.modes.T @ c @ self.modes)
+        excursion = np.maximum(-occupations, occupations - 1.0)
+        if excursion.max() > _PROJECTOR_TOL:
+            worst = occupations[excursion.argmax()]
+            raise ValueError(f"correlation matrix has occupation {worst:.6g} outside [0, 1]: no physical state")
+        self.pure = bool(np.all(np.minimum(np.abs(occupations), np.abs(occupations - 1.0)) <= _PROJECTOR_TOL))
+        kept = np.abs(occupations) > _CLAMP
+        self._occupations = occupations[kept]
+        self._orbitals = orbitals[:, kept]
 
-    def _propagated_rows(self, time: float, rows: np.ndarray | None = None) -> np.ndarray:
-        phases = np.exp(1j * self.energies * time)
+    def _block(self, time: float, rows: np.ndarray | None) -> np.ndarray:
+        """C(t) on `rows` (0-based; None for all modes) as W diag(n) W^dag."""
         v = self.modes if rows is None else self.modes[rows]
-        return v * phases
+        phase = self.energies * time
+        w = (v * np.cos(phase)) @ self._orbitals + 1j * ((v * np.sin(phase)) @ self._orbitals)
+        return (w * self._occupations) @ w.conj().T
 
     def correlation_at(self, time: float) -> CorrelationMatrix:
-        p = self._propagated_rows(time)
-        return CorrelationMatrix(p @ self._c0_eig @ p.conj().T, self.reference_index)
+        return CorrelationMatrix(self._block(time, None), self.reference_index)
 
     def block_at(self, time: float, sites) -> np.ndarray:
         """Restricted correlation matrix C(t)[sites, sites] without forming all of C(t)."""
-        idx = _site_indices(sites, self.dim)
-        p = self._propagated_rows(time, idx)
-        return p @ self._c0_eig @ p.conj().T
+        return self._block(time, _site_indices(sites, self.dim))
 
 
 def evolve(c0: CorrelationMatrix, h: np.ndarray, time: float) -> CorrelationMatrix:

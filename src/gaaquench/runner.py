@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -378,6 +379,11 @@ def _point_verify(config: ExperimentConfig, protocol: SamplingProtocol, a: float
     return rows
 
 
+def _verify_summary(rows: list[tuple]) -> dict:
+    max_abs_delta = max(row[5] for row in rows)
+    return {"max_abs_delta": max_abs_delta, "verify_passed": bool(max_abs_delta <= _ORACLE_TOLERANCE)}
+
+
 @dataclass(frozen=True)
 class Experiment:
     """How one experiment sweeps, which configs it accepts and which CSV it writes."""
@@ -393,6 +399,7 @@ class Experiment:
     fixed_sizes: bool = False  # sizes are {0, JUMP_SIZE, L}; the sizes key is rejected
     # on a lambda sweep at single a and L: (correlation.csv figure, fraction attribute, rows -> {lambda: value})
     figure: tuple[str, str, Callable[[list[tuple]], dict]] | None = None
+    summary: Callable[[list[tuple]], dict] | None = None  # rows -> extra manifest keys
 
 
 EXPERIMENTS = {
@@ -408,7 +415,8 @@ EXPERIMENTS = {
                            figure=("sic_jump_vs_n_l", "n_l",
                                    lambda rows: {r[3]: r[5] for r in rows if r[4] == observables.JUMP_SIZE})),
     "fractions": Experiment(_point_fractions, "fractions.csv", "single", even_L=False),
-    "verify": Experiment(_point_verify, "verify.csv", "point", even_L=True, max_L=oracle.MAX_MODES),
+    "verify": Experiment(_point_verify, "verify.csv", "point", even_L=True, max_L=oracle.MAX_MODES,
+                         summary=_verify_summary),
 }
 
 
@@ -461,16 +469,66 @@ def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list[tuple]
     return [_write_csv(out, "fractions.csv", fraction_rows), _write_csv(out, "correlation.csv", corr)]
 
 
-def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict]]:
+def _blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None.
+
+    The symbols are looked up through numpy's core extension, which links the
+    library. A missing library or symbol only means the threads stay uncapped;
+    it never fails a run.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _blas_threads() -> int | None:
+    control = _blas_thread_control()
+    return None if control is None else control[0]()
+
+
+def _cap_blas_threads() -> None:
+    """Pool initializer: one BLAS thread per worker, so that the workers do not oversubscribe the cores."""
+    control = _blas_thread_control()
+    if control is not None:
+        control[1](1)
+
+
+def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict], int | str]:
+    """The sweep's rows, its failure records and the BLAS thread cap of each pool worker."""
     axes = (config.a, config.lam, config.L) if experiment.lengths == "swept" else (config.a, config.lam)
     payloads = [(config, index, point) for index, point in enumerate(product(*axes))]
     if config.workers == 1 or len(payloads) == 1:
-        results = [_run_point(p) for p in payloads]
+        results, cap = [_run_point(p) for p in payloads], "uncapped"
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_cap_blas_threads) as pool:
             results = list(pool.map(_run_point, payloads))  # in payload order
+        cap = 1 if _blas_thread_control() is not None else "uncapped"
     rows = [row for point_rows, _ in results for row in point_rows]
-    return rows, [failure for _, failure in results if failure is not None]
+    return rows, [failure for _, failure in results if failure is not None], cap
+
+
+def _environment(config: ExperimentConfig, cap: int | str) -> dict:
+    """The library and machine setup of a run (the manifest's `environment`)."""
+    import platform  # imported here, off the start-up path of every `gaa` command
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name"),
+        "blas_threads": _blas_threads(),
+        "cpu_count": os.cpu_count(),
+        "workers": config.workers,
+        "blas_threads_per_worker": cap,
+    }
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
@@ -480,7 +538,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
-    rows, failures = _run_points(config, experiment)
+    rows, failures, cap = _run_points(config, experiment)
     outputs = [_write_csv(out, experiment.output, rows)]
     if experiment.figure is not None and not failures:
         outputs += _write_figure(out, config, experiment.figure, rows)
@@ -493,10 +551,10 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
         "failures": failures,
+        "environment": _environment(config, cap),
     }
-    if config.experiment == "verify":
-        manifest["max_abs_delta"] = max(row[5] for row in rows)
-        manifest["verify_passed"] = bool(manifest["max_abs_delta"] <= _ORACLE_TOLERANCE)
+    if experiment.summary is not None:
+        manifest.update(experiment.summary(rows))
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

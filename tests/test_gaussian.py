@@ -14,6 +14,7 @@ from gaaquench.gaussian import (
     mutual_information,
     occupation_pattern,
     quench_evolution,
+    reference_information,
     subsystem_entropy,
 )
 from gaaquench.model import LatticeSpec, build_hamiltonian
@@ -135,6 +136,19 @@ class TestEvolve:
         for t in (0.5, 12.0, 300.0):
             c = ev.correlation_at(t)
             assert subsystem_entropy(c, [7], "two") == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "matrix, occupation",
+        [
+            (np.diag([1.5, 0.0, 1.0, 0.0]), "1.5"),
+            (np.diag([-0.1, 1.0, 1.0, 0.0]), "-0.1"),
+            (np.array([[0.4, 0.8, 0, 0], [0.8, 0.4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]), "-0.4"),  # diagonal in [0, 1]
+        ],
+    )
+    def test_non_physical_occupation_rejected(self, matrix, occupation):
+        c0 = CorrelationMatrix(matrix.astype(complex))
+        with pytest.raises(ValueError, match=f"occupation {occupation} outside"):
+            QuenchEvolution(c0, build_hamiltonian(LatticeSpec(L=4, lam=1.0, a=0.3)))
 
     def test_block_matches_full_correlation(self):
         ev = quench_evolution(neel_setup(8, lam=0.7, a=0.2))
@@ -287,3 +301,54 @@ class TestEntropiesKernel:
             entropies(ev, [[7]], [1.0])
         with pytest.raises(ValueError):
             entropies(ev, [[1]], [1.0], "ten")
+
+
+class TestPaperScaleInvariants:
+    """The kernel where the measurements run: L = 200-240 and t in [1e4, 2e4]."""
+
+    TIMES = (1.0e4, 1.37e4, 2.0e4)
+
+    @pytest.mark.parametrize("L", [200, 240])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_block_matches_dense_propagator(self, L, mixed):
+        spec = LatticeSpec(L=L, lam=1.0, a=0.3)
+        h = build_hamiltonian(spec)
+        occ = occupation_pattern(QuenchSetup(spec, "neel")).astype(float)
+        if mixed:
+            occ[::7] = 0.5  # half-filled sites without a partner: C0 is no projector
+        c0 = np.diag(occ).astype(complex)
+        ev = QuenchEvolution(CorrelationMatrix(c0), h)
+        assert ev.pure is not mixed
+        energies, modes = np.linalg.eigh(h)
+        sites = np.sort(np.random.default_rng(L).choice(np.arange(1, L + 1), L // 2, replace=False))
+        idx = np.ix_(sites - 1, sites - 1)
+        for t in self.TIMES:
+            u = (modes * np.exp(1j * energies * t)) @ modes.T  # e^{iht}
+            dense = u @ c0 @ u.conj().T
+            assert np.max(np.abs(ev.block_at(t, sites) - dense[idx])) <= 1e-12
+
+    @pytest.mark.parametrize("L", [200, 240])
+    def test_projector_and_particle_number(self, L):
+        ev = quench_evolution(neel_setup(L, lam=1.0, a=0.3))
+        for t in self.TIMES:
+            c = ev.correlation_at(t).matrix
+            assert np.max(np.abs(c @ c - c)) <= 1e-10
+            assert abs(np.trace(c).real - L // 2) <= 1e-10
+
+    @pytest.mark.parametrize("L", [200, 240])
+    def test_evolution_composes(self, L):
+        setup = neel_setup(L, lam=1.3, a=0.3)
+        ev = quench_evolution(setup)
+        t1, t2 = 1.2e4, 0.7e4
+        later = QuenchEvolution(ev.correlation_at(t1), build_hamiltonian(setup.spec)).correlation_at(t2)
+        assert np.max(np.abs(later.matrix - ev.correlation_at(t1 + t2).matrix)) <= 1e-10
+
+    def test_reference_information_bounded_and_monotone(self):
+        L = 100
+        ev = quench_evolution(neel_setup(L, lam=1.0, a=0.3, reference=L // 2))
+        nested = [range(1, k + 1) for k in range(L + 1)]
+        mi = reference_information(nested, L + 1, lambda sets: entropies(ev, sets, self.TIMES, "two"))
+        assert mi.min() >= -1e-9 and mi.max() <= 2 + 1e-9
+        assert np.all(np.diff(mi, axis=1) >= -1e-9)
+        assert mi[:, 0] == pytest.approx(0.0, abs=1e-9)
+        assert mi[:, -1] == pytest.approx(2.0, abs=1e-9)

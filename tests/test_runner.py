@@ -1,11 +1,15 @@
+import ctypes
 import json
+import os
+import platform
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gaaquench import observables
+from gaaquench import observables, runner
 from gaaquench.cli import main
 from gaaquench.model import GOLDEN_INVERSE
 from gaaquench.runner import ConfigError, ExperimentConfig, parse_config, run
@@ -345,6 +349,46 @@ class TestRun:
         assert "wall_time_s" in manifest
         assert ExperimentConfig.from_dict(manifest["config"]) == config
 
+    def test_manifest_environment(self, tmp_path):
+        manifest = run(parse_config(VELOCITY_TOY), tmp_path)
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["blas"] == np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        assert env["blas_threads"] == runner._blas_threads()
+        assert env["cpu_count"] == os.cpu_count()
+        assert (env["workers"], env["blas_threads_per_worker"]) == (1, "uncapped")
+        assert "max_abs_delta" not in manifest and "verify_passed" not in manifest
+
+    def test_pool_workers_run_with_one_blas_thread(self, tmp_path):
+        threads = runner._blas_threads()
+        manifest = run(parse_config(VELOCITY_TOY + "workers = 2\n"), tmp_path)
+        assert manifest["environment"]["blas_threads_per_worker"] == (1 if threads is not None else "uncapped")
+        assert runner._blas_threads() == threads  # the parent keeps its own count
+        with ProcessPoolExecutor(max_workers=1, initializer=runner._cap_blas_threads) as pool:
+            assert pool.submit(runner._blas_threads).result(timeout=60) == (1 if threads is not None else None)
+
+    def test_serial_run_leaves_blas_threads_alone(self, tmp_path, monkeypatch):
+        def forbidden():
+            raise AssertionError("a serial run capped the BLAS threads")
+
+        threads = runner._blas_threads()
+        monkeypatch.setattr(runner, "_cap_blas_threads", forbidden)
+        manifest = run(parse_config(VELOCITY_TOY), tmp_path)
+        assert not manifest["failures"]
+        assert runner._blas_threads() == threads
+
+    def test_missing_blas_library_runs_uncapped(self, tmp_path, monkeypatch):
+        def missing(*args, **kwargs):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert runner._blas_thread_control() is None
+        manifest = run(parse_config(VELOCITY_TOY + "workers = 2\n"), tmp_path)
+        assert not manifest["failures"] and manifest["outputs"][0]["rows"] == 6
+        assert manifest["environment"]["blas_threads"] is None
+        assert manifest["environment"]["blas_threads_per_worker"] == "uncapped"
+
     def test_verify_passes_at_small_size(self, tmp_path):
         config = parse_config("experiment = verify\nL = 6\na = 0.3\nlambda = 1.0\n")
         manifest = run(config, tmp_path)
@@ -362,9 +406,10 @@ class TestRun:
         monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: dims.append(m.shape[0]) or eigh(m, *args, **kw))
         manifest = run(parse_config("experiment = verify\nL = 10\na = 0.3\nlambda = 1.0\n"), tmp_path)
         assert manifest["verify_passed"] is True
-        # per engine, the chain without and with the reference (10 and 11 modes); the oracle
-        # diagonalises each many-body sector (C(10, 5) = 252 and C(11, 5) = 462 states) once
-        assert sorted(dims) == [10, 11, 252, 462]
+        # the Gaussian engine diagonalises h and factors C0 once each, for the chain without and
+        # with the reference (10 and 11 modes); the oracle diagonalises each many-body sector
+        # (C(10, 5) = 252 and C(11, 5) = 462 states) once
+        assert sorted(dims) == [10, 10, 11, 11, 252, 462]
 
 
 class TestCli:
