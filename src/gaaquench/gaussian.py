@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LatticeSpec, build_hamiltonian
+from .spectral import diagonalize
 
 _HERMITICITY_TOL = 1e-10
 _PROJECTOR_TOL = 1e-10
@@ -85,7 +86,7 @@ class QuenchSetup:
         if self.initial not in INITIAL_STATES:
             raise ValueError(f"initial must be one of {INITIAL_STATES}, got {self.initial!r}")
         if self.reference_site is None and self.spec.L % 2 != 0:
-            raise ValueError("half-filling patterns need an even L")
+            raise ValueError(f"odd L = {self.spec.L} has no half filling without a reference mode")
         if self.initial == "custom":
             if self.occupations is None:
                 raise ValueError("custom initial state needs an occupation vector")
@@ -146,49 +147,47 @@ def initial_correlation(setup: QuenchSetup) -> CorrelationMatrix:
     return CorrelationMatrix(c, reference_index=L + 1)
 
 
-def _embed_reference(h: np.ndarray, reference_index: int) -> np.ndarray:
-    """Extend h by a zero row/column at the reference mode, which never evolves."""
-    n = h.shape[0] + 1
-    r = reference_index - 1
-    out = np.zeros((n, n), dtype=h.dtype)
-    keep = np.delete(np.arange(n), r)
-    out[np.ix_(keep, keep)] = h
-    return out
+def setup_hamiltonian(setup: QuenchSetup) -> np.ndarray:
+    """The chain Hamiltonian over every mode of the setup's initial state: with a
+    reference, mode L + 1 is a zero last row and column, so it never evolves."""
+    h = build_hamiltonian(setup.spec)
+    return h if setup.reference_site is None else np.pad(h, (0, 1))
+
+
+def _check_occupations(occupations: np.ndarray) -> None:
+    """Reject correlation eigenvalues outside [0, 1] by more than 1e-10: no physical state."""
+    excursion = np.maximum(-occupations, occupations - 1.0)
+    if excursion.max() > _PROJECTOR_TOL:
+        worst = occupations[excursion.argmax()]
+        raise ValueError(f"correlation matrix has occupation {worst:.6g} outside [0, 1]: no physical state")
 
 
 class QuenchEvolution:
     """Propagator C(t) = e^{+iht} C0 e^{-iht} from one eigendecomposition of h.
 
-    If C0 carries a reference mode and h is chain-sized, h is embedded with a
-    zero row/column at the reference index first. C0, rotated to the
-    eigenbasis of h, is factored once as Q diag(n) Q^dag, keeping the orbitals
-    Q with occupation |n| > 1e-12 (for a Slater determinant, n = 1 on its N
-    occupied orbitals; Peschel & Eisler, J. Phys. A 42, 504003 (2009)). Every
-    block is then W diag(n) W^dag with W = V_rows e^{iEt} Q, exact at arbitrary
-    t. An occupation outside [0, 1] by more than 1e-10 is no physical state
-    and is rejected. `pure` records whether every occupation lies within
-    1e-10 of 0 or 1, i.e. C0 is a projector; unitary evolution keeps it one.
+    h is the single-particle Hamiltonian over all of C0's modes, the reference
+    mode included (see setup_hamiltonian). C0, rotated to the eigenbasis of h,
+    is factored once as Q diag(n) Q^dag, keeping the orbitals Q with
+    occupation |n| > 1e-12 (for a Slater determinant, n = 1 on its N occupied
+    orbitals; Peschel & Eisler, J. Phys. A 42, 504003 (2009)). Every block is
+    then W diag(n) W^dag with W = V_rows e^{iEt} Q, exact at arbitrary t. An
+    occupation outside [0, 1] by more than 1e-10 is no physical state and is
+    rejected. `pure` records whether every occupation lies within 1e-10 of 0
+    or 1, i.e. C0 is a projector; unitary evolution keeps it one.
     """
 
     def __init__(self, c0: CorrelationMatrix, h: np.ndarray):
         h = np.asarray(h, dtype=float)
-        if c0.reference_index is not None and h.shape[0] == c0.dim - 1:
-            h = _embed_reference(h, c0.reference_index)
-        if h.shape[0] != c0.dim:
-            raise ValueError(f"Hamiltonian size {h.shape[0]} does not match {c0.dim} modes")
-        if np.max(np.abs(h - h.T)) > _HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
-            raise ValueError("Hamiltonian must be symmetric")
-        self.energies, self.modes = np.linalg.eigh(h)
+        if h.shape != (c0.dim, c0.dim):
+            raise ValueError(f"Hamiltonian shape {h.shape} does not match {c0.dim} modes")
+        self.energies, self.modes = diagonalize(h)
         self.reference_index = c0.reference_index
         self.dim = c0.dim
         c = c0.matrix
         if not c.imag.any():  # every state the package builds: the factor stays real
             c = c.real
         occupations, orbitals = np.linalg.eigh(self.modes.T @ c @ self.modes)
-        excursion = np.maximum(-occupations, occupations - 1.0)
-        if excursion.max() > _PROJECTOR_TOL:
-            worst = occupations[excursion.argmax()]
-            raise ValueError(f"correlation matrix has occupation {worst:.6g} outside [0, 1]: no physical state")
+        _check_occupations(occupations)
         self.pure = bool(np.all(np.minimum(np.abs(occupations), np.abs(occupations - 1.0)) <= _PROJECTOR_TOL))
         kept = np.abs(occupations) > _CLAMP
         self._occupations = occupations[kept]
@@ -243,7 +242,11 @@ def entropy_of_block(block: np.ndarray, log_base: str = "natural") -> float:
 def subsystem_entropy(c: CorrelationMatrix, sites, log_base: str = "natural") -> float:
     """Von Neumann entropy of the modes in `sites` (1-based labels; empty set gives 0)."""
     idx = _site_indices(sites, c.dim)
-    return entropy_of_block(c.matrix[np.ix_(idx, idx)], log_base)
+    if idx.size == 0:
+        return 0.0
+    nu = np.linalg.eigvalsh(c.matrix[np.ix_(idx, idx)])
+    _check_occupations(nu)  # CorrelationMatrix itself checks only Hermiticity
+    return binary_entropy(nu, log_base)
 
 
 def reference_information(a_subsets, reference_index: int | None, entropy_of_sets) -> np.ndarray:
@@ -314,4 +317,4 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
 
 def quench_evolution(setup: QuenchSetup) -> QuenchEvolution:
     """Convenience: evolution of the setup's initial state under its own chain Hamiltonian."""
-    return QuenchEvolution(initial_correlation(setup), build_hamiltonian(setup.spec))
+    return QuenchEvolution(initial_correlation(setup), setup_hamiltonian(setup))

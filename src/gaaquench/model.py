@@ -67,8 +67,8 @@ class LatticeSpec:
         if self.boundary == "periodic":
             if not isinstance(self.b, Fraction):
                 raise ValueError(
-                    "periodic boundaries require b as an exact Fraction p/q "
-                    f"with q dividing L, got {self.b!r}"
+                    "periodic boundaries require b as a rational p/q (an exact Fraction, "
+                    f"e.g. b = 144/233) with q dividing L, got {self.b!r}"
                 )
             if self.L % self.b.denominator != 0:
                 raise ValueError(
@@ -92,8 +92,7 @@ def potential(spec: LatticeSpec, i: int) -> float:
     """
     if not 1 <= i <= spec.L:
         raise ValueError(f"site index {i} outside 1..{spec.L}")
-    c = math.cos(_phase(spec, i))
-    return 2.0 * spec.lam * c / (1.0 - spec.a * c)
+    return float(potential_values(spec)[i - 1])
 
 
 def potential_values(spec: LatticeSpec) -> np.ndarray:

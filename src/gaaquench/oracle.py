@@ -23,8 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gaussian import QuenchSetup, occupation_pattern, reference_information
-from .model import build_hamiltonian
+from .gaussian import LOG_BASES, QuenchSetup, _site_indices, occupation_pattern, reference_information, setup_hamiltonian
 
 MAX_MODES = 12
 
@@ -108,16 +107,6 @@ def exact_evolve(state: np.ndarray, hamiltonian: np.ndarray, time: float) -> np.
     return ExactEvolution(state, hamiltonian).state_at(time)
 
 
-def _mode_labels(basis: FockBasis, subset) -> list[int]:
-    """Sorted 1-based mode labels, checked to be distinct and inside 1..modes."""
-    labels = sorted(int(m) for m in subset)
-    if labels and (labels[0] < 1 or labels[-1] > basis.modes):
-        raise ValueError(f"mode labels must lie in 1..{basis.modes}")
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate mode labels")
-    return labels
-
-
 def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.ndarray:
     """Partial trace over the complement of `subset` (1-based mode labels).
 
@@ -126,7 +115,7 @@ def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.nd
     for every occupied complement mode j < i.
     """
     in_a = np.zeros(basis.modes, dtype=bool)
-    in_a[[m - 1 for m in _mode_labels(basis, subset)]] = True
+    in_a[_site_indices(subset, basis.modes)] = True
     occ = (np.asarray(basis.states, dtype=np.int64)[:, None] >> np.arange(basis.modes)) & 1
     occ_a, occ_b = occ[:, in_a], occ[:, ~in_a]
     # at a subset mode, the running count of occupied complement modes is the count below it
@@ -144,9 +133,9 @@ def exact_entropy(state: np.ndarray, basis: FockBasis, subset, log_base: str = "
     The state vector is pure, so the larger side is replaced by its complement
     (a tie keeps `subset`); an empty side has entropy 0 and builds no matrix.
     """
-    if log_base not in ("natural", "two"):
-        raise ValueError("log_base must be 'natural' or 'two'")
-    labels = _mode_labels(basis, subset)
+    if log_base not in LOG_BASES:
+        raise ValueError(f"log_base must be one of {LOG_BASES}")
+    labels = (_site_indices(subset, basis.modes) + 1).tolist()
     if 2 * len(labels) > basis.modes:
         labels = sorted(set(range(1, basis.modes + 1)) - set(labels))
     if not labels:
@@ -197,9 +186,6 @@ def exact_entropies(setup: QuenchSetup, subsets, times, log_base: str = "natural
     """gaussian.entropies(quench_evolution(setup), ...) on the exact sector state: entropy of each
     subset (1-based modes) at each time, [n_times, n_subsets], from one many-body eigh."""
     basis, state = initial_state(setup)
-    h = build_hamiltonian(setup.spec)
-    if setup.reference_site is not None:
-        h = np.pad(h, (0, 1))  # the reference mode never evolves
-    evolution = ExactEvolution(state, many_body_hamiltonian(h, basis))
+    evolution = ExactEvolution(state, many_body_hamiltonian(setup_hamiltonian(setup), basis))
     values = [[exact_entropy(psi, basis, x, log_base) for x in subsets] for psi in map(evolution.state_at, times)]
     return np.array(values, dtype=float).reshape(len(values), len(subsets))

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, observables, oracle, spectral
-from .gaussian import INITIAL_STATES, QuenchSetup, entropies, quench_evolution, reference_information
+from .gaussian import QuenchSetup, entropies, quench_evolution, reference_information
 from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
@@ -92,10 +92,6 @@ class ExperimentConfig:
         object.__setattr__(self, "L", tuple(sorted(int(v) for v in self.L)))
         object.__setattr__(self, "lam", tuple(sorted(float(v) for v in self.lam)))
         object.__setattr__(self, "a", tuple(sorted(float(v) for v in self.a)))
-        if any(L < 2 for L in self.L):
-            raise ConfigError("all L must be >= 2")
-        if experiment.even_L and any(L % 2 for L in self.L):
-            raise ConfigError(f"odd L invalid for experiment '{self.experiment}' (half filling)")
         if experiment.lengths == "point" and (len(self.L) > 1 or len(self.lam) > 1 or len(self.a) > 1):
             raise ConfigError(f"experiment '{self.experiment}' takes a single (L, lambda, a) point")
         if experiment.lengths == "single" and len(self.L) > 1:
@@ -117,8 +113,6 @@ class ExperimentConfig:
             object.__setattr__(self, "sizes", sizes)
         if self.times is not None and not self.times:
             raise ConfigError("times is empty")
-        if self.initial not in INITIAL_STATES:
-            raise ConfigError(f"initial must be one of {INITIAL_STATES}, got {self.initial!r}")
         if self.coupling not in observables.COUPLINGS:
             raise ConfigError(f"coupling must be one of {observables.COUPLINGS}, got {self.coupling!r}")
         if self.initial == "random_product" and self.initial_seed is None:
@@ -127,13 +121,12 @@ class ExperimentConfig:
             raise ConfigError("n_random must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.boundary == "periodic" and not isinstance(self.b, Fraction):
-            raise ConfigError("periodic boundary requires b as a rational p/q (e.g. b = 144/233)")
         if self.seed < 0 or (self.initial_seed is not None and self.initial_seed < 0):
             raise ConfigError("seed and initial_seed must be non-negative")
         self.protocol(self.seed)  # surfaces invalid sampling parameters early
-        for a, L in product(self.a, self.L):  # the lattice checks do not depend on lambda
-            self.spec_at(a, self.lam[0], L)
+        for a, L in product(self.a, self.L):  # the lattice and initial-state checks do not depend on lambda
+            reference = None if experiment.even_L else observables.reference_site_for(L, self.coupling)
+            self.setup_at(a, self.lam[0], L, reference)
 
     def spec_at(self, a: float, lam: float, L: int) -> LatticeSpec:
         b = self.b
@@ -146,13 +139,17 @@ class ExperimentConfig:
 
     def setup_at(self, a: float, lam: float, L: int, reference_site: int | None = None,
                  initial_seed: int | None = None) -> QuenchSetup:
-        return QuenchSetup(
-            self.spec_at(a, lam, L),
-            initial=self.initial,
-            occupations=self.occupations,
-            initial_seed=self.initial_seed if initial_seed is None else initial_seed,
-            reference_site=reference_site,
-        )
+        spec = self.spec_at(a, lam, L)
+        try:
+            return QuenchSetup(
+                spec,
+                initial=self.initial,
+                occupations=self.occupations,
+                initial_seed=self.initial_seed if initial_seed is None else initial_seed,
+                reference_site=reference_site,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def protocol(self, seed: int) -> SamplingProtocol:
         """The sampling protocol of this config, seeded with `seed` (the fields share their names)."""

@@ -64,12 +64,10 @@ def ipr(psi: np.ndarray) -> float:
 
     1/L for a uniform state, 1 for a single-site peak.
     """
-    psi = np.asarray(psi)
-    p = np.abs(psi) ** 2
-    norm = p.sum()
-    if norm == 0:
+    column = np.asarray(psi).reshape(-1, 1)
+    if not column.any():
         raise ValueError("zero vector has no IPR")
-    return float((p**2).sum() / norm**2)
+    return float(ipr_values(column)[0])
 
 
 def ipr_values(eigenvectors: np.ndarray) -> np.ndarray:
@@ -87,6 +85,16 @@ def mobility_edge(spec: LatticeSpec) -> float | None:
     if spec.a == 0 or spec.lam == 0:
         return None
     return 2.0 * math.copysign(1.0, spec.lam) * (abs(spec.t) - abs(spec.lam)) / spec.a
+
+
+def _aubry_andre_label(spec: LatticeSpec) -> str:
+    """The AA criterion for a chain without a mobility edge: every state is
+    extended for |lam| < |t|, localized for |lam| > |t|, undefined at |lam| = |t|."""
+    if abs(spec.lam) < abs(spec.t):
+        return EXTENDED
+    if abs(spec.lam) > abs(spec.t):
+        return LOCALIZED
+    return UNDEFINED
 
 
 def _ipr_threshold(L: int) -> float:
@@ -113,14 +121,11 @@ def classify(
     labels = np.empty(L, dtype=object)
 
     if e_c is None:
-        if spec.lam == 0 or abs(spec.lam) < abs(spec.t):
-            labels[:] = EXTENDED
-            return labels, 1.0, 0.0
-        if abs(spec.lam) > abs(spec.t):
-            labels[:] = LOCALIZED
-            return labels, 0.0, 1.0
-        labels[:] = UNDEFINED
-        return labels, float("nan"), float("nan")
+        label = _aubry_andre_label(spec)
+        labels[:] = label
+        if label == UNDEFINED:
+            return labels, float("nan"), float("nan")
+        return labels, float(label == EXTENDED), float(label == LOCALIZED)
 
     offset = energies - e_c
     band = TIE_BAND * max(1.0, abs(e_c))
@@ -157,11 +162,10 @@ def phase_region(spec: LatticeSpec, energies: np.ndarray) -> str:
         if e_c < lo:
             return PHASE_LOCALIZED
         raise ValueError("mobility edge coincides with a spectral endpoint; region undefined")
-    if spec.lam == 0 or abs(spec.lam) < abs(spec.t):
-        return PHASE_EXTENDED
-    if abs(spec.lam) > abs(spec.t):
-        return PHASE_LOCALIZED
-    raise ValueError("AA critical point |lam| = |t|; region undefined")
+    region = _aubry_andre_label(spec)  # the state labels double as region names
+    if region == UNDEFINED:
+        raise ValueError("AA critical point |lam| = |t|; region undefined")
+    return region
 
 
 def analyze(spec: LatticeSpec) -> SpectrumData:

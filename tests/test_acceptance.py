@@ -14,7 +14,6 @@ import pytest
 
 from gaaquench.gaussian import (
     QuenchSetup,
-    _embed_reference,
     mutual_information,
     quench_evolution,
     subsystem_entropy,
@@ -97,7 +96,7 @@ def test_criterion_2_oracle_equivalence_sic():
     ev = quench_evolution(setup)
     basis, psi0 = initial_state(setup)
     h = build_hamiltonian(setup.spec)
-    hamiltonian = many_body_hamiltonian(_embed_reference(h, 7), basis)
+    hamiltonian = many_body_hamiltonian(np.pad(h, (0, 1)), basis)
     deltas = []
     for t in (1.0, 3.0, 7.0):
         c = ev.correlation_at(t)

@@ -15,6 +15,7 @@ from gaaquench.gaussian import (
     occupation_pattern,
     quench_evolution,
     reference_information,
+    setup_hamiltonian,
     subsystem_entropy,
 )
 from gaaquench.model import LatticeSpec, build_hamiltonian
@@ -117,6 +118,23 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(c0, np.zeros((4, 4)), 1.0)
 
+    def test_chain_sized_hamiltonian_rejected_with_reference(self):
+        # h must cover every mode of C0; setup_hamiltonian adds the reference mode
+        setup = neel_setup(6, reference=3)
+        with pytest.raises(ValueError, match="does not match 7 modes"):
+            QuenchEvolution(initial_correlation(setup), build_hamiltonian(setup.spec))
+
+    @pytest.mark.parametrize("reference", [None, 1, 3, 6])
+    def test_setup_hamiltonian_adds_one_zero_last_mode(self, reference):
+        setup = neel_setup(6, reference=reference)
+        h, chain = setup_hamiltonian(setup), build_hamiltonian(setup.spec)
+        if reference is None:
+            assert np.array_equal(h, chain)
+            return
+        assert h.shape == (7, 7)
+        assert np.array_equal(h[:6, :6], chain)
+        assert not h[6].any() and not h[:, 6].any()
+
     def test_trace_conserved_to_late_times(self):
         setup = neel_setup(8, lam=1.0, a=0.3)
         ev = quench_evolution(setup)
@@ -181,6 +199,13 @@ class TestSubsystemEntropy:
         with pytest.raises(ValueError):
             subsystem_entropy(c, [1, 1])
 
+    def test_non_physical_block_rejected(self):
+        c = CorrelationMatrix(np.diag([1.5, -0.2]).astype(complex))
+        with pytest.raises(ValueError, match="occupation 1.5 outside"):
+            subsystem_entropy(c, [1, 2])
+        with pytest.raises(ValueError, match="occupation -0.2 outside"):
+            subsystem_entropy(c, [2])
+
     def test_complement_symmetry_for_pure_state(self):
         setup = neel_setup(10, lam=0.9, a=0.4)
         ev = quench_evolution(setup)
@@ -201,6 +226,11 @@ class TestMutualInformation:
         c = initial_correlation(neel_setup(6, reference=3))
         with pytest.raises(ValueError):
             mutual_information(c, [1, 7])
+
+    def test_non_physical_matrix_rejected(self):
+        c = CorrelationMatrix(np.diag([1.5, 0.0, 0.5]).astype(complex), reference_index=3)
+        with pytest.raises(ValueError, match="occupation 1.5 outside"):
+            mutual_information(c, [1, 2])
 
     def test_bell_pair_inside_or_outside(self):
         c = initial_correlation(neel_setup(6, reference=3))

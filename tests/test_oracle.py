@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gaaquench.gaussian import (
     QuenchSetup,
-    _embed_reference,
     entropies,
     mutual_information,
     quench_evolution,
@@ -200,7 +199,7 @@ class TestOracleAgreesWithGaussian:
         setup = QuenchSetup(LatticeSpec(L=4, lam=0.6, a=0.2), "neel", reference_site=2)
         basis, psi = initial_state(setup)
         h = build_hamiltonian(setup.spec)
-        hm = many_body_hamiltonian(_embed_reference(h, 5), basis)
+        hm = many_body_hamiltonian(np.pad(h, (0, 1)), basis)
         ev = quench_evolution(setup)
         for t in (0.0, 1.3, 6.0):
             psi_t = exact_evolve(psi, hm, t)
@@ -245,7 +244,7 @@ def _draw_reference_quench(data, max_L=9):
         L=L, lam=data.draw(st.floats(0.0, 2.5), label="lam"), a=data.draw(st.floats(-0.6, 0.6), label="a")
     )
     setup = QuenchSetup(spec, initial, initial_seed=seed, reference_site=data.draw(st.integers(1, L), label="E"))
-    h = _embed_reference(build_hamiltonian(spec), L + 1)
+    h = np.pad(build_hamiltonian(spec), (0, 1))
     t = data.draw(st.floats(0.0, 10.0), label="t")
     basis, psi = initial_state(setup)
     return setup, h, t, basis, exact_evolve(psi, many_body_hamiltonian(h, basis), t)
@@ -396,7 +395,7 @@ class TestProductionKernelAgreesWithOracle:
             windows = _draw_subsets(data, L, "sites")
             mi = reference_information(windows, L + 1, lambda sets: entropies(ev, sets, [t], "two"))
             basis, psi = initial_state(setup)
-            hm = many_body_hamiltonian(_embed_reference(build_hamiltonian(spec), L + 1), basis)
+            hm = many_body_hamiltonian(np.pad(build_hamiltonian(spec), (0, 1)), basis)
             psi_t = ExactEvolution(psi, hm).state_at(t)
             exact = [exact_mutual_information(psi_t, basis, w, L + 1) for w in windows]
             assert mi[0] == pytest.approx(exact, abs=1e-8)

@@ -177,6 +177,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("experiment = saturation\nL = 8\na = 0\nlambda = 0.5, 1\ninitial = custom:1100\n", "length L"),
+        ("experiment = sic_profile\nL = 8\na = 0\nlambda = 0.5, 1\ninitial = custom:1100\n", "length L"),
+        ("experiment = velocity\nL = 8\na = 0\nlambda = 0.5, 1\ninitial = custom:11111111\n", "L/2 particles"),
+        ("experiment = scaling\nL = 8, 10, 12\na = 0\nlambda = 0.5\ninitial = custom:11110000\n", "length L"),
+    ], ids=["saturation-length", "sic-length", "velocity-count", "scaling-second-L"])
+    def test_every_sweep_initial_pattern_validated(self, text, message):
+        # each of these used to parse, and then every point failed on its initial pattern
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    def test_coupling_checked_without_a_reference(self):
+        # velocity attaches no reference, so no setup it builds reads the coupling
+        with pytest.raises(ConfigError, match="coupling must be one of"):
+            parse_config("experiment = velocity\nL = 8\na = 0\nlambda = 1\ncoupling = middle\n")
+
     @pytest.mark.parametrize("line", ["seed = -1", "initial_seed = -1"])
     def test_negative_seed_rejected(self, line):
         with pytest.raises(ConfigError, match="non-negative"):
