@@ -64,25 +64,41 @@ def _parity(bits: int) -> int:
     return -1 if bin(bits).count("1") % 2 else 1
 
 
+def _occupation_table(basis: FockBasis) -> np.ndarray:
+    """[ket, mode] 0/1 occupations of the basis kets."""
+    return (np.asarray(basis.states, dtype=np.int64)[:, None] >> np.arange(basis.modes)) & 1
+
+
 def many_body_hamiltonian(h: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Matrix of sum_ij h_ij c_i^dag c_j in the given basis (real symmetric for real h)."""
+    """Matrix of sum_ij h_ij c_i^dag c_j in the given basis (real symmetric for real h).
+
+    Built one hopping term at a time over every ket of the occupation table.
+    c_i^dag c_j with i != j maps a ket to one other ket, so each off-diagonal
+    entry has a single term, with the sign (-1)^(occupied modes below j in n
+    plus occupied modes below i in n - j). The diagonal adds h_ii over the
+    occupied modes, mode by mode in ascending order.
+    """
     h = np.asarray(h, dtype=float)
     if h.shape != (basis.modes, basis.modes):
         raise ValueError(f"single-particle matrix {h.shape} does not match {basis.modes} modes")
-    nonzero = [(i, j, h[i, j]) for i in range(basis.modes) for j in range(basis.modes) if h[i, j] != 0.0]
+    states = np.asarray(basis.states, dtype=np.int64)
+    order = np.argsort(states)
+    occ = _occupation_table(basis).astype(bool)
+    below = np.cumsum(occ, axis=1) - occ  # occupied modes below each mode
     dim = len(basis)
     out = np.zeros((dim, dim))
-    for col, n in enumerate(basis.states):
-        for i, j, v in nonzero:
-            bj = 1 << j
-            if not n & bj:
-                continue
-            m1 = n ^ bj
-            bi = 1 << i
-            if m1 & bi:
-                continue
-            sign = _parity(n & (bj - 1)) * _parity(m1 & (bi - 1))
-            out[basis.index[m1 | bi], col] += sign * v
+    diagonal = out.reshape(-1)[:: dim + 1]
+    for i, j in zip(*np.nonzero(h)):
+        if i == j:
+            diagonal[occ[:, i]] += h[i, i]
+            continue
+        cols = np.flatnonzero(occ[:, j] & ~occ[:, i])
+        targets = states[cols] ^ (1 << j) | (1 << i)
+        rows = order[np.minimum(np.searchsorted(states, targets, sorter=order), dim - 1)]
+        if np.any(states[rows] != targets):  # a basis not closed under hopping
+            raise ValueError("basis is missing a ket that the Hamiltonian reaches")
+        swaps = below[cols, j] + below[cols, i] - (j < i)
+        out[rows, cols] = (1 - 2 * (swaps % 2)) * h[i, j]
     return out
 
 
@@ -116,7 +132,7 @@ def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.nd
     """
     in_a = np.zeros(basis.modes, dtype=bool)
     in_a[_site_indices(subset, basis.modes)] = True
-    occ = (np.asarray(basis.states, dtype=np.int64)[:, None] >> np.arange(basis.modes)) & 1
+    occ = _occupation_table(basis)
     occ_a, occ_b = occ[:, in_a], occ[:, ~in_a]
     # at a subset mode, the running count of occupied complement modes is the count below it
     swaps = (occ_a * np.cumsum(occ * ~in_a, axis=1)[:, in_a]).sum(axis=1)

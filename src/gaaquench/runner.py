@@ -417,16 +417,18 @@ EXPERIMENTS = {
 }
 
 
-def _run_point(payload) -> tuple[list[tuple], dict | None]:
-    """The point's CSV rows, or no rows and the failure record for the manifest."""
+def _run_point(payload) -> tuple[list[tuple], dict | None, float]:
+    """The point's CSV rows, or no rows and the failure record for the manifest; and its wall time."""
     config, index, point = payload
     experiment = EXPERIMENTS[config.experiment]
+    t0 = time.perf_counter()
     try:
-        return experiment.point(config, config.protocol(derived_seed(config.seed, index)), *point), None
+        rows, failure = experiment.point(config, config.protocol(derived_seed(config.seed, index)), *point), None
     except Exception as exc:  # recorded in the manifest; the sweep continues
         if experiment.lengths == "point":
             raise  # a single-point run has no sweep to continue
-        return [], {"point_index": index, "params": list(point), "error": f"{type(exc).__name__}: {exc}"}
+        rows, failure = [], {"point_index": index, "params": list(point), "error": f"{type(exc).__name__}: {exc}"}
+    return rows, failure, time.perf_counter() - t0
 
 
 def _format_cell(value) -> str:
@@ -499,8 +501,9 @@ def _cap_blas_threads() -> None:
         control[1](1)
 
 
-def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict], int | str]:
-    """The sweep's rows, its failure records and the BLAS thread cap of each pool worker."""
+def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict], list[float], int | str]:
+    """The sweep's rows, its failure records, the wall time of each point (in payload order)
+    and the BLAS thread cap of each pool worker."""
     axes = (config.a, config.lam, config.L) if experiment.lengths == "swept" else (config.a, config.lam)
     payloads = [(config, index, point) for index, point in enumerate(product(*axes))]
     if config.workers == 1 or len(payloads) == 1:
@@ -509,8 +512,9 @@ def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[
         with ProcessPoolExecutor(max_workers=config.workers, initializer=_cap_blas_threads) as pool:
             results = list(pool.map(_run_point, payloads))  # in payload order
         cap = 1 if _blas_thread_control() is not None else "uncapped"
-    rows = [row for point_rows, _ in results for row in point_rows]
-    return rows, [failure for _, failure in results if failure is not None], cap
+    rows = [row for point_rows, _, _ in results for row in point_rows]
+    failures = [failure for _, failure, _ in results if failure is not None]
+    return rows, failures, [wall for _, _, wall in results], cap
 
 
 def _environment(config: ExperimentConfig, cap: int | str) -> dict:
@@ -535,7 +539,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
-    rows, failures, cap = _run_points(config, experiment)
+    rows, failures, point_wall_s, cap = _run_points(config, experiment)
     outputs = [_write_csv(out, experiment.output, rows)]
     if experiment.figure is not None and not failures:
         outputs += _write_figure(out, config, experiment.figure, rows)
@@ -546,6 +550,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "version": __version__,
         "started": started,
         "wall_time_s": time.perf_counter() - t0,
+        "point_wall_s": point_wall_s,
         "outputs": outputs,
         "failures": failures,
         "environment": _environment(config, cap),

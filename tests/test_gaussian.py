@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaaquench import gaussian
 from gaaquench.gaussian import (
     CorrelationMatrix,
     QuenchEvolution,
     QuenchSetup,
+    binary_entropy,
+    block_entropies,
     entropies,
     entropy_of_block,
     evolve,
@@ -25,6 +28,28 @@ LN2 = np.log(2.0)
 
 def neel_setup(L, lam=1.0, a=0.3, reference=None):
     return QuenchSetup(LatticeSpec(L=L, lam=lam, a=a), "neel", reference_site=reference)
+
+
+def per_time_entropies(ev, subsets, times, log_base):
+    """The kernel's arithmetic one time and one side at a time, and the number of rows it builds.
+
+    A subset of a pure state that holds more than half of the modes is replaced
+    by its complement; each side is cut from the block of the union of the sides.
+    """
+    sides = []
+    for subset in subsets:
+        side = sorted(set(subset))
+        if ev.pure and 2 * len(side) > ev.dim:
+            side = sorted(set(range(1, ev.dim + 1)) - set(side))
+        sides.append(side)
+    rows = sorted(set().union(*sides))
+    out = np.empty((len(times), len(subsets)))
+    for k, t in enumerate(times):
+        block = ev.block_at(t, rows)
+        for j, side in enumerate(sides):
+            pos = [rows.index(x) for x in side]
+            out[k, j] = entropy_of_block(block[np.ix_(pos, pos)], log_base)
+    return out, len(rows)
 
 
 class TestQuenchSetup:
@@ -331,6 +356,87 @@ class TestEntropiesKernel:
             entropies(ev, [[7]], [1.0])
         with pytest.raises(ValueError):
             entropies(ev, [[1]], [1.0], "ten")
+
+
+def _mixed_evolution():
+    c0 = CorrelationMatrix(np.diag([0.5, 1.0, 0.5, 0.0, 1.0, 0.0, 1.0, 0.0]).astype(complex))
+    return QuenchEvolution(c0, build_hamiltonian(LatticeSpec(L=8, lam=1.0, a=0.3)))
+
+
+# (evolution, subsets): the empty set, sides that are not contiguous in the
+# built rows, subsets replaced by their complements, and the reference mode
+CHUNK_CASES = {
+    "reference": (
+        lambda: quench_evolution(neel_setup(12, reference=6)),
+        [[], [3, 4, 5], [2, 5, 9], list(range(1, 12)), [13], [3, 4, 5, 13], list(range(2, 14))],
+    ),
+    "no_reference": (
+        lambda: quench_evolution(neel_setup(10, lam=1.3)),
+        [[1, 2], [4, 7, 8], list(range(1, 10)), [], list(range(2, 11))],
+    ),
+    "mixed": (_mixed_evolution, [[1, 2, 3, 4, 5], [6], [2, 4, 5, 6], [1, 3], [], list(range(1, 9))]),
+}
+
+
+class TestStackedKernel:
+    """entropies takes the times in chunks of one [chunk, rows, rows] stack; every value must be the
+    one its own time gives, whatever the chunk count and the place of the time in its chunk."""
+
+    @pytest.mark.parametrize("log_base", ["natural", "two"])
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_equals_per_time_blocks_exactly(self, case, log_base, monkeypatch):
+        build, subsets = CHUNK_CASES[case]
+        ev = build()
+        assert ev.pure == (case != "mixed")
+        times = np.random.default_rng(5).uniform(1e4, 2e4, 12)
+        _, rows = per_time_entropies(ev, subsets, times[:1], log_base)
+        monkeypatch.setattr(gaussian, "_CHUNK_ENTRIES", 3 * rows * rows)
+        k = gaussian._chunk_times(rows)
+        assert k == 3
+        for count in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+            expected, _ = per_time_entropies(ev, subsets, times[:count], log_base)
+            got = entropies(ev, subsets, times[:count], log_base)
+            assert got.shape == (count, len(subsets))
+            assert np.array_equal(got, expected), f"{count} times"
+
+    def test_chunk_rule_stays_within_the_budget(self):
+        budget = gaussian._CHUNK_ENTRIES
+        assert budget == 2**16
+        assert gaussian._chunk_times(100) == gaussian._chunk_times(101) == 6
+        assert gaussian._chunk_times(0) >= 1
+        for rows in range(1, 600):
+            k = gaussian._chunk_times(rows)
+            assert k >= 1
+            if rows * rows <= budget:
+                assert k * rows * rows <= budget < (k + 1) * rows * rows
+            else:
+                assert k == 1
+
+    def test_no_subsets(self):
+        ev = quench_evolution(neel_setup(6))
+        assert entropies(ev, [], [1.0, 2.0]).shape == (2, 0)
+
+
+class TestBlockEntropies:
+    def test_stack_equals_each_block_exactly(self):
+        ev = quench_evolution(neel_setup(12, reference=6))
+        rows = [2, 3, 5, 8, 13]
+        stack = np.array([ev.block_at(t, rows) for t in (1.0e4, 1.3e4, 1.7e4)]).reshape(3, 1, 5, 5)
+        for log_base in ("natural", "two"):
+            got = block_entropies(stack, log_base)
+            assert got.shape == (3, 1)
+            assert got[:, 0].tolist() == [entropy_of_block(b[0], log_base) for b in stack]
+            assert got[0, 0] == binary_entropy(np.linalg.eigvalsh(stack[0, 0]), log_base)
+
+    def test_empty_blocks_give_zero(self):
+        assert block_entropies(np.zeros((4, 0, 0), dtype=complex)).tolist() == [0.0] * 4
+        assert entropy_of_block(np.zeros((0, 0))) == 0.0
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            block_entropies(np.eye(2)[None] * 0.5, "ten")
+        with pytest.raises(ValueError, match="2-D"):
+            entropy_of_block(np.eye(2)[None] * 0.5)
 
 
 class TestPaperScaleInvariants:

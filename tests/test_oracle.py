@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,12 +12,14 @@ from gaaquench.gaussian import (
     mutual_information,
     quench_evolution,
     reference_information,
+    setup_hamiltonian,
     subsystem_entropy,
 )
 from gaaquench.model import LatticeSpec, build_hamiltonian
 from gaaquench.oracle import (
     MAX_MODES,
     ExactEvolution,
+    FockBasis,
     exact_entropies,
     exact_entropy,
     exact_evolve,
@@ -27,6 +30,24 @@ from gaaquench.oracle import (
     many_body_hamiltonian,
     reduced_density_matrix,
 )
+
+
+def per_ket_hamiltonian(h, basis):
+    """sum_ij h_ij c_i^dag c_j built ket by ket and term by term, with Jordan-Wigner signs from bit counts."""
+
+    def parity(bits):
+        return -1 if bin(bits).count("1") % 2 else 1
+
+    nonzero = [(i, j, h[i, j]) for i in range(basis.modes) for j in range(basis.modes) if h[i, j] != 0.0]
+    out = np.zeros((len(basis), len(basis)))
+    for col, n in enumerate(basis.states):
+        for i, j, v in nonzero:
+            bj, bi = 1 << j, 1 << i
+            if not n & bj or (n ^ bj) & bi:
+                continue
+            m1 = n ^ bj
+            out[basis.index[m1 | bi], col] += parity(n & (bj - 1)) * parity(m1 & (bi - 1)) * v
+    return out
 
 
 def mode_occupation(state, basis, mode):
@@ -87,6 +108,26 @@ class TestManyBodyHamiltonian:
         h = build_hamiltonian(LatticeSpec(L=5, lam=0.8, a=0.2))
         hm = many_body_hamiltonian(h, full_basis(5))
         assert np.max(np.abs(hm - hm.T)) == 0.0
+
+    @pytest.mark.parametrize(
+        "h, basis",
+        [
+            (build_hamiltonian(LatticeSpec(L=10, lam=1.0, a=0.3)), fixed_number_basis(10, 5)),
+            (build_hamiltonian(LatticeSpec(L=8, lam=1.2, a=0.2, b=Fraction(3, 8), boundary="periodic")),
+             fixed_number_basis(8, 4)),
+            (setup_hamiltonian(QuenchSetup(LatticeSpec(L=10, lam=1.0, a=0.3), reference_site=5)),
+             fixed_number_basis(11, 6)),
+            (build_hamiltonian(LatticeSpec(L=6, lam=0.7, a=-0.4, phi=1.1)), full_basis(6)),
+        ],
+        ids=["open", "periodic", "reference", "full"],
+    )
+    def test_equals_per_ket_reference_exactly(self, h, basis):
+        assert np.array_equal(many_body_hamiltonian(h, basis), per_ket_hamiltonian(h, basis))
+
+    def test_basis_missing_a_reached_ket_rejected(self):
+        basis = FockBasis(2, None, (0b01,), {0b01: 0})  # |10> is reached by hopping but absent
+        with pytest.raises(ValueError, match="missing a ket"):
+            many_body_hamiltonian(np.array([[0.0, -1.0], [-1.0, 0.0]]), basis)
 
 
 class TestExactEvolve:

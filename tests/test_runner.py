@@ -2,6 +2,7 @@ import ctypes
 import json
 import os
 import platform
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
@@ -260,11 +261,15 @@ class TestRun:
     def test_worker_count_does_not_change_results(self, tmp_path):
         serial = parse_config(VELOCITY_TOY)
         parallel = parse_config(VELOCITY_TOY + "workers = 2\n")
-        run(serial, tmp_path / "serial")
-        run(parallel, tmp_path / "parallel")
+        manifests = [run(serial, tmp_path / "serial"), run(parallel, tmp_path / "parallel")]
         assert (tmp_path / "serial/velocity.csv").read_bytes() == (
             tmp_path / "parallel/velocity.csv"
         ).read_bytes()
+        # each point is timed where it runs, in the pool worker too
+        for name, manifest in zip(("serial", "parallel"), manifests):
+            walls = json.loads((tmp_path / name / "manifest.json").read_text())["point_wall_s"]
+            assert walls == manifest["point_wall_s"]
+            assert len(walls) == 6 and all(w > 0 for w in walls)
 
     def test_seed_changes_sampled_observables(self, tmp_path):
         base = "experiment = saturation\nL = 8\na = 0\nlambda = 0.5\nn_samples = 50\n"
@@ -354,6 +359,21 @@ class TestRun:
         assert manifest["failures"][0]["params"] == [0.0, 0.5]
         assert "synthetic point failure" in manifest["failures"][0]["error"]
         assert manifest["outputs"][0]["rows"] == 2
+
+    def test_point_wall_times_in_payload_order_with_failures(self, tmp_path, monkeypatch):
+        real = observables.quench_velocity
+
+        def slow_failure(setup, protocol):
+            if setup.spec.lam == 0.0:
+                time.sleep(0.3)
+                raise RuntimeError("synthetic point failure")
+            return real(setup, protocol)
+
+        monkeypatch.setattr(observables, "quench_velocity", slow_failure)
+        config = parse_config("experiment = velocity\nL = 8\na = 0\nlambda = 0, 0.5, 1\nseed = 2\n")
+        walls = run(config, tmp_path)["point_wall_s"]
+        assert len(walls) == 3
+        assert walls[0] >= 0.3 > max(walls[1:])
 
     def test_manifest_contents(self, tmp_path):
         config = parse_config(VELOCITY_TOY)
