@@ -20,6 +20,7 @@ starts in the Gaussian Bell state (c_E^dag + c_R^dag)/sqrt(2)|vac>, whose
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ _PROJECTOR_TOL = 1e-10
 _CLAMP = 1e-12
 # entries of the block stack that `entropies` fills per chunk of sample times: 1 MiB of complex128
 _CHUNK_ENTRIES = 2**16
+# numpy's eigvalsh releases the GIL only on a stack of k m x m matrices with k * m above this
+_GIL_FREE_SIZE = 500
 
 INITIAL_STATES = ("neel", "domain_wall", "random_product", "custom")
 
@@ -305,8 +308,78 @@ def mutual_information(c: CorrelationMatrix, a_sites) -> float:
 
 def _chunk_times(rows: int) -> int:
     """Sample times per chunk of `entropies`: as many rows x rows blocks as fit in
-    _CHUNK_ENTRIES entries, and at least one."""
-    return max(1, _CHUNK_ENTRIES // max(rows * rows, 1))
+    _CHUNK_ENTRIES entries, but enough that chunk * rows exceeds _GIL_FREE_SIZE, and
+    at least one."""
+    return max(1, _CHUNK_ENTRIES // max(rows * rows, 1), _GIL_FREE_SIZE // max(rows, 1) + 1)
+
+
+def _blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None.
+
+    The symbols are looked up through numpy's core extension, which links the
+    library. A missing library or symbol only means the count can be neither
+    read nor capped; it never fails a run.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def entropy_threads() -> int:
+    """Most threads `entropies` spreads its chunks over in this process: the OpenBLAS
+    thread count, or 1 where that count can be neither read nor capped."""
+    control = _blas_thread_control()
+    return 1 if control is None else max(control[0](), 1)
+
+
+def _run_chunks(work, starts: range, gil_free: bool) -> None:
+    """work(share) over shares of the chunk starts, which together cover `starts` once.
+
+    Where the chunks' eigvalsh calls run without the GIL (`gil_free`) and there
+    are two or more chunks, the starts are dealt round-robin to T = min(OpenBLAS
+    threads, chunks) threads, this one included, with OpenBLAS capped at one
+    thread meanwhile: T threads of T BLAS threads each would oversubscribe the
+    cores. The count is restored once every thread has ended, and the first
+    exception of a helper thread is raised here. Otherwise, as in a pool worker
+    (one BLAS thread) or without the OpenBLAS symbols, all runs in this thread.
+    """
+    control = _blas_thread_control() if gil_free and len(starts) > 1 else None
+    blas_threads = 1 if control is None else control[0]()
+    threads = min(blas_threads, len(starts))
+    if threads <= 1:
+        work(starts)
+        return
+    errors = []
+
+    def helper_work(share: range) -> None:
+        try:
+            work(share)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helpers = []
+    control[1](1)
+    try:
+        for first in range(1, threads):
+            helper = threading.Thread(target=helper_work, args=(starts[first::threads],))
+            helper.start()
+            helpers.append(helper)
+        work(starts[::threads])
+    finally:
+        for helper in helpers:
+            helper.join()
+        control[1](blas_threads)
+    if errors:
+        raise errors[0]
 
 
 def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natural") -> np.ndarray:
@@ -317,10 +390,17 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     subset is replaced by its complement when that is strictly smaller; a tie
     keeps the subset. Equal sides are evaluated once. Each time builds only
     the rows in the union of the sides, in one block_at call. The times are
-    taken in chunks whose blocks fill one reused [chunk, rows, rows] stack;
+    taken in chunks whose blocks fill a reused [chunk, rows, rows] stack;
     each side is cut from the stack (a view where it is contiguous in the
     rows) and gets one block_entropies call per chunk, so numpy's per-call
     cost is paid once per chunk, not once per time.
+
+    When chunk * m > 500 for every non-empty side of m modes, numpy's eigvalsh
+    of a chunk runs without the GIL, and the chunks are spread over as many
+    threads as OpenBLAS has (one when it cannot be capped), each with a stack
+    of its own, while OpenBLAS runs one thread each (see _run_chunks). Every
+    time is computed on its own, so the values are exactly those of one thread
+    with one BLAS thread, as in a pool worker.
     """
     _check_log_base(log_base)
     dim = evolution.dim
@@ -344,15 +424,20 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     times = np.asarray(times, dtype=float)
     values = np.empty((times.size, len(columns)))
     chunk = min(_chunk_times(rows.size), max(times.size, 1))
-    stack = np.empty((chunk, rows.size, rows.size), dtype=complex)
-    side_values = np.empty((chunk, len(cuts)))
-    for start in range(0, times.size, chunk):
-        count = min(chunk, times.size - start)
-        for k in range(count):
-            stack[k] = evolution.block_at(times[start + k], rows + 1)
-        for j, cut in enumerate(cuts):
-            side_values[:count, j] = block_entropies(stack[:count][cut], log_base)
-        values[start : start + count] = side_values[:count, columns]
+
+    def work(share: range) -> None:
+        stack = np.empty((chunk, rows.size, rows.size), dtype=complex)
+        side_values = np.empty((chunk, len(cuts)))
+        for start in share:
+            count = min(chunk, times.size - start)
+            for k in range(count):
+                stack[k] = evolution.block_at(times[start + k], rows + 1)
+            for j, cut in enumerate(cuts):
+                side_values[:count, j] = block_entropies(stack[:count][cut], log_base)
+            values[start : start + count] = side_values[:count, columns]
+
+    sizes = [len(side) for side in sides if side]
+    _run_chunks(work, range(0, times.size, chunk), bool(sizes) and chunk * min(sizes) > _GIL_FREE_SIZE)
     return values
 
 

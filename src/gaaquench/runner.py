@@ -20,7 +20,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -31,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, observables, oracle, spectral
-from .gaussian import QuenchSetup, entropies, quench_evolution, reference_information
+from .gaussian import (QuenchSetup, _blas_thread_control, entropies, entropy_threads, quench_evolution,
+                       reference_information)
 from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
@@ -468,27 +468,6 @@ def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list[tuple]
     return [_write_csv(out, "fractions.csv", fraction_rows), _write_csv(out, "correlation.csv", corr)]
 
 
-def _blas_thread_control():
-    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None.
-
-    The symbols are looked up through numpy's core extension, which links the
-    library. A missing library or symbol only means the threads stay uncapped;
-    it never fails a run.
-    """
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
 def _blas_threads() -> int | None:
     control = _blas_thread_control()
     return None if control is None else control[0]()
@@ -501,23 +480,29 @@ def _cap_blas_threads() -> None:
         control[1](1)
 
 
-def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict], list[float], int | str]:
+def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict], list[float], dict]:
     """The sweep's rows, its failure records, the wall time of each point (in payload order)
-    and the BLAS thread cap of each pool worker."""
+    and the thread setup it ran with: the BLAS thread cap of each pool worker and the
+    threads `entropies` could spread its chunks over."""
     axes = (config.a, config.lam, config.L) if experiment.lengths == "swept" else (config.a, config.lam)
     payloads = [(config, index, point) for index, point in enumerate(product(*axes))]
     if config.workers == 1 or len(payloads) == 1:
-        results, cap = [_run_point(p) for p in payloads], "uncapped"
+        results, cap, threads = [_run_point(p) for p in payloads], "uncapped", entropy_threads()
     else:
+        # imported here: multiprocessing costs every serial run about 1.4 MB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers, initializer=_cap_blas_threads) as pool:
             results = list(pool.map(_run_point, payloads))  # in payload order
         cap = 1 if _blas_thread_control() is not None else "uncapped"
+        threads = 1  # one BLAS thread per worker, or uncapped: either way entropies stays serial
     rows = [row for point_rows, _, _ in results for row in point_rows]
     failures = [failure for _, failure, _ in results if failure is not None]
-    return rows, failures, [wall for _, _, wall in results], cap
+    return rows, failures, [wall for _, _, wall in results], {"blas_threads_per_worker": cap,
+                                                              "entropy_threads": threads}
 
 
-def _environment(config: ExperimentConfig, cap: int | str) -> dict:
+def _environment(config: ExperimentConfig, threads: dict) -> dict:
     """The library and machine setup of a run (the manifest's `environment`)."""
     import platform  # imported here, off the start-up path of every `gaa` command
 
@@ -528,7 +513,7 @@ def _environment(config: ExperimentConfig, cap: int | str) -> dict:
         "blas_threads": _blas_threads(),
         "cpu_count": os.cpu_count(),
         "workers": config.workers,
-        "blas_threads_per_worker": cap,
+        **threads,
     }
 
 
@@ -539,7 +524,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
-    rows, failures, point_wall_s, cap = _run_points(config, experiment)
+    rows, failures, point_wall_s, threads = _run_points(config, experiment)
     outputs = [_write_csv(out, experiment.output, rows)]
     if experiment.figure is not None and not failures:
         outputs += _write_figure(out, config, experiment.figure, rows)
@@ -553,7 +538,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "point_wall_s": point_wall_s,
         "outputs": outputs,
         "failures": failures,
-        "environment": _environment(config, cap),
+        "environment": _environment(config, threads),
     }
     if experiment.summary is not None:
         manifest.update(experiment.summary(rows))

@@ -1,9 +1,12 @@
+import ctypes
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaaquench import gaussian
+from gaaquench import gaussian, observables
 from gaaquench.gaussian import (
     CorrelationMatrix,
     QuenchEvolution,
@@ -378,9 +381,38 @@ CHUNK_CASES = {
 }
 
 
+class FakeBlas:
+    """Stands in for the OpenBLAS thread control of gaussian._blas_thread_control: a
+    count that entropies reads and sets, and every count it set."""
+
+    def __init__(self, threads):
+        self.threads, self.history = threads, []
+
+    def set(self, threads):
+        self.threads = threads
+        self.history.append(threads)
+
+    def control(self):
+        return (lambda: self.threads), self.set
+
+
+def record_block_threads(monkeypatch, blas_threads):
+    """Patch block_at to record, for each call, its thread and the BLAS count it ran with."""
+    seen = []
+    block_at = QuenchEvolution.block_at
+
+    def recording_block_at(self, time, sites):
+        seen.append((threading.get_ident(), blas_threads()))
+        return block_at(self, time, sites)
+
+    monkeypatch.setattr(QuenchEvolution, "block_at", recording_block_at)
+    return seen
+
+
 class TestStackedKernel:
     """entropies takes the times in chunks of one [chunk, rows, rows] stack; every value must be the
-    one its own time gives, whatever the chunk count and the place of the time in its chunk."""
+    one its own time gives, whatever the chunk count, the place of the time in its chunk and the
+    thread that takes the chunk."""
 
     @pytest.mark.parametrize("log_base", ["natural", "two"])
     @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
@@ -391,30 +423,120 @@ class TestStackedKernel:
         times = np.random.default_rng(5).uniform(1e4, 2e4, 12)
         _, rows = per_time_entropies(ev, subsets, times[:1], log_base)
         monkeypatch.setattr(gaussian, "_CHUNK_ENTRIES", 3 * rows * rows)
+        monkeypatch.setattr(gaussian, "_GIL_FREE_SIZE", 0)  # no floor, and every stack counts as GIL-free
         k = gaussian._chunk_times(rows)
         assert k == 3
-        for count in (0, 1, k - 1, k, k + 1, 2 * k + 3):
-            expected, _ = per_time_entropies(ev, subsets, times[:count], log_base)
-            got = entropies(ev, subsets, times[:count], log_base)
-            assert got.shape == (count, len(subsets))
-            assert np.array_equal(got, expected), f"{count} times"
+        for threads in (1, 2):
+            # a stand-in count: the real one stays as it is, so both sides do the same arithmetic
+            blas = FakeBlas(threads)
+            monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+            for count in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+                expected, _ = per_time_entropies(ev, subsets, times[:count], log_base)
+                got = entropies(ev, subsets, times[:count], log_base)
+                assert got.shape == (count, len(subsets))
+                assert np.array_equal(got, expected), f"{count} times, {threads} threads"
+                assert blas.threads == threads
+            # capped and restored around the two calls with more than one chunk (k + 1 and 2k + 3 times)
+            assert blas.history == ([1, 2] * 2 if threads == 2 else [])
 
     def test_chunk_rule_stays_within_the_budget(self):
-        budget = gaussian._CHUNK_ENTRIES
-        assert budget == 2**16
+        budget, floor = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE
+        assert (budget, floor) == (2**16, 500)
         assert gaussian._chunk_times(100) == gaussian._chunk_times(101) == 6
+        assert gaussian._chunk_times(120) == 5  # the half chain at L = 240: 4 blocks would hold the GIL
         assert gaussian._chunk_times(0) >= 1
         for rows in range(1, 600):
             k = gaussian._chunk_times(rows)
-            assert k >= 1
-            if rows * rows <= budget:
-                assert k * rows * rows <= budget < (k + 1) * rows * rows
-            else:
-                assert k == 1
+            assert k * rows > floor  # a full chunk's eigvalsh runs without the GIL
+            fewest = (k - 1) * rows <= floor
+            fills_budget = k * rows * rows <= budget < (k + 1) * rows * rows
+            assert fewest or fills_budget, rows
 
     def test_no_subsets(self):
         ev = quench_evolution(neel_setup(6))
         assert entropies(ev, [], [1.0, 2.0]).shape == (2, 0)
+
+
+class TestChunkThreads:
+    """A serial run spreads the chunks of sample times over its BLAS threads, with BLAS capped at one
+    thread meanwhile, wherever every side's stacked eigvalsh runs without the GIL."""
+
+    L = 200  # the half chain of the saturation measurement: m = 100, 6 times per chunk
+
+    def half_chain(self):
+        return quench_evolution(neel_setup(self.L)), [range(1, self.L // 2 + 1)]
+
+    def test_threads_give_the_values_of_one_blas_thread_exactly(self, monkeypatch):
+        control = gaussian._blas_thread_control()
+        if control is None:
+            pytest.skip("numpy's OpenBLAS thread control is not available")
+        get, set_ = control
+        ev, half = self.half_chain()
+        times = np.random.default_rng(11).uniform(1e4, 2e4, 20)  # chunks of 6, 6, 6 and 2 times
+        seen = record_block_threads(monkeypatch, get)
+        before = get()
+        try:
+            set_(1)  # as in a pool worker: one thread
+            serial = entropies(ev, half, times)
+            serial_seen = list(seen)
+            set_(2)
+            seen.clear()
+            threaded = entropies(ev, half, times)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert len({ident for ident, _ in serial_seen}) == 1
+        assert len({ident for ident, _ in seen}) == 2
+        assert {blas for _, blas in seen} == {1}
+        assert len(seen) == times.size
+        assert (threaded == serial).all()
+
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_blas_count_restored_after_an_exception(self, raiser, monkeypatch):
+        ev, half = self.half_chain()
+        times = np.linspace(1e4, 2e4, 30)
+        blas = FakeBlas(2)
+        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        caller = threading.get_ident()
+        block_at = QuenchEvolution.block_at
+
+        def failing_block_at(self, time, sites):
+            if (threading.get_ident() == caller) == (raiser == "caller"):
+                raise RuntimeError(f"synthetic failure in the {raiser}")
+            return block_at(self, time, sites)
+
+        monkeypatch.setattr(QuenchEvolution, "block_at", failing_block_at)
+        alive = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"in the {raiser}"):
+            entropies(ev, half, times)
+        assert blas.history == [1, 2] and blas.threads == 2
+        assert threading.active_count() == alive  # every helper has ended
+
+    def test_sides_of_at_most_51_modes_start_no_thread(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("looked up the BLAS threads for a side that holds the GIL")
+
+        monkeypatch.setattr(gaussian, "_blas_thread_control", forbidden)
+        seen = record_block_threads(monkeypatch, lambda: None)
+        # the sic_profile plan at L = 100: windows of 0..100 sites and R, each side at most 51 modes,
+        # in chunks of 6 times: 6 * 51 = 306 <= 500
+        setup = QuenchSetup(LatticeSpec(L=100, lam=1.0, a=0.3), "neel", reference_site=50)
+        protocol = observables.SamplingProtocol(n_samples=30)
+        profile = observables.sic_profile(setup, range(0, 101, 5), "center", protocol)
+        assert profile.mi.shape == (21,)
+        assert len(seen) == 30 and len({ident for ident, _ in seen}) == 1
+
+    def test_missing_blas_symbol_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
+        assert gaussian._blas_thread_control() is None
+        assert gaussian.entropy_threads() == 1
+        ev, half = self.half_chain()
+        times = np.random.default_rng(11).uniform(1e4, 2e4, 20)
+        seen = record_block_threads(monkeypatch, lambda: None)
+        got = entropies(ev, half, times)
+        assert len(seen) == times.size and len({ident for ident, _ in seen}) == 1
+        expected, _ = per_time_entropies(ev, half, times, "natural")
+        assert np.array_equal(got, expected)
 
 
 class TestBlockEntropies:

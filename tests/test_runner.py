@@ -2,6 +2,8 @@ import ctypes
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, replace
@@ -10,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaaquench import observables, runner
+from gaaquench import gaussian, observables, runner
 from gaaquench.cli import main
 from gaaquench.model import GOLDEN_INVERSE
 from gaaquench.runner import ConfigError, ExperimentConfig, parse_config, run
@@ -394,12 +396,14 @@ class TestRun:
         assert env["blas_threads"] == runner._blas_threads()
         assert env["cpu_count"] == os.cpu_count()
         assert (env["workers"], env["blas_threads_per_worker"]) == (1, "uncapped")
+        assert env["entropy_threads"] == gaussian.entropy_threads() == (env["blas_threads"] or 1)
         assert "max_abs_delta" not in manifest and "verify_passed" not in manifest
 
     def test_pool_workers_run_with_one_blas_thread(self, tmp_path):
         threads = runner._blas_threads()
         manifest = run(parse_config(VELOCITY_TOY + "workers = 2\n"), tmp_path)
         assert manifest["environment"]["blas_threads_per_worker"] == (1 if threads is not None else "uncapped")
+        assert manifest["environment"]["entropy_threads"] == 1
         assert runner._blas_threads() == threads  # the parent keeps its own count
         with ProcessPoolExecutor(max_workers=1, initializer=runner._cap_blas_threads) as pool:
             assert pool.submit(runner._blas_threads).result(timeout=60) == (1 if threads is not None else None)
@@ -413,6 +417,25 @@ class TestRun:
         manifest = run(parse_config(VELOCITY_TOY), tmp_path)
         assert not manifest["failures"]
         assert runner._blas_threads() == threads
+
+    def test_serial_saturation_spreads_chunks_and_matches_the_pool(self, tmp_path):
+        # half chains of 20 modes in chunks of 163 times: 3 chunks, each stack GIL-free
+        text = ("experiment = saturation\nL = 40\na = 0.3\nlambda = 0.5, 1.5\nn_samples = 400\n"
+                "burn_in = 100\nmean_interval = 2\njitter = 1\n")
+        threads = runner._blas_threads()
+        serial = run(parse_config(text), tmp_path / "serial")
+        assert runner._blas_threads() == threads
+        assert serial["environment"]["entropy_threads"] == gaussian.entropy_threads()
+        run(parse_config(text + "workers = 2\n"), tmp_path / "pool")
+        assert (tmp_path / "serial/saturation.csv").read_bytes() == (tmp_path / "pool/saturation.csv").read_bytes()
+
+    def test_importing_the_runner_loads_no_multiprocessing(self):
+        probe = "import sys, gaaquench.runner; print('multiprocessing' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(runner.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_missing_blas_library_runs_uncapped(self, tmp_path, monkeypatch):
         def missing(*args, **kwargs):
