@@ -19,8 +19,10 @@ starts in the Gaussian Bell state (c_E^dag + c_R^dag)/sqrt(2)|vac>, whose
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,13 +187,14 @@ class QuenchEvolution:
         h = np.asarray(h, dtype=float)
         if h.shape != (c0.dim, c0.dim):
             raise ValueError(f"Hamiltonian shape {h.shape} does not match {c0.dim} modes")
-        self.energies, self.modes = diagonalize(h)
         self.reference_index = c0.reference_index
         self.dim = c0.dim
         c = c0.matrix
         if not c.imag.any():  # every state the package builds: the factor stays real
             c = c.real
-        occupations, orbitals = np.linalg.eigh(self.modes.T @ c @ self.modes)
+        with _one_blas_thread():
+            self.energies, self.modes = diagonalize(h)
+            occupations, orbitals = np.linalg.eigh(self.modes.T @ c @ self.modes)
         _check_occupations(occupations)
         self.pure = bool(np.all(np.minimum(np.abs(occupations), np.abs(occupations - 1.0)) <= _PROJECTOR_TOL))
         kept = np.abs(occupations) > _CLAMP
@@ -313,13 +316,10 @@ def _chunk_times(rows: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(rows * rows, 1), _GIL_FREE_SIZE // max(rows, 1) + 1)
 
 
+@functools.cache
 def _blas_thread_control():
-    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None.
-
-    The symbols are looked up through numpy's core extension, which links the
-    library. A missing library or symbol only means the count can be neither
-    read nor capped; it never fails a run.
-    """
+    """(get, set) of the thread count of the OpenBLAS that numpy's core extension links, looked up
+    once per process. Without the library or a symbol, get gives None and set does nothing."""
     import ctypes
 
     try:
@@ -328,33 +328,39 @@ def _blas_thread_control():
         lib = ctypes.CDLL(_multiarray_umath.__file__)
         get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
-        return None
+        return (lambda: None), (lambda threads: None)
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_
 
 
-def entropy_threads() -> int:
-    """Most threads `entropies` spreads its chunks over in this process: the OpenBLAS
-    thread count, or 1 where that count can be neither read nor capped."""
-    control = _blas_thread_control()
-    return 1 if control is None else max(control[0](), 1)
+def _blas_threads() -> int | None:
+    """The OpenBLAS thread count of this process, or None where it cannot be read."""
+    return _blas_thread_control()[0]()
 
 
-def _run_chunks(work, starts: range, gil_free: bool) -> None:
-    """work(share) over shares of the chunk starts, which together cover `starts` once.
+def _cap_blas_threads() -> None:
+    """One OpenBLAS thread for the rest of this process (the initializer of each pool worker)."""
+    _blas_thread_control()[1](1)
 
-    Where the chunks' eigvalsh calls run without the GIL (`gil_free`) and there
-    are two or more chunks, the starts are dealt round-robin to T = min(OpenBLAS
-    threads, chunks) threads, this one included, with OpenBLAS capped at one
-    thread meanwhile: T threads of T BLAS threads each would oversubscribe the
-    cores. The count is restored once every thread has ended, and the first
-    exception of a helper thread is raised here. Otherwise, as in a pool worker
-    (one BLAS thread) or without the OpenBLAS symbols, all runs in this thread.
-    """
-    control = _blas_thread_control() if gil_free and len(starts) > 1 else None
-    blas_threads = 1 if control is None else control[0]()
-    threads = min(blas_threads, len(starts))
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body at one OpenBLAS thread and restore the count after; yields the count before (1
+    where unknown). Every Gaussian computation runs inside, so no value depends on the process's count."""
+    get, set_ = _blas_thread_control()
+    before = get()
+    set_(1)
+    try:
+        yield before or 1
+    finally:
+        set_(before)
+
+
+def _run_chunks(work, starts: range, threads: int) -> None:
+    """work(share) over shares of `starts` dealt round-robin to min(threads, chunks) threads, this
+    one included; the first exception of a helper is raised here once every thread has ended."""
+    threads = min(threads, len(starts))
     if threads <= 1:
         work(starts)
         return
@@ -367,7 +373,6 @@ def _run_chunks(work, starts: range, gil_free: bool) -> None:
             errors.append(exc)
 
     helpers = []
-    control[1](1)
     try:
         for first in range(1, threads):
             helper = threading.Thread(target=helper_work, args=(starts[first::threads],))
@@ -377,7 +382,6 @@ def _run_chunks(work, starts: range, gil_free: bool) -> None:
     finally:
         for helper in helpers:
             helper.join()
-        control[1](blas_threads)
     if errors:
         raise errors[0]
 
@@ -395,12 +399,11 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     rows) and gets one block_entropies call per chunk, so numpy's per-call
     cost is paid once per chunk, not once per time.
 
-    When chunk * m > 500 for every non-empty side of m modes, numpy's eigvalsh
-    of a chunk runs without the GIL, and the chunks are spread over as many
-    threads as OpenBLAS has (one when it cannot be capped), each with a stack
-    of its own, while OpenBLAS runs one thread each (see _run_chunks). Every
-    time is computed on its own, so the values are exactly those of one thread
-    with one BLAS thread, as in a pool worker.
+    OpenBLAS runs one thread throughout (_one_blas_thread). Where chunk * m > 500
+    for every non-empty side of m modes, numpy's eigvalsh of a chunk runs without
+    the GIL, and the chunks are spread over the threads the process had in
+    OpenBLAS, each with a stack of its own. Every value is thus the same at
+    every thread count.
     """
     _check_log_base(log_base)
     dim = evolution.dim
@@ -437,7 +440,9 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
             values[start : start + count] = side_values[:count, columns]
 
     sizes = [len(side) for side in sides if side]
-    _run_chunks(work, range(0, times.size, chunk), bool(sizes) and chunk * min(sizes) > _GIL_FREE_SIZE)
+    gil_free = bool(sizes) and chunk * min(sizes) > _GIL_FREE_SIZE
+    with _one_blas_thread() as threads:
+        _run_chunks(work, range(0, times.size, chunk), threads if gil_free else 1)
     return values
 
 

@@ -44,6 +44,8 @@ class SamplingProtocol:
             raise ValueError(f"fit window must satisfy 0 <= start < stop, got {self.fit_window}")
         if self.fit_dt <= 0:
             raise ValueError("fit_dt must be positive")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
         if not self.mean_interval > self.jitter >= 0:

@@ -23,7 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gaussian import LOG_BASES, QuenchSetup, _site_indices, occupation_pattern, reference_information, setup_hamiltonian
+from .gaussian import (QuenchSetup, _check_log_base, _site_indices, occupation_pattern, reference_information,
+                       setup_hamiltonian)
 
 MAX_MODES = 12
 
@@ -149,8 +150,7 @@ def exact_entropy(state: np.ndarray, basis: FockBasis, subset, log_base: str = "
     The state vector is pure, so the larger side is replaced by its complement
     (a tie keeps `subset`); an empty side has entropy 0 and builds no matrix.
     """
-    if log_base not in LOG_BASES:
-        raise ValueError(f"log_base must be one of {LOG_BASES}")
+    _check_log_base(log_base)
     labels = (_site_indices(subset, basis.modes) + 1).tolist()
     if 2 * len(labels) > basis.modes:
         labels = sorted(set(range(1, basis.modes + 1)) - set(labels))

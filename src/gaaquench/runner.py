@@ -30,12 +30,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, observables, oracle, spectral
-from .gaussian import (QuenchSetup, _blas_thread_control, entropies, entropy_threads, quench_evolution,
+from .gaussian import (QuenchSetup, _blas_threads, _cap_blas_threads, entropies, quench_evolution,
                        reference_information)
 from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
 _ORACLE_TOLERANCE = 1e-8
+# most points of a start:stop:step grid: far above the paper's 21-point lambda and few-hundred-point times grids
+MAX_GRID_POINTS = 10**5
 
 _SCHEMAS = {
     "spectrum.csv": ("index", "energy", "ipr", "label"),
@@ -73,12 +75,12 @@ class ExperimentConfig:
     coupling: str = "center"
     sizes: tuple[int, ...] | None = None
     times: tuple[float, ...] | None = None
-    fit_window: tuple[float, float] = (0.0, 20.0)
-    fit_dt: float = 0.5
-    burn_in: float = 10000.0
-    n_samples: int = 1000
-    mean_interval: float = 10.0
-    jitter: float = 5.0
+    fit_window: tuple[float, float] = SamplingProtocol.fit_window
+    fit_dt: float = SamplingProtocol.fit_dt
+    burn_in: float = SamplingProtocol.burn_in
+    n_samples: int = SamplingProtocol.n_samples
+    mean_interval: float = SamplingProtocol.mean_interval
+    jitter: float = SamplingProtocol.jitter
     seed: int = 0
     workers: int = 1
 
@@ -199,6 +201,8 @@ def _parse_float_list(value: str) -> tuple[float, ...]:
         if step <= 0 or stop < start:
             raise ValueError(f"invalid grid {value!r}")
         steps = (stop - start) / step
+        if steps + 1 > MAX_GRID_POINTS:
+            raise ValueError(f"grid {value!r} holds {steps + 1:.3g} points, more than {MAX_GRID_POINTS}")
         n = round(steps)
         if not math.isclose(steps, n, rel_tol=1e-9):
             raise ValueError(f"grid {value!r}: span {stop - start:g} is not a whole number of steps of {step:g}")
@@ -468,18 +472,6 @@ def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list[tuple]
     return [_write_csv(out, "fractions.csv", fraction_rows), _write_csv(out, "correlation.csv", corr)]
 
 
-def _blas_threads() -> int | None:
-    control = _blas_thread_control()
-    return None if control is None else control[0]()
-
-
-def _cap_blas_threads() -> None:
-    """Pool initializer: one BLAS thread per worker, so that the workers do not oversubscribe the cores."""
-    control = _blas_thread_control()
-    if control is not None:
-        control[1](1)
-
-
 def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict], list[float], dict]:
     """The sweep's rows, its failure records, the wall time of each point (in payload order)
     and the thread setup it ran with: the BLAS thread cap of each pool worker and the
@@ -487,14 +479,14 @@ def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[
     axes = (config.a, config.lam, config.L) if experiment.lengths == "swept" else (config.a, config.lam)
     payloads = [(config, index, point) for index, point in enumerate(product(*axes))]
     if config.workers == 1 or len(payloads) == 1:
-        results, cap, threads = [_run_point(p) for p in payloads], "uncapped", entropy_threads()
+        results, cap, threads = [_run_point(p) for p in payloads], "uncapped", _blas_threads() or 1
     else:
         # imported here: multiprocessing costs every serial run about 1.4 MB of memory
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers, initializer=_cap_blas_threads) as pool:
             results = list(pool.map(_run_point, payloads))  # in payload order
-        cap = 1 if _blas_thread_control() is not None else "uncapped"
+        cap = 1 if _blas_threads() is not None else "uncapped"
         threads = 1  # one BLAS thread per worker, or uncapped: either way entropies stays serial
     rows = [row for point_rows, _, _ in results for row in point_rows]
     failures = [failure for _, failure, _ in results if failure is not None]

@@ -383,7 +383,7 @@ CHUNK_CASES = {
 
 class FakeBlas:
     """Stands in for the OpenBLAS thread control of gaussian._blas_thread_control: a
-    count that entropies reads and sets, and every count it set."""
+    count that the kernel reads and sets, and every count it set."""
 
     def __init__(self, threads):
         self.threads, self.history = threads, []
@@ -436,8 +436,8 @@ class TestStackedKernel:
                 assert got.shape == (count, len(subsets))
                 assert np.array_equal(got, expected), f"{count} times, {threads} threads"
                 assert blas.threads == threads
-            # capped and restored around the two calls with more than one chunk (k + 1 and 2k + 3 times)
-            assert blas.history == ([1, 2] * 2 if threads == 2 else [])
+            # capped at one thread and restored around every call, whatever its plan
+            assert blas.history == [1, threads] * 6
 
     def test_chunk_rule_stays_within_the_budget(self):
         budget, floor = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE
@@ -457,9 +457,17 @@ class TestStackedKernel:
         assert entropies(ev, [], [1.0, 2.0]).shape == (2, 0)
 
 
+def real_blas():
+    """(get, set) of numpy's OpenBLAS thread count; skips the test where the symbols are missing."""
+    get, set_ = gaussian._blas_thread_control()
+    if get() is None:
+        pytest.skip("numpy's OpenBLAS thread control is not available")
+    return get, set_
+
+
 class TestChunkThreads:
-    """A serial run spreads the chunks of sample times over its BLAS threads, with BLAS capped at one
-    thread meanwhile, wherever every side's stacked eigvalsh runs without the GIL."""
+    """A serial run spreads the chunks of sample times over its BLAS threads wherever every side's
+    stacked eigvalsh runs without the GIL; BLAS runs one thread in every plan."""
 
     L = 200  # the half chain of the saturation measurement: m = 100, 6 times per chunk
 
@@ -467,10 +475,7 @@ class TestChunkThreads:
         return quench_evolution(neel_setup(self.L)), [range(1, self.L // 2 + 1)]
 
     def test_threads_give_the_values_of_one_blas_thread_exactly(self, monkeypatch):
-        control = gaussian._blas_thread_control()
-        if control is None:
-            pytest.skip("numpy's OpenBLAS thread control is not available")
-        get, set_ = control
+        get, set_ = real_blas()
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)  # chunks of 6, 6, 6 and 2 times
         seen = record_block_threads(monkeypatch, get)
@@ -487,7 +492,7 @@ class TestChunkThreads:
             set_(before)
         assert len({ident for ident, _ in serial_seen}) == 1
         assert len({ident for ident, _ in seen}) == 2
-        assert {blas for _, blas in seen} == {1}
+        assert {blas for _, blas in serial_seen + seen} == {1}
         assert len(seen) == times.size
         assert (threaded == serial).all()
 
@@ -513,11 +518,9 @@ class TestChunkThreads:
         assert threading.active_count() == alive  # every helper has ended
 
     def test_sides_of_at_most_51_modes_start_no_thread(self, monkeypatch):
-        def forbidden():
-            raise AssertionError("looked up the BLAS threads for a side that holds the GIL")
-
-        monkeypatch.setattr(gaussian, "_blas_thread_control", forbidden)
-        seen = record_block_threads(monkeypatch, lambda: None)
+        blas = FakeBlas(2)
+        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        seen = record_block_threads(monkeypatch, lambda: blas.threads)
         # the sic_profile plan at L = 100: windows of 0..100 sites and R, each side at most 51 modes,
         # in chunks of 6 times: 6 * 51 = 306 <= 500
         setup = QuenchSetup(LatticeSpec(L=100, lam=1.0, a=0.3), "neel", reference_site=50)
@@ -525,11 +528,17 @@ class TestChunkThreads:
         profile = observables.sic_profile(setup, range(0, 101, 5), "center", protocol)
         assert profile.mi.shape == (21,)
         assert len(seen) == 30 and len({ident for ident, _ in seen}) == 1
+        assert {threads for _, threads in seen} == {1}
+        # capped and restored around the evolution's eigh calls and around entropies
+        assert blas.history == [1, 2, 1, 2] and blas.threads == 2
 
     def test_missing_blas_symbol_runs_serially(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
-        assert gaussian._blas_thread_control() is None
-        assert gaussian.entropy_threads() == 1
+        missing = gaussian._blas_thread_control.__wrapped__()  # the lookup itself, past its per-process cache
+        monkeypatch.setattr(gaussian, "_blas_thread_control", lambda: missing)
+        assert gaussian._blas_threads() is None
+        with gaussian._one_blas_thread() as threads:
+            assert threads == 1
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)
         seen = record_block_threads(monkeypatch, lambda: None)
@@ -537,6 +546,74 @@ class TestChunkThreads:
         assert len(seen) == times.size and len({ident for ident, _ in seen}) == 1
         expected, _ = per_time_entropies(ev, half, times, "natural")
         assert np.array_equal(got, expected)
+
+
+def sic_sides_at_L_100():
+    """The sic_profile plan at L = 100 with center coupling: A, R and A + R for every fifth |A|."""
+    setup = QuenchSetup(LatticeSpec(L=100, lam=1.0, a=0.3), "neel",
+                        reference_site=observables.reference_site_for(100, "center"))
+    windows = [observables.subsystem_window(100, "center", size) for size in range(0, 101, 5)]
+    return setup, windows + [[101]] + [window + [101] for window in windows], "two"
+
+
+# (setup, subsets, log base) of the plans whose unrounded tables must not depend on the BLAS count
+BLAS_COUNT_PLANS = {
+    "half_chain_L_240": lambda: (neel_setup(240), [range(1, 121)], "natural"),
+    "sic_sides_L_100": sic_sides_at_L_100,
+}
+
+
+class TestOneBlasThread:
+    """Every Gaussian computation runs at one OpenBLAS thread, so the process's count changes no bit."""
+
+    @pytest.mark.parametrize("plan", sorted(BLAS_COUNT_PLANS))
+    def test_tables_equal_at_blas_counts_1_and_2(self, plan):
+        get, set_ = real_blas()
+        setup, subsets, log_base = BLAS_COUNT_PLANS[plan]()
+        times = np.random.default_rng(3).uniform(1e4, 2e4, 30)
+        tables = []
+        before = get()
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                tables.append(entropies(quench_evolution(setup), subsets, times, log_base))
+                assert get() == threads
+        finally:
+            set_(before)
+        assert (tables[0] == tables[1]).all()
+
+    def test_evolution_is_built_at_one_blas_thread(self, monkeypatch):
+        blas = FakeBlas(2)
+        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        seen = []
+        diagonalize = gaussian.diagonalize
+
+        def recording_diagonalize(h):
+            seen.append(blas.threads)
+            return diagonalize(h)
+
+        monkeypatch.setattr(gaussian, "diagonalize", recording_diagonalize)
+        quench_evolution(neel_setup(12))
+        assert seen == [1] and blas.history == [1, 2]
+
+    def test_count_restored_after_a_failed_build(self, monkeypatch):
+        blas = FakeBlas(2)
+        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        c0 = CorrelationMatrix(np.diag([1.5, 0.0]).astype(complex))
+        with pytest.raises(ValueError, match="outside"):
+            QuenchEvolution(c0, np.zeros((2, 2)))
+        assert blas.history == [1, 2] and blas.threads == 2
+
+    def test_symbols_looked_up_once_per_process(self, monkeypatch):
+        control = gaussian._blas_thread_control()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("opened the library again")
+
+        monkeypatch.setattr(ctypes, "CDLL", forbidden)
+        assert gaussian._blas_thread_control() is control
+        ev, half = quench_evolution(neel_setup(12)), [range(1, 7)]
+        assert entropies(ev, half, [1.0e4]).shape == (1, 1)
 
 
 class TestBlockEntropies:

@@ -58,6 +58,7 @@ class TestSamplingProtocol:
             dict(jitter=-1.0),
             dict(mean_interval=3.0, jitter=3.0),
             dict(fit_dt=0.0),
+            dict(burn_in=-5.0),
         ],
     )
     def test_invalid_parameters(self, kwargs):

@@ -209,6 +209,25 @@ class TestParseConfig:
                 "experiment = velocity\nL = 8\na = 0\nlambda = 1\nmean_interval = 2\njitter = 5\n"
             )
 
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ConfigError, match="burn_in must be non-negative"):
+            parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\nburn_in = -5\n")
+        assert parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\nburn_in = 0\n").burn_in == 0.0
+
+    def test_sampling_defaults_are_the_protocol_defaults(self):
+        config = parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\n")
+        assert config.protocol(config.seed) == observables.SamplingProtocol()
+
+    def test_oversized_grid_rejected_quickly(self):
+        started = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"line 5: key 'times': .* more than 100000"):
+            parse_config("experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 0:1:1e-9\n")
+        assert time.perf_counter() - started < 1.0
+        grid = "experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 0:{}:1\n"
+        assert len(parse_config(grid.format(runner.MAX_GRID_POINTS - 1)).times) == runner.MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="line 5: key 'times'"):
+            parse_config(grid.format(runner.MAX_GRID_POINTS))
+
     def test_round_trip_through_dict(self):
         periodic = parse_config(
             "experiment = sic_profile\nL = 233\na = 0\nlambda = 0.5, 1.5\n"
@@ -393,39 +412,39 @@ class TestRun:
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert env["blas"] == np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
-        assert env["blas_threads"] == runner._blas_threads()
+        assert env["blas_threads"] == gaussian._blas_threads()
         assert env["cpu_count"] == os.cpu_count()
         assert (env["workers"], env["blas_threads_per_worker"]) == (1, "uncapped")
-        assert env["entropy_threads"] == gaussian.entropy_threads() == (env["blas_threads"] or 1)
+        assert env["entropy_threads"] == (env["blas_threads"] or 1)
         assert "max_abs_delta" not in manifest and "verify_passed" not in manifest
 
     def test_pool_workers_run_with_one_blas_thread(self, tmp_path):
-        threads = runner._blas_threads()
+        threads = gaussian._blas_threads()
         manifest = run(parse_config(VELOCITY_TOY + "workers = 2\n"), tmp_path)
         assert manifest["environment"]["blas_threads_per_worker"] == (1 if threads is not None else "uncapped")
         assert manifest["environment"]["entropy_threads"] == 1
-        assert runner._blas_threads() == threads  # the parent keeps its own count
-        with ProcessPoolExecutor(max_workers=1, initializer=runner._cap_blas_threads) as pool:
-            assert pool.submit(runner._blas_threads).result(timeout=60) == (1 if threads is not None else None)
+        assert gaussian._blas_threads() == threads  # the parent keeps its own count
+        with ProcessPoolExecutor(max_workers=1, initializer=gaussian._cap_blas_threads) as pool:
+            assert pool.submit(gaussian._blas_threads).result(timeout=60) == (1 if threads is not None else None)
 
     def test_serial_run_leaves_blas_threads_alone(self, tmp_path, monkeypatch):
         def forbidden():
             raise AssertionError("a serial run capped the BLAS threads")
 
-        threads = runner._blas_threads()
+        threads = gaussian._blas_threads()
         monkeypatch.setattr(runner, "_cap_blas_threads", forbidden)
         manifest = run(parse_config(VELOCITY_TOY), tmp_path)
         assert not manifest["failures"]
-        assert runner._blas_threads() == threads
+        assert gaussian._blas_threads() == threads
 
     def test_serial_saturation_spreads_chunks_and_matches_the_pool(self, tmp_path):
         # half chains of 20 modes in chunks of 163 times: 3 chunks, each stack GIL-free
         text = ("experiment = saturation\nL = 40\na = 0.3\nlambda = 0.5, 1.5\nn_samples = 400\n"
                 "burn_in = 100\nmean_interval = 2\njitter = 1\n")
-        threads = runner._blas_threads()
+        threads = gaussian._blas_threads()
         serial = run(parse_config(text), tmp_path / "serial")
-        assert runner._blas_threads() == threads
-        assert serial["environment"]["entropy_threads"] == gaussian.entropy_threads()
+        assert gaussian._blas_threads() == threads
+        assert serial["environment"]["entropy_threads"] == (threads or 1)
         run(parse_config(text + "workers = 2\n"), tmp_path / "pool")
         assert (tmp_path / "serial/saturation.csv").read_bytes() == (tmp_path / "pool/saturation.csv").read_bytes()
 
@@ -442,7 +461,9 @@ class TestRun:
             raise OSError("no such library")
 
         monkeypatch.setattr(ctypes, "CDLL", missing)
-        assert runner._blas_thread_control() is None
+        control = gaussian._blas_thread_control.__wrapped__()  # the lookup itself, past its per-process cache
+        assert control[0]() is None
+        monkeypatch.setattr(gaussian, "_blas_thread_control", lambda: control)  # pool workers inherit it
         manifest = run(parse_config(VELOCITY_TOY + "workers = 2\n"), tmp_path)
         assert not manifest["failures"] and manifest["outputs"][0]["rows"] == 6
         assert manifest["environment"]["blas_threads"] is None

@@ -14,6 +14,7 @@ def test_traced_targets_cover_every_named_span(monkeypatch):
     tracing = importlib.import_module("tracing")
     targets = tracing.traced_targets()
     named = set(tracing.WORK) | set(tracing.METHODS) | {
+        "gaussian.block_entropies",
         "observables.saturation_value",
         "observables.sic_profile",
         "oracle.exact_evolve",
