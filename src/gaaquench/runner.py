@@ -201,8 +201,8 @@ def _parse_float_list(value: str) -> tuple[float, ...]:
         if step <= 0 or stop < start:
             raise ValueError(f"invalid grid {value!r}")
         steps = (stop - start) / step
-        if steps + 1 > MAX_GRID_POINTS:
-            raise ValueError(f"grid {value!r} holds {steps + 1:.3g} points, more than {MAX_GRID_POINTS}")
+        if not steps < MAX_GRID_POINTS - 0.5:
+            raise ValueError(f"grid {value!r} holds more than {MAX_GRID_POINTS} points")
         n = round(steps)
         if not math.isclose(steps, n, rel_tol=1e-9):
             raise ValueError(f"grid {value!r}: span {stop - start:g} is not a whole number of steps of {step:g}")

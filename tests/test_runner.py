@@ -227,6 +227,9 @@ class TestParseConfig:
         assert len(parse_config(grid.format(runner.MAX_GRID_POINTS - 1)).times) == runner.MAX_GRID_POINTS
         with pytest.raises(ConfigError, match="line 5: key 'times'"):
             parse_config(grid.format(runner.MAX_GRID_POINTS))
+        # (stop - start) / step = 99999.00000000001: the rounded count, 10^5, is accepted
+        hair = "experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 0:9999.900000000001:0.1\n"
+        assert len(parse_config(hair).times) == runner.MAX_GRID_POINTS
 
     def test_round_trip_through_dict(self):
         periodic = parse_config(
