@@ -11,7 +11,6 @@ from .gaussian import (
     CorrelationMatrix,
     QuenchEvolution,
     QuenchSetup,
-    evolve,
     initial_correlation,
     mutual_information,
     subsystem_entropy,
@@ -46,7 +45,6 @@ __all__ = [
     "CorrelationMatrix",
     "QuenchEvolution",
     "QuenchSetup",
-    "evolve",
     "initial_correlation",
     "mutual_information",
     "subsystem_entropy",

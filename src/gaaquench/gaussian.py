@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -59,7 +58,7 @@ class CorrelationMatrix:
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"correlation matrix must be square, got {self.matrix.shape}")
         dev = float(np.max(np.abs(self.matrix - self.matrix.T.conj())))
-        if dev > _HERMITICITY_TOL:
+        if not dev <= _HERMITICITY_TOL:  # a NaN fails too
             raise ValueError(f"correlation matrix not Hermitian (max deviation {dev:.2e})")
         if self.reference_index is not None and not 1 <= self.reference_index <= self.dim:
             raise ValueError(f"reference index {self.reference_index} outside 1..{self.dim}")
@@ -164,7 +163,7 @@ def setup_hamiltonian(setup: QuenchSetup) -> np.ndarray:
 def _check_occupations(occupations: np.ndarray) -> None:
     """Reject correlation eigenvalues outside [0, 1] by more than 1e-10: no physical state."""
     excursion = np.maximum(-occupations, occupations - 1.0)
-    if excursion.max() > _PROJECTOR_TOL:
+    if not excursion.max() <= _PROJECTOR_TOL:  # a NaN fails too
         worst = occupations[excursion.argmax()]
         raise ValueError(f"correlation matrix has occupation {worst:.6g} outside [0, 1]: no physical state")
 
@@ -214,11 +213,6 @@ class QuenchEvolution:
     def block_at(self, time: float, sites) -> np.ndarray:
         """Restricted correlation matrix C(t)[sites, sites] without forming all of C(t)."""
         return self._block(time, _site_indices(sites, self.dim))
-
-
-def evolve(c0: CorrelationMatrix, h: np.ndarray, time: float) -> CorrelationMatrix:
-    """One-shot evolution; build a QuenchEvolution directly for many times."""
-    return QuenchEvolution(c0, h).correlation_at(time)
 
 
 def _site_indices(sites, dim: int) -> np.ndarray:
@@ -357,35 +351,6 @@ def _one_blas_thread():
         set_(before)
 
 
-def _run_chunks(work, starts: range, threads: int) -> None:
-    """work(share) over shares of `starts` dealt round-robin to min(threads, chunks) threads, this
-    one included; the first exception of a helper is raised here once every thread has ended."""
-    threads = min(threads, len(starts))
-    if threads <= 1:
-        work(starts)
-        return
-    errors = []
-
-    def helper_work(share: range) -> None:
-        try:
-            work(share)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    helpers = []
-    try:
-        for first in range(1, threads):
-            helper = threading.Thread(target=helper_work, args=(starts[first::threads],))
-            helper.start()
-            helpers.append(helper)
-        work(starts[::threads])
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
-
-
 def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natural") -> np.ndarray:
     """Entropy of each subset (1-based mode labels) at each time: array [n_times, n_subsets].
 
@@ -401,9 +366,10 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
 
     OpenBLAS runs one thread throughout (_one_blas_thread). Where chunk * m > 500
     for every non-empty side of m modes, numpy's eigvalsh of a chunk runs without
-    the GIL, and the chunks are spread over the threads the process had in
-    OpenBLAS, each with a stack of its own. Every value is thus the same at
-    every thread count.
+    the GIL, and the chunks are dealt round-robin to as many threads as the process
+    had in OpenBLAS: this one and the helpers of a ThreadPoolExecutor made for the
+    call, each with a stack of its own. Every value is thus the same at every
+    thread count.
     """
     _check_log_base(log_base)
     dim = evolution.dim
@@ -441,8 +407,20 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
 
     sizes = [len(side) for side in sides if side]
     gil_free = bool(sizes) and chunk * min(sizes) > _GIL_FREE_SIZE
+    starts = range(0, times.size, chunk)
     with _one_blas_thread() as threads:
-        _run_chunks(work, range(0, times.size, chunk), threads if gil_free else 1)
+        threads = min(threads if gil_free else 1, len(starts))
+        if threads <= 1:
+            work(starts)
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # about 0.25 MB: imported only where chunks spread
+
+            # this thread takes share 0 and the helpers the rest; leaving the block waits for every helper
+            with ThreadPoolExecutor(threads - 1) as pool:
+                helpers = [pool.submit(work, starts[first::threads]) for first in range(1, threads)]
+                work(starts[::threads])
+            for helper in helpers:
+                helper.result()  # raises a helper's error
     return values
 
 

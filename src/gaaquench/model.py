@@ -78,6 +78,13 @@ class LatticeSpec:
         else:
             # open chains store b as a plain float
             object.__setattr__(self, "b", float(self.b))
+        for name in ("lam", "a", "t", "b", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        # |mu_i| <= 2|lam| / (1 - |a|): a finite bound keeps every site finite, at no cost in L
+        if not math.isfinite(2.0 * abs(self.lam) / (1.0 - abs(self.a))):
+            raise ValueError(f"the on-site potential overflows at lambda = {self.lam!r}, a = {self.a!r}: "
+                             "its bound 2|lambda| / (1 - |a|) is not finite")
 
 
 def _phase(spec: LatticeSpec, i):

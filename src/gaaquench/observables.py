@@ -20,6 +20,10 @@ COUPLINGS = ("center", "edge")
 
 JUMP_SIZE = 5  # subsystem size probing information trapped by localized modes
 
+# most points of a config grid or of a point's time table: far above the paper's 21-point lambda grid
+# and its 1000 sample times
+MAX_POINTS = 10**5
+
 
 @dataclass(frozen=True)
 class SamplingProtocol:
@@ -44,10 +48,12 @@ class SamplingProtocol:
             raise ValueError(f"fit window must satisfy 0 <= start < stop, got {self.fit_window}")
         if self.fit_dt <= 0:
             raise ValueError("fit_dt must be positive")
+        if not (hi - lo) / self.fit_dt < MAX_POINTS - 0.5:  # the rounded count, as for a config grid
+            raise ValueError(f"fit window {self.fit_window} at fit_dt {self.fit_dt} holds more than {MAX_POINTS} times")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
+        if not 2 <= self.n_samples <= MAX_POINTS:
+            raise ValueError(f"n_samples must lie in 2..{MAX_POINTS}, got {self.n_samples}")
         if not self.mean_interval > self.jitter >= 0:
             raise ValueError("need mean_interval > jitter >= 0")
 
@@ -90,7 +96,7 @@ class SicProfile:
         self.mi = np.asarray(self.mi, dtype=float)
         if self.sizes.shape != self.mi.shape:
             raise ValueError("sizes and mi must have matching lengths")
-        if np.any(self.mi < -1e-9) or np.any(self.mi > 2.0 + 1e-9):
+        if not np.all((self.mi >= -1e-9) & (self.mi <= 2.0 + 1e-9)):  # a NaN fails too
             raise ValueError("mutual information must lie in [0, 2] bits")
 
 

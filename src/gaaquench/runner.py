@@ -36,8 +36,7 @@ from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
 _ORACLE_TOLERANCE = 1e-8
-# most points of a start:stop:step grid: far above the paper's 21-point lambda and few-hundred-point times grids
-MAX_GRID_POINTS = 10**5
+MAX_GRID_POINTS = observables.MAX_POINTS  # most points of a start:stop:step grid
 
 _SCHEMAS = {
     "spectrum.csv": ("index", "energy", "ipr", "label"),
@@ -126,9 +125,9 @@ class ExperimentConfig:
         if self.seed < 0 or (self.initial_seed is not None and self.initial_seed < 0):
             raise ConfigError("seed and initial_seed must be non-negative")
         self.protocol(self.seed)  # surfaces invalid sampling parameters early
-        for a, L in product(self.a, self.L):  # the lattice and initial-state checks do not depend on lambda
+        for a, lam, L in product(self.a, self.lam, self.L):
             reference = None if experiment.even_L else observables.reference_site_for(L, self.coupling)
-            self.setup_at(a, self.lam[0], L, reference)
+            self.setup_at(a, lam, L, reference)
 
     def spec_at(self, a: float, lam: float, L: int) -> LatticeSpec:
         b = self.b

@@ -54,7 +54,7 @@ def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a symmetric matrix."""
     h = np.asarray(h)
     scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.T.conj())) > _SYMMETRY_TOL * scale:
+    if not np.max(np.abs(h - h.T.conj())) <= _SYMMETRY_TOL * scale:  # a NaN fails too
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigh(h)
 

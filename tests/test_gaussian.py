@@ -15,7 +15,6 @@ from gaaquench.gaussian import (
     block_entropies,
     entropies,
     entropy_of_block,
-    evolve,
     initial_correlation,
     mutual_information,
     occupation_pattern,
@@ -25,6 +24,7 @@ from gaaquench.gaussian import (
     subsystem_entropy,
 )
 from gaaquench.model import LatticeSpec, build_hamiltonian
+from gaaquench.spectral import diagonalize
 
 LN2 = np.log(2.0)
 
@@ -119,18 +119,34 @@ class TestInitialCorrelation:
             CorrelationMatrix(bad)
 
 
+# each tolerance check compares a deviation with its bound; NaN compares False either way round
+NAN_CHECKS = {
+    "symmetry": (lambda: diagonalize(np.full((2, 2), np.nan)), "not symmetric"),
+    "hermiticity": (lambda: CorrelationMatrix(np.full((2, 2), np.nan)), "not Hermitian"),
+    "occupations": (lambda: gaussian._check_occupations(np.array([0.5, np.nan])), r"outside \[0, 1\]"),
+    "sic_range": (lambda: observables.SicProfile("center", [0, 5], [0.0, np.nan], "open"), r"\[0, 2\] bits"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NAN_CHECKS))
+def test_tolerance_checks_reject_nan(check):
+    call, message = NAN_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestEvolve:
     def test_time_zero_identity(self):
         setup = neel_setup(6)
         c0 = initial_correlation(setup)
-        c = evolve(c0, build_hamiltonian(setup.spec), 0.0)
+        c = QuenchEvolution(c0, build_hamiltonian(setup.spec)).correlation_at(0.0)
         assert np.allclose(c.matrix, c0.matrix, atol=1e-12)
 
     def test_diagonal_hamiltonian_freezes_occupations(self):
         c0 = CorrelationMatrix(np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
         h = np.diag([0.3, -1.2, 0.7, 2.0])
         for t in (0.5, 3.0, 100.0):
-            c = evolve(c0, h, t)
+            c = QuenchEvolution(c0, h).correlation_at(t)
             assert np.allclose(c.matrix, c0.matrix, atol=1e-12)
 
     def test_dimer_occupancy_oscillation(self):
@@ -144,7 +160,7 @@ class TestEvolve:
     def test_dimension_mismatch_rejected(self):
         c0 = initial_correlation(neel_setup(6))
         with pytest.raises(ValueError):
-            evolve(c0, np.zeros((4, 4)), 1.0)
+            QuenchEvolution(c0, np.zeros((4, 4))).correlation_at(1.0)
 
     def test_chain_sized_hamiltonian_rejected_with_reference(self):
         # h must cover every mode of C0; setup_hamiltonian adds the reference mode

@@ -23,6 +23,13 @@ class TestLatticeSpec:
             dict(L=10, lam=1.0, a=1.0),
             dict(L=10, lam=1.0, a=-1.2),
             dict(L=10, lam=1.0, a=0.0, boundary="twisted"),
+            dict(L=8, lam=float("nan")),
+            dict(L=8, lam=1.0, a=float("nan")),
+            dict(L=8, lam=1.0, t=float("inf")),
+            dict(L=8, lam=1.0, b=float("nan")),
+            dict(L=8, lam=1.0, phi=float("nan")),
+            dict(L=8, lam=1e308),  # finite, but 2 * lam overflows the potential to inf
+            dict(L=8, lam=-1e308, a=0.3),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -17,6 +17,7 @@ from gaaquench.gaussian import (
 )
 from gaaquench.model import LatticeSpec
 from gaaquench.observables import (
+    MAX_POINTS,
     EETimeSeries,
     SamplingProtocol,
     SicProfile,
@@ -59,11 +60,18 @@ class TestSamplingProtocol:
             dict(mean_interval=3.0, jitter=3.0),
             dict(fit_dt=0.0),
             dict(burn_in=-5.0),
+            dict(n_samples=MAX_POINTS + 1),
+            dict(fit_dt=1e-300),
+            dict(fit_window=(0.0, float(MAX_POINTS)), fit_dt=1.0),
         ],
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             SamplingProtocol(**kwargs)
+
+    def test_time_tables_of_the_bound_accepted(self):
+        protocol = SamplingProtocol(fit_window=(0.0, MAX_POINTS - 1.0), fit_dt=1.0, n_samples=MAX_POINTS)
+        assert fit_window_times(protocol).size == sample_times(protocol).size == MAX_POINTS
 
     def test_sample_times_bounds_and_mean(self):
         p = SamplingProtocol(seed=3)

@@ -218,6 +218,22 @@ class TestParseConfig:
         config = parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\n")
         assert config.protocol(config.seed) == observables.SamplingProtocol()
 
+    @pytest.mark.parametrize("values", ["1e308", "-1e308, 0.5", "0.5, 1e308, 1", "0.5, 1, 1e308"])
+    def test_overflowing_potential_rejected_at_every_lambda(self, values):
+        # each used to parse, and the point at 1e308 then failed inside eigh
+        with pytest.raises(ConfigError, match=r"potential overflows at lambda = -?1e\+308"):
+            parse_config(f"experiment = saturation\nL = 8\na = 0.3\nlambda = {values}\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("fit_dt = 1e-300", "holds more than 100000 times"),
+        ("fit_window = 0:100000\nfit_dt = 1", "holds more than 100000 times"),
+        ("n_samples = 100001", r"n_samples must lie in 2\.\.100000"),
+    ])
+    def test_oversized_time_tables_rejected(self, line, message):
+        # fit_dt = 1e-300 used to parse, and then every point failed with "Maximum allowed size exceeded"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"experiment = velocity\nL = 8\na = 0\nlambda = 1\n{line}\n")
+
     def test_oversized_grid_rejected_quickly(self):
         started = time.perf_counter()
         with pytest.raises(ConfigError, match=r"line 5: key 'times': .* more than 100000"):
@@ -452,12 +468,13 @@ class TestRun:
         assert (tmp_path / "serial/saturation.csv").read_bytes() == (tmp_path / "pool/saturation.csv").read_bytes()
 
     def test_importing_the_runner_loads_no_multiprocessing(self):
-        probe = "import sys, gaaquench.runner; print('multiprocessing' in sys.modules)"
+        # concurrent.futures too: only a pool or a threaded entropies call needs it
+        probe = "import sys, gaaquench.runner; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
         src = os.path.dirname(os.path.dirname(runner.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_missing_blas_library_runs_uncapped(self, tmp_path, monkeypatch):
         def missing(*args, **kwargs):
@@ -511,6 +528,13 @@ class TestCli:
         path = write_config(tmp_path, "experiment = velocity\nL = 8\nbad_key = 1\n")
         assert main(["velocity", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_overflowing_potential_reported(self, tmp_path, capsys):
+        # used to raise a TypeError from _format_cell and leave a spectrum.csv holding only the header
+        path = write_config(tmp_path, "experiment = spectrum\nL = 8\na = 0.3\nlambda = 1e308\n")
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("gaa: error: the on-site potential overflows at lambda")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["velocity", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1

@@ -2,6 +2,7 @@
 the package must fail here rather than in a later `perfbench/run.py --trace 1`."""
 
 import importlib
+import json
 from pathlib import Path
 
 import gaaquench.runner  # noqa: F401  (loads every layer the tracer scans)
@@ -22,3 +23,20 @@ def test_traced_targets_cover_every_named_span(monkeypatch):
     }
     assert sorted(named - set(targets)) == []
     assert all(callable(fn) for fn in targets.values())
+
+
+# filled from the run itself (wall and CPU clocks, host calibration), not from the traced summary
+MEASURED_EXTRAS = {"runner.cpu_per_wall", "runner.run.wall_s", "host.calibration_s", "trace.overhead_frac"}
+
+
+def test_every_per_layer_metric_resolves(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    names = [m["name"] for m in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]]
+    unresolved = []
+    for name in sorted(set(names) - MEASURED_EXTRAS):
+        try:
+            run.layer_value(name, {"spans": {}, "work": {}}, {})
+        except KeyError:
+            unresolved.append(name)
+    assert unresolved == []
