@@ -32,8 +32,8 @@ from .spectral import diagonalize
 _HERMITICITY_TOL = 1e-10
 _PROJECTOR_TOL = 1e-10
 _CLAMP = 1e-12
-# entries of the block stack that `entropies` fills per chunk of sample times: 1 MiB of complex128
-_CHUNK_ENTRIES = 2**16
+# entries of the block stack that `entropies` fills per chunk of sample times: 640 KiB of complex128
+_CHUNK_ENTRIES = 40960
 # numpy's eigvalsh releases the GIL only on a stack of k m x m matrices with k * m above this
 _GIL_FREE_SIZE = 500
 
@@ -310,6 +310,52 @@ def _chunk_times(rows: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(rows * rows, 1), _GIL_FREE_SIZE // max(rows, 1) + 1)
 
 
+def _row_groups(sides: list[tuple[int, ...]], dim: int) -> list[list[int]]:
+    """The indices of `sides` (0-based mode tuples) in groups that each build one block per time.
+
+    Largest side first, each side joins the first group whose rows, together
+    with its own, stay within max(ceil(dim / 2), largest side); otherwise it
+    opens a new group. A plan whose union fits that limit keeps one group.
+    """
+    limit = max([(dim + 1) // 2] + [len(side) for side in sides])
+    groups = []  # (rows, members)
+    for j in sorted(range(len(sides)), key=lambda j: -len(sides[j])):
+        for rows, members in groups:
+            if len(rows.union(sides[j])) <= limit:
+                rows.update(sides[j])
+                members.append(j)
+                break
+        else:
+            groups.append((set(sides[j]), [j]))
+    return [members for _, members in groups]
+
+
+class _RowGroup:
+    """One row group of an `entropies` plan: its rows, the cut of each of its sides, its chunk of
+    sample times, and the columns of the table its sides fill."""
+
+    def __init__(self, sides: list[tuple[int, ...]], members: list[int], columns: list[int], n_times: int):
+        self.rows = np.array(sorted(set().union(*(sides[j] for j in members))), dtype=int)
+        self.cuts = []
+        for j in members:
+            pos = np.searchsorted(self.rows, sides[j])
+            if pos.size and pos[-1] - pos[0] + 1 == pos.size:
+                cut = slice(pos[0], pos[-1] + 1)
+                self.cuts.append((slice(None), cut, cut))
+            else:
+                self.cuts.append((slice(None), pos[:, None], pos))
+        slot = {j: s for s, j in enumerate(members)}
+        self.columns = [c for c, j in enumerate(columns) if j in slot]  # table columns this group fills
+        self.picks = [slot[columns[c]] for c in self.columns]  # the side of each of those columns
+        self.chunk = min(_chunk_times(self.rows.size), max(n_times, 1))
+        # numpy's eigvalsh of a chunk of one side runs without the GIL where chunk * m > 500: spreading
+        # pays where those sides carry most of the group's work, the sum of m^3
+        sizes = [len(sides[j]) for j in members]
+        free = sum(m**3 for m in sizes if self.chunk * m > _GIL_FREE_SIZE)
+        self.gil_free = 2 * free > sum(m**3 for m in sizes)
+        self.starts = range(0, n_times, self.chunk)
+
+
 @functools.cache
 def _blas_thread_control():
     """(get, set) of the thread count of the OpenBLAS that numpy's core extension links, looked up
@@ -357,19 +403,22 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     Everything is planned once before the time loop. For a pure state
     S(X) = S(complement of X) (Peschel, J. Phys. A 36, L205 (2003)), so a
     subset is replaced by its complement when that is strictly smaller; a tie
-    keeps the subset. Equal sides are evaluated once. Each time builds only
-    the rows in the union of the sides, in one block_at call. The times are
-    taken in chunks whose blocks fill a reused [chunk, rows, rows] stack;
-    each side is cut from the stack (a view where it is contiguous in the
-    rows) and gets one block_entropies call per chunk, so numpy's per-call
-    cost is paid once per chunk, not once per time.
+    keeps the subset. Equal sides are evaluated once. The sides are then put in
+    row groups (_row_groups), so that no block is much larger than the largest
+    side: the half chain keeps one group, the sic_profile sides at L = 100 take
+    two of 51 rows instead of one of 101. Each group builds only its own rows,
+    in one block_at call per time. Its times are taken in chunks whose blocks
+    fill a reused [chunk, rows, rows] stack; each side is cut from its group's
+    stack (a view where it is contiguous in the rows) and gets one
+    block_entropies call per chunk, so numpy's per-call cost is paid once per
+    chunk, not once per time.
 
-    OpenBLAS runs one thread throughout (_one_blas_thread). Where chunk * m > 500
-    for every non-empty side of m modes, numpy's eigvalsh of a chunk runs without
-    the GIL, and the chunks are dealt round-robin to as many threads as the process
-    had in OpenBLAS: this one and the helpers of a ThreadPoolExecutor made for the
-    call, each with a stack of its own. Every value is thus the same at every
-    thread count.
+    OpenBLAS runs one thread throughout (_one_blas_thread). Where the sides whose
+    chunk * m > 500, whose stacked eigvalsh runs without the GIL, carry most of a
+    group's sum of m^3, that group's chunks are dealt round-robin to as many
+    threads as the process had in OpenBLAS: this one and the helpers of one
+    ThreadPoolExecutor made for the call, each with a stack of its own. The groups
+    run one after the other. Every value is thus the same at every thread count.
     """
     _check_log_base(log_base)
     dim = evolution.dim
@@ -381,46 +430,38 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
             outside[idx] = False
             idx = np.flatnonzero(outside)
         columns.append(sides.setdefault(tuple(idx), len(sides)))
-    rows = np.array(sorted(set().union(*sides)), dtype=int)
-    cuts = []
-    for side in sides:
-        pos = np.searchsorted(rows, side)
-        if pos.size and pos[-1] - pos[0] + 1 == pos.size:
-            cut = slice(pos[0], pos[-1] + 1)
-            cuts.append((slice(None), cut, cut))
-        else:
-            cuts.append((slice(None), pos[:, None], pos))
+    sides = list(sides)
     times = np.asarray(times, dtype=float)
     values = np.empty((times.size, len(columns)))
-    chunk = min(_chunk_times(rows.size), max(times.size, 1))
+    groups = [_RowGroup(sides, members, columns, times.size) for members in _row_groups(sides, dim)]
 
-    def work(share: range) -> None:
+    def work(group: _RowGroup, share: range) -> None:
+        rows, chunk = group.rows, group.chunk
         stack = np.empty((chunk, rows.size, rows.size), dtype=complex)
-        side_values = np.empty((chunk, len(cuts)))
+        side_values = np.empty((chunk, len(group.cuts)))
         for start in share:
             count = min(chunk, times.size - start)
             for k in range(count):
                 stack[k] = evolution.block_at(times[start + k], rows + 1)
-            for j, cut in enumerate(cuts):
+            for j, cut in enumerate(group.cuts):
                 side_values[:count, j] = block_entropies(stack[:count][cut], log_base)
-            values[start : start + count] = side_values[:count, columns]
+            values[start : start + count, group.columns] = side_values[:count, group.picks]
 
-    sizes = [len(side) for side in sides if side]
-    gil_free = bool(sizes) and chunk * min(sizes) > _GIL_FREE_SIZE
-    starts = range(0, times.size, chunk)
     with _one_blas_thread() as threads:
-        threads = min(threads if gil_free else 1, len(starts))
-        if threads <= 1:
-            work(starts)
+        spread = [min(threads if group.gil_free else 1, len(group.starts)) for group in groups]
+        if max(spread, default=1) <= 1:
+            for group in groups:
+                work(group, group.starts)
         else:
             from concurrent.futures import ThreadPoolExecutor  # about 0.25 MB: imported only where chunks spread
 
-            # this thread takes share 0 and the helpers the rest; leaving the block waits for every helper
-            with ThreadPoolExecutor(threads - 1) as pool:
-                helpers = [pool.submit(work, starts[first::threads]) for first in range(1, threads)]
-                work(starts[::threads])
-            for helper in helpers:
-                helper.result()  # raises a helper's error
+            # this thread takes share 0 of a group and the helpers the rest; leaving the block waits for every helper
+            with ThreadPoolExecutor(max(spread) - 1) as pool:
+                for group, count in zip(groups, spread):
+                    helpers = [pool.submit(work, group, group.starts[first::count]) for first in range(1, count)]
+                    work(group, group.starts[::count])
+                    for helper in helpers:
+                        helper.result()  # waits, and raises a helper's error
     return values
 
 

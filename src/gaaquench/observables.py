@@ -43,6 +43,9 @@ class SamplingProtocol:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("fit_window", "fit_dt", "burn_in", "mean_interval", "jitter"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         lo, hi = self.fit_window
         if lo < 0 or hi <= lo:
             raise ValueError(f"fit window must satisfy 0 <= start < stop, got {self.fit_window}")

@@ -23,8 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gaussian import (QuenchSetup, _check_log_base, _site_indices, occupation_pattern, reference_information,
-                       setup_hamiltonian)
+from .gaussian import QuenchSetup, _check_log_base, _site_indices, occupation_pattern, setup_hamiltonian
 
 MAX_MODES = 12
 
@@ -161,12 +160,6 @@ def exact_entropy(state: np.ndarray, basis: FockBasis, subset, log_base: str = "
     p = p[p > 1e-14]
     s = float(-(p * np.log(p)).sum())
     return s / math.log(2.0) if log_base == "two" else s
-
-
-def exact_mutual_information(state: np.ndarray, basis: FockBasis, a_modes, r_mode: int) -> float:
-    """I(A:R) in bits from exact reduced density matrices."""
-    mi = reference_information([a_modes], r_mode, lambda sets: [exact_entropy(state, basis, x, "two") for x in sets])
-    return float(mi[0])
 
 
 def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:

@@ -93,6 +93,10 @@ class ExperimentConfig:
         object.__setattr__(self, "L", tuple(sorted(int(v) for v in self.L)))
         object.__setattr__(self, "lam", tuple(sorted(float(v) for v in self.lam)))
         object.__setattr__(self, "a", tuple(sorted(float(v) for v in self.a)))
+        points = len(self.a) * len(self.lam) * len(self.L)
+        if points > observables.MAX_POINTS:  # before a setup is built for each of them
+            raise ConfigError(f"the sweep over a, lambda and L holds {points} points, "
+                              f"more than {observables.MAX_POINTS}")
         if experiment.lengths == "point" and (len(self.L) > 1 or len(self.lam) > 1 or len(self.a) > 1):
             raise ConfigError(f"experiment '{self.experiment}' takes a single (L, lambda, a) point")
         if experiment.lengths == "single" and len(self.L) > 1:

@@ -33,12 +33,12 @@ from gaaquench.observables import (
 from gaaquench.oracle import (
     exact_entropy,
     exact_evolve,
-    exact_mutual_information,
     initial_state,
     many_body_hamiltonian,
 )
 from gaaquench.runner import parse_config, run
 from gaaquench.spectral import PHASE_INTERMEDIATE, PHASE_LOCALIZED, analyze, phase_region
+from oracle_references import exact_mutual_information
 
 PROTOCOL = SamplingProtocol(seed=20240)
 

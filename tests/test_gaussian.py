@@ -34,25 +34,36 @@ def neel_setup(L, lam=1.0, a=0.3, reference=None):
 
 
 def per_time_entropies(ev, subsets, times, log_base):
-    """The kernel's arithmetic one time and one side at a time, and the number of rows it builds.
+    """The kernel's arithmetic one time and one side at a time, and the rows of each block it builds.
 
     A subset of a pure state that holds more than half of the modes is replaced
-    by its complement; each side is cut from the block of the union of the sides.
+    by its complement. Largest first, each distinct side joins the first group
+    whose rows, with its own, stay within max(ceil(dim / 2), largest side), or
+    opens a new group; each side is cut from its group's block.
     """
     sides = []
     for subset in subsets:
         side = sorted(set(subset))
         if ev.pure and 2 * len(side) > ev.dim:
             side = sorted(set(range(1, ev.dim + 1)) - set(side))
-        sides.append(side)
-    rows = sorted(set().union(*sides))
+        sides.append(tuple(side))
+    limit = max([(ev.dim + 1) // 2] + [len(side) for side in sides])
+    groups, group_of = [], {}
+    for side in sorted(dict.fromkeys(sides), key=len, reverse=True):  # a stable sort keeps the order of ties
+        g = next((g for g, rows in enumerate(groups) if len(rows | set(side)) <= limit), len(groups))
+        if g == len(groups):
+            groups.append(set())
+        groups[g].update(side)
+        group_of[side] = g
+    groups = [sorted(rows) for rows in groups]
     out = np.empty((len(times), len(subsets)))
     for k, t in enumerate(times):
-        block = ev.block_at(t, rows)
+        blocks = [ev.block_at(t, rows) for rows in groups]
         for j, side in enumerate(sides):
-            pos = [rows.index(x) for x in side]
-            out[k, j] = entropy_of_block(block[np.ix_(pos, pos)], log_base)
-    return out, len(rows)
+            g = group_of[side]
+            pos = [groups[g].index(x) for x in side]
+            out[k, j] = entropy_of_block(blocks[g][np.ix_(pos, pos)], log_base)
+    return out, groups
 
 
 class TestQuenchSetup:
@@ -369,6 +380,25 @@ class TestEntropiesKernel:
         assert got[:, 2] == pytest.approx(got[:, 3], abs=1e-12)
         assert got[:, 5] == pytest.approx(0.0, abs=1e-9)
 
+    def test_sic_plan_at_L_100_builds_two_groups_of_51_rows(self, monkeypatch):
+        setup, subsets, log_base = sic_sides_at_L_100()
+        ev = quench_evolution(setup)
+        built = []
+        block_at = QuenchEvolution.block_at
+
+        def recording_block_at(self, time, sites):
+            built.append(sorted(int(s) for s in sites))
+            return block_at(self, time, sites)
+
+        monkeypatch.setattr(QuenchEvolution, "block_at", recording_block_at)
+        times = [1.0e4, 1.1e4, 1.2e4]
+        got = entropies(ev, subsets, times, log_base)
+        monkeypatch.undo()
+        expected, groups = per_time_entropies(ev, subsets, times, log_base)
+        assert [len(rows) for rows in groups] == [51, 51]  # not one block of all 101 modes
+        assert built == [groups[0]] * 3 + [groups[1]] * 3
+        assert np.array_equal(got, expected)
+
     def test_bad_input_rejected(self):
         ev = quench_evolution(neel_setup(6))
         with pytest.raises(ValueError):
@@ -426,9 +456,9 @@ def record_block_threads(monkeypatch, blas_threads):
 
 
 class TestStackedKernel:
-    """entropies takes the times in chunks of one [chunk, rows, rows] stack; every value must be the
-    one its own time gives, whatever the chunk count, the place of the time in its chunk and the
-    thread that takes the chunk."""
+    """entropies takes the times in chunks of one [chunk, rows, rows] stack per row group; every value
+    must be the one its own time gives, whatever the chunk count, the place of the time in its chunk
+    and the thread that takes the chunk."""
 
     @pytest.mark.parametrize("log_base", ["natural", "two"])
     @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
@@ -437,7 +467,9 @@ class TestStackedKernel:
         ev = build()
         assert ev.pure == (case != "mixed")
         times = np.random.default_rng(5).uniform(1e4, 2e4, 12)
-        _, rows = per_time_entropies(ev, subsets, times[:1], log_base)
+        _, groups = per_time_entropies(ev, subsets, times[:1], log_base)
+        assert len(groups) == (1 if case == "mixed" else 2)  # a 1-row group of {R} or {1} beside the rest
+        rows = max(len(group) for group in groups)  # the largest group takes 3 times per chunk
         monkeypatch.setattr(gaussian, "_CHUNK_ENTRIES", 3 * rows * rows)
         monkeypatch.setattr(gaussian, "_GIL_FREE_SIZE", 0)  # no floor, and every stack counts as GIL-free
         k = gaussian._chunk_times(rows)
@@ -457,9 +489,10 @@ class TestStackedKernel:
 
     def test_chunk_rule_stays_within_the_budget(self):
         budget, floor = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE
-        assert (budget, floor) == (2**16, 500)
-        assert gaussian._chunk_times(100) == gaussian._chunk_times(101) == 6
-        assert gaussian._chunk_times(120) == 5  # the half chain at L = 240: 4 blocks would hold the GIL
+        assert (budget, floor) == (40960, 500)  # 640 KiB of complex128 per stack
+        assert gaussian._chunk_times(51) == 15  # each sic_profile row group at L = 100
+        assert gaussian._chunk_times(100) == 6  # the half chain at L = 200: 4 blocks would hold the GIL
+        assert gaussian._chunk_times(101) == gaussian._chunk_times(117) == gaussian._chunk_times(120) == 5
         assert gaussian._chunk_times(0) >= 1
         for rows in range(1, 600):
             k = gaussian._chunk_times(rows)
@@ -482,8 +515,9 @@ def real_blas():
 
 
 class TestChunkThreads:
-    """A serial run spreads the chunks of sample times over its BLAS threads wherever every side's
-    stacked eigvalsh runs without the GIL; BLAS runs one thread in every plan."""
+    """A serial run spreads a row group's chunks of sample times over its BLAS threads wherever the
+    sides whose stacked eigvalsh runs without the GIL carry most of the group's sum of m^3; BLAS runs
+    one thread in every plan."""
 
     L = 200  # the half chain of the saturation measurement: m = 100, 6 times per chunk
 
@@ -533,17 +567,40 @@ class TestChunkThreads:
         assert blas.history == [1, 2] and blas.threads == 2
         assert threading.active_count() == alive  # every helper has ended
 
-    def test_sides_of_at_most_51_modes_start_no_thread(self, monkeypatch):
+    def test_sic_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch):
+        get, set_ = real_blas()
+        setup, subsets, log_base = sic_sides_at_L_100()
+        ev = quench_evolution(setup)
+        times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, chunks of 15, 15 and 10 times
+        seen = record_block_threads(monkeypatch, get)
+        before = get()
+        try:
+            set_(1)
+            serial = entropies(ev, subsets, times, log_base)
+            serial_seen = list(seen)
+            set_(2)
+            seen.clear()
+            threaded = entropies(ev, subsets, times, log_base)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert len({ident for ident, _ in serial_seen}) == 1
+        assert len({ident for ident, _ in seen}) == 2
+        assert {blas for _, blas in serial_seen + seen} == {1}
+        assert len(seen) == 2 * times.size  # one block per time in each of the two row groups
+        assert (threaded == serial).all()
+
+    def test_work_mostly_in_gil_held_sides_starts_no_thread(self, monkeypatch):
         blas = FakeBlas(2)
         monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
         seen = record_block_threads(monkeypatch, lambda: blas.threads)
-        # the sic_profile plan at L = 100: windows of 0..100 sites and R, each side at most 51 modes,
-        # in chunks of 6 times: 6 * 51 = 306 <= 500
-        setup = QuenchSetup(LatticeSpec(L=100, lam=1.0, a=0.3), "neel", reference_site=50)
+        # the sic_profile plan at L = 233: row groups of 116 and 114 rows at 5 times per chunk, where the
+        # sides of m >= 101 pass 5 * m > 500 but carry under half of each group's sum of m^3
+        setup = QuenchSetup(LatticeSpec(L=233, lam=1.0, a=0.3), "neel", reference_site=116)
         protocol = observables.SamplingProtocol(n_samples=30)
-        profile = observables.sic_profile(setup, range(0, 101, 5), "center", protocol)
-        assert profile.mi.shape == (21,)
-        assert len(seen) == 30 and len({ident for ident, _ in seen}) == 1
+        profile = observables.sic_profile(setup, sorted(set(range(0, 234, 5)) | {233}), "center", protocol)
+        assert profile.mi.shape == (48,)
+        assert len(seen) == 60 and len({ident for ident, _ in seen}) == 1
         assert {threads for _, threads in seen} == {1}
         # capped and restored around the evolution's eigh calls and around entropies
         assert blas.history == [1, 2, 1, 2] and blas.threads == 2

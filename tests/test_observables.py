@@ -69,6 +69,17 @@ class TestSamplingProtocol:
         with pytest.raises(ValueError):
             SamplingProtocol(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("fit_window", (0.0, np.nan)), ("fit_window", (-np.inf, 20.0)), ("fit_dt", np.nan), ("fit_dt", np.inf),
+        ("burn_in", np.nan), ("burn_in", np.inf), ("mean_interval", np.nan), ("mean_interval", np.inf),
+        ("jitter", np.nan),
+    ])
+    def test_non_finite_fields_rejected(self, field, value):
+        # burn_in = nan and mean_interval = inf used to be accepted, and a NaN fit_window or fit_dt was
+        # said to hold more than 10^5 times
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SamplingProtocol(**{field: value})
+
     def test_time_tables_of_the_bound_accepted(self):
         protocol = SamplingProtocol(fit_window=(0.0, MAX_POINTS - 1.0), fit_dt=1.0, n_samples=MAX_POINTS)
         assert fit_window_times(protocol).size == sample_times(protocol).size == MAX_POINTS

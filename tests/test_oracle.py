@@ -23,13 +23,13 @@ from gaaquench.oracle import (
     exact_entropies,
     exact_entropy,
     exact_evolve,
-    exact_mutual_information,
     fixed_number_basis,
     full_basis,
     initial_state,
     many_body_hamiltonian,
     reduced_density_matrix,
 )
+from oracle_references import exact_mutual_information
 
 
 def per_ket_hamiltonian(h, basis):

@@ -247,6 +247,13 @@ class TestParseConfig:
         hair = "experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 0:9999.900000000001:0.1\n"
         assert len(parse_config(hair).times) == runner.MAX_GRID_POINTS
 
+    def test_oversized_sweep_rejected_quickly(self):
+        # 100 a x 10^4 lambda: each grid is within its bound, but a setup per point took 6 s to build
+        started = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"sweep over a, lambda and L holds 1000000 points, more than 100000"):
+            parse_config("experiment = saturation\nL = 8\na = 0:0.99:0.01\nlambda = 0:9.999:0.001\n")
+        assert time.perf_counter() - started < 1.0
+
     def test_round_trip_through_dict(self):
         periodic = parse_config(
             "experiment = sic_profile\nL = 233\na = 0\nlambda = 0.5, 1.5\n"
