@@ -310,8 +310,9 @@ def _chunk_times(rows: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(rows * rows, 1), _GIL_FREE_SIZE // max(rows, 1) + 1)
 
 
-def _row_groups(sides: list[tuple[int, ...]], dim: int) -> list[list[int]]:
-    """The indices of `sides` (0-based mode tuples) in groups that each build one block per time.
+def _row_groups(sides: dict[tuple[int, ...], list[int]], dim: int, n_times: int) -> list[_RowGroup]:
+    """The row groups of an `entropies` plan, each of which builds one block per time; `sides` maps
+    each side (0-based modes) to the table columns it fills.
 
     Largest side first, each side joins the first group whose rows, together
     with its own, stay within max(ceil(dim / 2), largest side); otherwise it
@@ -319,40 +320,32 @@ def _row_groups(sides: list[tuple[int, ...]], dim: int) -> list[list[int]]:
     """
     limit = max([(dim + 1) // 2] + [len(side) for side in sides])
     groups = []  # (rows, members)
-    for j in sorted(range(len(sides)), key=lambda j: -len(sides[j])):
+    for side in sorted(sides, key=len, reverse=True):
         for rows, members in groups:
-            if len(rows.union(sides[j])) <= limit:
-                rows.update(sides[j])
-                members.append(j)
+            if len(rows.union(side)) <= limit:
+                rows.update(side)
+                members.append(side)
                 break
         else:
-            groups.append((set(sides[j]), [j]))
-    return [members for _, members in groups]
+            groups.append((set(side), [side]))
+    return [_RowGroup(rows, [(side, sides[side]) for side in members], n_times) for rows, members in groups]
 
 
 class _RowGroup:
-    """One row group of an `entropies` plan: its rows, the cut of each of its sides, its chunk of
-    sample times, and the columns of the table its sides fill."""
+    """One row group of an `entropies` plan: its rows, the cut of each of its sides with the table
+    columns that side fills, and its chunks of sample times."""
 
-    def __init__(self, sides: list[tuple[int, ...]], members: list[int], columns: list[int], n_times: int):
-        self.rows = np.array(sorted(set().union(*(sides[j] for j in members))), dtype=int)
-        self.cuts = []
-        for j in members:
-            pos = np.searchsorted(self.rows, sides[j])
+    def __init__(self, rows: set[int], members: list[tuple[tuple[int, ...], list[int]]], n_times: int):
+        self.rows = np.array(sorted(rows), dtype=int)
+        self.cuts = []  # (cut, cols)
+        for side, cols in members:
+            pos = np.searchsorted(self.rows, side)
             if pos.size and pos[-1] - pos[0] + 1 == pos.size:
                 cut = slice(pos[0], pos[-1] + 1)
-                self.cuts.append((slice(None), cut, cut))
+                self.cuts.append(((slice(None), cut, cut), cols))
             else:
-                self.cuts.append((slice(None), pos[:, None], pos))
-        slot = {j: s for s, j in enumerate(members)}
-        self.columns = [c for c, j in enumerate(columns) if j in slot]  # table columns this group fills
-        self.picks = [slot[columns[c]] for c in self.columns]  # the side of each of those columns
+                self.cuts.append(((slice(None), pos[:, None], pos), cols))
         self.chunk = min(_chunk_times(self.rows.size), max(n_times, 1))
-        # numpy's eigvalsh of a chunk of one side runs without the GIL where chunk * m > 500: spreading
-        # pays where those sides carry most of the group's work, the sum of m^3
-        sizes = [len(sides[j]) for j in members]
-        free = sum(m**3 for m in sizes if self.chunk * m > _GIL_FREE_SIZE)
-        self.gil_free = 2 * free > sum(m**3 for m in sizes)
         self.starts = range(0, n_times, self.chunk)
 
 
@@ -413,55 +406,48 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     block_entropies call per chunk, so numpy's per-call cost is paid once per
     chunk, not once per time.
 
-    OpenBLAS runs one thread throughout (_one_blas_thread). Where the sides whose
-    chunk * m > 500, whose stacked eigvalsh runs without the GIL, carry most of a
-    group's sum of m^3, that group's chunks are dealt round-robin to as many
-    threads as the process had in OpenBLAS: this one and the helpers of one
-    ThreadPoolExecutor made for the call, each with a stack of its own. The groups
-    run one after the other. Every value is thus the same at every thread count.
+    OpenBLAS runs one thread throughout (_one_blas_thread). Each group's chunks
+    are dealt round-robin to as many threads as the process had in OpenBLAS, at
+    most one per chunk: this one and the helpers of one ThreadPoolExecutor made
+    for the call, each with a stack of its own. The groups run one after the
+    other. Every value is thus the same at every thread count.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing gaaquench.runner does not load it
+
     _check_log_base(log_base)
     dim = evolution.dim
-    columns, sides = [], {}
-    for subset in subsets:
+    subsets = list(subsets)
+    sides = {}  # side -> the table columns it fills
+    for column, subset in enumerate(subsets):
         idx = _site_indices(subset, dim)
         if evolution.pure and 2 * idx.size > dim:
             outside = np.ones(dim, dtype=bool)
             outside[idx] = False
             idx = np.flatnonzero(outside)
-        columns.append(sides.setdefault(tuple(idx), len(sides)))
-    sides = list(sides)
+        sides.setdefault(tuple(idx), []).append(column)
     times = np.asarray(times, dtype=float)
-    values = np.empty((times.size, len(columns)))
-    groups = [_RowGroup(sides, members, columns, times.size) for members in _row_groups(sides, dim)]
+    values = np.empty((times.size, len(subsets)))
+    groups = _row_groups(sides, dim, times.size)
 
     def work(group: _RowGroup, share: range) -> None:
         rows, chunk = group.rows, group.chunk
         stack = np.empty((chunk, rows.size, rows.size), dtype=complex)
-        side_values = np.empty((chunk, len(group.cuts)))
         for start in share:
             count = min(chunk, times.size - start)
             for k in range(count):
                 stack[k] = evolution.block_at(times[start + k], rows + 1)
-            for j, cut in enumerate(group.cuts):
-                side_values[:count, j] = block_entropies(stack[:count][cut], log_base)
-            values[start : start + count, group.columns] = side_values[:count, group.picks]
+            for cut, cols in group.cuts:
+                values[start : start + count, cols] = block_entropies(stack[:count][cut], log_base)[:, None]
 
-    with _one_blas_thread() as threads:
-        spread = [min(threads if group.gil_free else 1, len(group.starts)) for group in groups]
-        if max(spread, default=1) <= 1:
-            for group in groups:
-                work(group, group.starts)
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # about 0.25 MB: imported only where chunks spread
-
-            # this thread takes share 0 of a group and the helpers the rest; leaving the block waits for every helper
-            with ThreadPoolExecutor(max(spread) - 1) as pool:
-                for group, count in zip(groups, spread):
-                    helpers = [pool.submit(work, group, group.starts[first::count]) for first in range(1, count)]
-                    work(group, group.starts[::count])
-                    for helper in helpers:
-                        helper.result()  # waits, and raises a helper's error
+    # an executor starts a thread only when a share is submitted to it
+    with _one_blas_thread() as threads, ThreadPoolExecutor(max(threads - 1, 1)) as pool:
+        for group in groups:
+            count = max(min(threads, len(group.starts)), 1)  # a group of no times has no chunk
+            # this thread takes share 0 and the helpers the rest; leaving the block waits for every helper
+            helpers = [pool.submit(work, group, group.starts[first::count]) for first in range(1, count)]
+            work(group, group.starts[::count])
+            for helper in helpers:
+                helper.result()  # waits, and raises a helper's error
     return values
 
 

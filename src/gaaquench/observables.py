@@ -24,6 +24,8 @@ JUMP_SIZE = 5  # subsystem size probing information trapped by localized modes
 # and its 1000 sample times
 MAX_POINTS = 10**5
 
+_WINDOW_TOL = 1e-12  # a sample time this far outside the fit window still counts as inside
+
 
 @dataclass(frozen=True)
 class SamplingProtocol:
@@ -53,6 +55,9 @@ class SamplingProtocol:
             raise ValueError("fit_dt must be positive")
         if not (hi - lo) / self.fit_dt < MAX_POINTS - 0.5:  # the rounded count, as for a config grid
             raise ValueError(f"fit window {self.fit_window} at fit_dt {self.fit_dt} holds more than {MAX_POINTS} times")
+        if not lo + self.fit_dt <= hi + _WINDOW_TOL:  # the second time of fit_window_times, as early_velocity masks it
+            raise ValueError(f"fit_window {self.fit_window} is shorter than fit_dt {self.fit_dt}: "
+                             "a velocity fit needs 2 samples inside it")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
         if not 2 <= self.n_samples <= MAX_POINTS:
@@ -119,7 +124,7 @@ def ee_timeseries(setup: QuenchSetup, times) -> EETimeSeries:
 def early_velocity(series: EETimeSeries, protocol: SamplingProtocol) -> float:
     """Least-squares slope of S versus t restricted to the protocol's fit window."""
     lo, hi = protocol.fit_window
-    mask = (series.times >= lo - 1e-12) & (series.times <= hi + 1e-12)
+    mask = (series.times >= lo - _WINDOW_TOL) & (series.times <= hi + _WINDOW_TOL)
     if np.count_nonzero(mask) < 2:
         raise ValueError("fewer than 2 samples inside the fit window")
     return float(np.polyfit(series.times[mask], series.entropies[mask], 1)[0])

@@ -122,8 +122,8 @@ class ExperimentConfig:
             raise ConfigError(f"coupling must be one of {observables.COUPLINGS}, got {self.coupling!r}")
         if self.initial == "random_product" and self.initial_seed is None:
             object.__setattr__(self, "initial_seed", 0)
-        if self.n_random < 1:
-            raise ConfigError("n_random must be >= 1")
+        if not 1 <= self.n_random <= observables.MAX_POINTS:  # before a setup is built for each of them
+            raise ConfigError(f"n_random must lie in 1..{observables.MAX_POINTS}, got {self.n_random}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.seed < 0 or (self.initial_seed is not None and self.initial_seed < 0):
@@ -222,7 +222,9 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
 
 def _parse_b(value: str):
     if "/" in value:
-        return Fraction(value)
+        b = Fraction(value)
+        float(b)  # an OverflowError where no float holds it
+        return b
     return _parse_float(value)
 
 
@@ -487,7 +489,9 @@ def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[
         # imported here: multiprocessing costs every serial run about 1.4 MB of memory
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers, initializer=_cap_blas_threads) as pool:
+        # at most one process per point: with fork, the pool starts all of its processes at the first submit
+        workers = min(config.workers, len(payloads))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads) as pool:
             results = list(pool.map(_run_point, payloads))  # in payload order
         cap = 1 if _blas_threads() is not None else "uncapped"
         threads = 1  # one BLAS thread per worker, or uncapped: either way entropies stays serial

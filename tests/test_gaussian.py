@@ -515,9 +515,8 @@ def real_blas():
 
 
 class TestChunkThreads:
-    """A serial run spreads a row group's chunks of sample times over its BLAS threads wherever the
-    sides whose stacked eigvalsh runs without the GIL carry most of the group's sum of m^3; BLAS runs
-    one thread in every plan."""
+    """A serial run deals every row group's chunks of sample times to its BLAS threads, at most one
+    thread per chunk; BLAS runs one thread in every plan."""
 
     L = 200  # the half chain of the saturation measurement: m = 100, 6 times per chunk
 
@@ -590,20 +589,33 @@ class TestChunkThreads:
         assert len(seen) == 2 * times.size  # one block per time in each of the two row groups
         assert (threaded == serial).all()
 
-    def test_work_mostly_in_gil_held_sides_starts_no_thread(self, monkeypatch):
-        blas = FakeBlas(2)
-        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
-        seen = record_block_threads(monkeypatch, lambda: blas.threads)
-        # the sic_profile plan at L = 233: row groups of 116 and 114 rows at 5 times per chunk, where the
-        # sides of m >= 101 pass 5 * m > 500 but carry under half of each group's sum of m^3
-        setup = QuenchSetup(LatticeSpec(L=233, lam=1.0, a=0.3), "neel", reference_site=116)
+    def test_L_233_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch):
+        # the sic_profile plan at L = 233: row groups of 116 and 114 rows at 5 times per chunk, where only
+        # the sides of m >= 101 pass 5 * m > 500; 30 times give each group 6 chunks
+        sizes = sorted(set(range(0, 234, 5)) | {233})
+        setup, subsets, log_base = sic_sides_at(233, sizes)
         protocol = observables.SamplingProtocol(n_samples=30)
-        profile = observables.sic_profile(setup, sorted(set(range(0, 234, 5)) | {233}), "center", protocol)
+        with monkeypatch.context() as patch:
+            blas = FakeBlas(2)
+            patch.setattr(gaussian, "_blas_thread_control", blas.control)
+            seen = record_block_threads(patch, lambda: blas.threads)
+            profile = observables.sic_profile(setup, sizes, "center", protocol)
         assert profile.mi.shape == (48,)
-        assert len(seen) == 60 and len({ident for ident, _ in seen}) == 1
+        assert len(seen) == 60 and len({ident for ident, _ in seen}) == 2
         assert {threads for _, threads in seen} == {1}
         # capped and restored around the evolution's eigh calls and around entropies
         assert blas.history == [1, 2, 1, 2] and blas.threads == 2
+        get, set_ = real_blas()
+        ev, times = quench_evolution(setup), observables.sample_times(protocol)
+        before = get()
+        try:
+            set_(1)
+            serial = entropies(ev, subsets, times, log_base)
+            set_(2)
+            threaded = entropies(ev, subsets, times, log_base)
+        finally:
+            set_(before)
+        assert (threaded == serial).all()
 
     def test_missing_blas_symbol_runs_serially(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
@@ -621,12 +633,17 @@ class TestChunkThreads:
         assert np.array_equal(got, expected)
 
 
+def sic_sides_at(L, sizes):
+    """The sic_profile plan at L with center coupling: A, R and A + R for each |A| in sizes."""
+    setup = QuenchSetup(LatticeSpec(L=L, lam=1.0, a=0.3), "neel",
+                        reference_site=observables.reference_site_for(L, "center"))
+    windows = [observables.subsystem_window(L, "center", size) for size in sizes]
+    return setup, windows + [[L + 1]] + [window + [L + 1] for window in windows], "two"
+
+
 def sic_sides_at_L_100():
     """The sic_profile plan at L = 100 with center coupling: A, R and A + R for every fifth |A|."""
-    setup = QuenchSetup(LatticeSpec(L=100, lam=1.0, a=0.3), "neel",
-                        reference_site=observables.reference_site_for(100, "center"))
-    windows = [observables.subsystem_window(100, "center", size) for size in range(0, 101, 5)]
-    return setup, windows + [[101]] + [window + [101] for window in windows], "two"
+    return sic_sides_at(100, range(0, 101, 5))
 
 
 # (setup, subsets, log base) of the plans whose unrounded tables must not depend on the BLAS count

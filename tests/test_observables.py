@@ -101,6 +101,20 @@ class TestSamplingProtocol:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("window, accepted", [
+        ((0.0, 0.2), False), ((0.0, 0.4), False), ((3.0, 3.49), False),
+        ((0.0, 0.5), True), ((0.1, 0.6), True), ((0.7, 1.2), True),
+    ])
+    def test_fit_window_holds_two_samples(self, window, accepted):
+        # 0:0.2 used to be accepted, and then every velocity fit failed with fewer than 2 samples
+        if not accepted:
+            with pytest.raises(ValueError, match=r"fit_window .* is shorter than fit_dt 0\.5"):
+                SamplingProtocol(fit_window=window)
+            return
+        protocol = SamplingProtocol(fit_window=window)
+        times = fit_window_times(protocol)
+        assert early_velocity(EETimeSeries(times, 2.0 * times), protocol) == pytest.approx(2.0)
+
     def test_fit_window_grid(self):
         grid = fit_window_times(SamplingProtocol())
         assert grid[0] == 0.0 and grid[-1] == 20.0 and grid.size == 41

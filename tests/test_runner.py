@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import json
 import os
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from gaaquench import gaussian, observables, runner
 from gaaquench.cli import main
@@ -234,6 +237,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(f"experiment = velocity\nL = 8\na = 0\nlambda = 1\n{line}\n")
 
+    def test_n_random_bounded(self):
+        # n_random = 10^11 used to parse, and the run then built that many setups per point
+        text = "experiment = velocity\nL = 8\na = 0\nlambda = 1\ninitial = random_product\nn_random = {}\n"
+        assert parse_config(text.format(observables.MAX_POINTS)).n_random == observables.MAX_POINTS
+        for value in (observables.MAX_POINTS + 1, 10**11, 0):
+            with pytest.raises(ConfigError, match=r"n_random must lie in 1\.\.100000"):
+                parse_config(text.format(value))
+
+    def test_fit_window_shorter_than_fit_dt_rejected(self, tmp_path):
+        # 0:0.2 used to parse, and then every velocity point failed with "fewer than 2 samples inside the fit window"
+        text = "experiment = velocity\nL = 8\na = 0\nlambda = 0.5, 1\nfit_window = {}\n"
+        with pytest.raises(ConfigError, match=r"fit_window \(0\.0, 0\.4\) is shorter than fit_dt 0\.5"):
+            parse_config(text.format("0:0.4"))
+        path = write_config(tmp_path, text.format("0:0.5"))
+        assert main(["velocity", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out/manifest.json").read_text())
+        assert not manifest["failures"] and manifest["outputs"][0]["rows"] == 2
+
     def test_oversized_grid_rejected_quickly(self):
         started = time.perf_counter()
         with pytest.raises(ConfigError, match=r"line 5: key 'times': .* more than 100000"):
@@ -274,6 +295,91 @@ class TestParseConfig:
             "initial_seed", "n_random", "coupling", "sizes", "times", "fit_window", "fit_dt", "burn_in",
             "n_samples", "mean_interval", "jitter", "seed", "workers",
         }
+
+
+# one value token of each kind the grammar reads, valid and invalid alike
+NUMBERS = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["0.3", "-0.5", "0.9", "1.5", "0.25", "2.5e2", "1e308", "-1e308", "1e-300", "1e999",
+                     "nan", "inf", "-inf", "0x10", "1_0", "abc", "9" * 40]),
+)
+TOKENS = st.one_of(
+    NUMBERS,
+    st.lists(NUMBERS, min_size=2, max_size=3).map(", ".join),
+    st.tuples(NUMBERS, NUMBERS, NUMBERS).map(":".join),
+    st.tuples(NUMBERS, NUMBERS).map(":".join),
+    st.tuples(st.one_of(st.integers(-2, 400), st.integers(10**300, 10**400)), st.integers(-1, 400))
+    .map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from([*runner.EXPERIMENTS, *observables.COUPLINGS, "open", "periodic", "neel", "domain_wall",
+                     "random_product", "warp"]),
+    st.text("01", max_size=12).map("custom:".__add__),
+)
+# the required keys, each drawn from a few valid values
+REQUIRED = {
+    "experiment": st.sampled_from(sorted(runner.EXPERIMENTS)),
+    "L": st.sampled_from(["8", "10", "6, 8, 10", "6:10:2"]),
+    "lambda": st.sampled_from(["1", "0.5, 1.5", "0:2:0.5"]),
+    "a": st.sampled_from(["0", "0.3", "0, 0.3"]),
+}
+# a valid value of every other key: the round-trip case's
+VALID = dict(line.split(" = ") for line in NON_DEFAULT.strip().splitlines()) | {"boundary": "open"}
+PARSE_DEADLINE_S = 2.0  # the largest sweep a document here can hold, 10^5 points, parses in about 0.7 s
+
+
+@st.composite
+def config_documents(draw):
+    """A key = value document: the required keys (one may be missing), other keys of the grammar or
+    unknown ones, and comment, blank, malformed or repeated lines, in any order. One value in ten is a
+    token of any kind, the rest valid."""
+
+    def value(valid):
+        return draw(valid) if draw(st.sampled_from([True] * 9 + [False])) else draw(TOKENS)
+
+    lines = [f"{key} = {value(valid)}" for key, valid in REQUIRED.items()]
+    if not draw(st.sampled_from([True] * 9 + [False])):
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    keys = st.sampled_from(sorted(set(runner._KEY_PARSERS) - set(REQUIRED)) + ["lamda", "occupations"])
+    for key in draw(st.lists(keys, max_size=5, unique=True)):
+        lines.append(f"{key} = {value(st.just(VALID.get(key, '1')))}")
+    other = st.sampled_from(["# comment", "", "   ", "no equals sign", "= 1", "L =", "L = 8"])
+    lines += draw(st.lists(other, max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def parse_within_deadline(text):
+    """parse_config's config, or its ConfigError; any other exception propagates."""
+    started = time.perf_counter()
+    try:
+        result = parse_config(text)
+    except ConfigError as exc:
+        result = exc
+    assert time.perf_counter() - started < PARSE_DEADLINE_S, text
+    return result
+
+
+class TestParserFuzz:
+    """Documents built from the grammar, with valid and invalid tokens alike: each parses to a config
+    that round-trips through its dict, or to a ConfigError, within the deadline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=config_documents())
+    def test_config_or_config_error(self, text):
+        config = parse_within_deadline(text)
+        if isinstance(config, ExperimentConfig):
+            assert ExperimentConfig.from_dict(config.to_dict()) == config
+            assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_documents_reach_valid_configs(self):
+        # the fuzz test is only as good as its accepted documents: some with optional keys must parse
+        text = find(config_documents(),
+                    lambda text: text.count("=") > 5 and isinstance(parse_within_deadline(text), ExperimentConfig),
+                    settings=settings(max_examples=2000))
+        assert isinstance(parse_config(text), ExperimentConfig)
+
+    def test_huge_rational_b_rejected(self):
+        # b = 10^400 / 1 used to raise an OverflowError out of parse_config, past the CLI's error report
+        with pytest.raises(ConfigError, match="line 5: key 'b'"):
+            parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\nb = 1" + "0" * 400 + "/1\n")
 
 
 class TestRun:
@@ -474,8 +580,31 @@ class TestRun:
         run(parse_config(text + "workers = 2\n"), tmp_path / "pool")
         assert (tmp_path / "serial/saturation.csv").read_bytes() == (tmp_path / "pool/saturation.csv").read_bytes()
 
+    def test_pool_starts_no_more_processes_than_points(self, tmp_path, monkeypatch):
+        # with fork, the pool starts every process at the first submit: 5000 workers used to ask for 5000
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        text = "experiment = velocity\nL = 8\na = 0\nlambda = 0.5, 1\nworkers = 5000\n"
+        manifest = run(parse_config(text), tmp_path)
+        assert asked == [2]
+        assert not manifest["failures"] and manifest["outputs"][0]["rows"] == 2
+
     def test_importing_the_runner_loads_no_multiprocessing(self):
-        # concurrent.futures too: only a pool or a threaded entropies call needs it
+        # concurrent.futures too: only a pool or an entropies call needs it
         probe = "import sys, gaaquench.runner; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
         src = os.path.dirname(os.path.dirname(runner.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
