@@ -310,17 +310,34 @@ def _chunk_times(rows: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(rows * rows, 1), _GIL_FREE_SIZE // max(rows, 1) + 1)
 
 
-def _row_groups(sides: dict[tuple[int, ...], list[int]], dim: int, n_times: int) -> list[_RowGroup]:
-    """The row groups of an `entropies` plan, each of which builds one block per time; `sides` maps
-    each side (0-based modes) to the table columns it fills.
-
-    Largest side first, each side joins the first group whose rows, together
-    with its own, stay within max(ceil(dim / 2), largest side); otherwise it
-    opens a new group. A plan whose union fits that limit keeps one group.
-    """
-    limit = max([(dim + 1) // 2] + [len(side) for side in sides])
-    groups = []  # (rows, members)
+def _pair_leads(sides: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """carrier -> lead of an `entropies` plan. Largest side first, a side Y of two or more modes is
+    paired with its lead Y[:-1] (Y without its largest mode) when that is also a side; each side is
+    in at most one pair, as carrier or as lead."""
+    leads, taken = {}, set()
     for side in sorted(sides, key=len, reverse=True):
+        lead = side[:-1]
+        if len(side) > 1 and lead in sides and side not in taken and lead not in taken:
+            leads[side] = lead
+            taken.update((side, lead))
+    return leads
+
+
+def _row_groups(sides: dict[tuple[int, ...], list[int]], leads: dict[tuple[int, ...], tuple[int, ...]],
+                dim: int, n_times: int) -> list[_RowGroup]:
+    """The row groups of an `entropies` plan, each of which builds one block per time; `sides` maps
+    each side (0-based modes) to the table columns it fills, `leads` each carrier to its lead.
+
+    Largest side first, each side that is no lead joins the first group whose
+    rows, together with its own, stay within max(ceil(dim / 2), largest side);
+    otherwise it opens a new group. A plan whose union fits that limit keeps
+    one group. A carrier's cut also fills its lead's columns.
+    """
+    lead_sides = set(leads.values())
+    grouped = [side for side in sides if side not in lead_sides]
+    limit = max([(dim + 1) // 2] + [len(side) for side in grouped])
+    groups = []  # (rows, members)
+    for side in sorted(grouped, key=len, reverse=True):
         for rows, members in groups:
             if len(rows.union(side)) <= limit:
                 rows.update(side)
@@ -328,43 +345,144 @@ def _row_groups(sides: dict[tuple[int, ...], list[int]], dim: int, n_times: int)
                 break
         else:
             groups.append((set(side), [side]))
-    return [_RowGroup(rows, [(side, sides[side]) for side in members], n_times) for rows, members in groups]
+    return [
+        _RowGroup(rows, [(side, sides[side], sides[leads[side]] if side in leads else None) for side in members],
+                  n_times)
+        for rows, members in groups
+    ]
 
 
 class _RowGroup:
-    """One row group of an `entropies` plan: its rows, the cut of each of its sides with the table
-    columns that side fills, and its chunks of sample times."""
+    """One row group of an `entropies` plan: its rows, the cut of each of its sides with the side's
+    size, the table columns it fills and those of its lead (None for a side in no pair), and its
+    chunks of sample times."""
 
-    def __init__(self, rows: set[int], members: list[tuple[tuple[int, ...], list[int]]], n_times: int):
+    def __init__(self, rows: set[int], members: list[tuple[tuple[int, ...], list[int], list[int] | None]],
+                 n_times: int):
         self.rows = np.array(sorted(rows), dtype=int)
-        self.cuts = []  # (cut, cols)
-        for side, cols in members:
+        self.cuts = []  # (cut of one block, size, cols, lead cols)
+        for side, cols, lead_cols in members:
             pos = np.searchsorted(self.rows, side)
             if pos.size and pos[-1] - pos[0] + 1 == pos.size:
                 cut = slice(pos[0], pos[-1] + 1)
-                self.cuts.append(((slice(None), cut, cut), cols))
+                self.cuts.append(((cut, cut), pos.size, cols, lead_cols))
             else:
-                self.cuts.append(((slice(None), pos[:, None], pos), cols))
+                self.cuts.append(((pos[:, None], pos), pos.size, cols, lead_cols))
         self.chunk = min(_chunk_times(self.rows.size), max(n_times, 1))
         self.starts = range(0, n_times, self.chunk)
 
 
 @functools.cache
-def _blas_thread_control():
-    """(get, set) of the thread count of the OpenBLAS that numpy's core extension links, looked up
-    once per process. Without the library or a symbol, get gives None and set does nothing."""
+def _openblas():
+    """The OpenBLAS that numpy's core extension links, opened once per process; None without it.
+    Its one owner: the thread control and the LAPACK pair routines both take their symbols from it."""
     import ctypes
 
     try:
         from numpy._core import _multiarray_umath
 
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        return ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+
+
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the OpenBLAS thread count, looked up once per process. Without the library or a
+    symbol, get gives None and set does nothing."""
+    import ctypes
+
+    try:
+        lib = _openblas()
         get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
+    except AttributeError:  # no symbol, or no library (None)
         return (lambda: None), (lambda threads: None)
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_
+
+
+@functools.cache
+def _pair_routines():
+    """(zhetrd, dsterf) of the same OpenBLAS, ILP64 LAPACK with every argument passed by address and
+    zhetrd's hidden length of UPLO last; None where either symbol is missing, which turns pairing off."""
+    import ctypes
+
+    try:
+        lib = _openblas()
+        zhetrd, dsterf = lib.scipy_zhetrd_64_, lib.scipy_dsterf_64_
+    except AttributeError:
+        return None
+    zhetrd.argtypes, zhetrd.restype = [ctypes.c_void_p] * 10 + [ctypes.c_size_t], None
+    dsterf.argtypes, dsterf.restype = [ctypes.c_void_p] * 4, None
+    return zhetrd, dsterf
+
+
+class _PairSpectra:
+    """Spectra of carrier blocks M of `size` = n + 1 modes, the dropped mode last, and of their
+    leading n x n blocks, from one Householder reduction per block; buffers for `chunk` times.
+
+    M is copied in C order, so LAPACK zhetrd (UPLO = 'U') sees conj(M). Its first reflector clears
+    the last column, and every later one acts inside the leading n x n block as a unitary
+    similarity, so the tridiagonal T = (d, e) has T[:n, :n] ~ conj(M[:n, :n]). dsterf(d, e) then
+    gives spec(M) and dsterf(d[:n], e[:n-1]) spec(M[:n, :n]): one O(n^3) reduction and two O(n^2)
+    solves where two eigvalsh calls would take two reductions. A LAPACK error or a non-finite T
+    raises LinAlgError, as eigvalsh does.
+    """
+
+    def __init__(self, routines, size: int, chunk: int):
+        import ctypes
+
+        self._zhetrd, self._dsterf = routines
+        self._matrix = np.empty((size, size), dtype=complex)
+        self._nu = np.empty((chunk, size))  # d from zhetrd, then the carrier's spectrum from dsterf
+        self._lead = np.empty((chunk, size - 1))
+        self._off = np.empty((chunk, size - 1))  # e
+        self._lead_off = np.empty((chunk, max(size - 2, 1)))
+        self._tau = np.empty(size - 1, dtype=complex)
+        self._uplo = ctypes.create_string_buffer(b"U")
+        self._ints = (ctypes.c_int64 * 5)(size, size, -1, 0, size - 1)  # N, LDA, LWORK, INFO, n
+        n_at, lda_at, lwork_at, info_at, lead_n_at = (ctypes.addressof(self._ints) + 8 * i for i in range(5))
+
+        def rows(buffer):
+            return [buffer.ctypes.data + k * buffer.strides[0] for k in range(chunk)]
+
+        nu_at, lead_at, off_at, lead_off_at = rows(self._nu), rows(self._lead), rows(self._off), rows(self._lead_off)
+        head = (ctypes.addressof(self._uplo), n_at, self._matrix.ctypes.data, lda_at)
+        query = np.empty(1, dtype=complex)
+        self._zhetrd(*head, nu_at[0], off_at[0], self._tau.ctypes.data, query.ctypes.data, lwork_at, info_at, 1)
+        self._check()  # LWORK = -1 above: the workspace query, which writes the optimal LWORK to query[0]
+        self._work = np.empty(max(int(query[0].real), 1), dtype=complex)
+        self._ints[2] = self._work.size
+        # the arguments of each call, by time in the chunk: ctypes passes the addresses as plain integers
+        self._reduce_args = [(*head, nu_at[k], off_at[k], self._tau.ctypes.data, self._work.ctypes.data,
+                              lwork_at, info_at, 1) for k in range(chunk)]
+        self._solve_args = [((lead_n_at, lead_at[k], lead_off_at[k], info_at), (n_at, nu_at[k], off_at[k], info_at))
+                            for k in range(chunk)]
+
+    def _check(self) -> None:
+        if self._ints[3] != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def __call__(self, stack: np.ndarray, count: int, cut: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The spectra of stack[k][cut] and of its leading block for k < count: [count, n + 1] and
+        [count, n], views of this object's buffers."""
+        for k in range(count):
+            self._matrix[...] = stack[k][cut]
+            self._zhetrd(*self._reduce_args[k])
+            self._check()
+        nu, off = self._nu[:count], self._off[:count]
+        if not (np.isfinite(nu).all() and np.isfinite(off).all()):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        n = self._lead.shape[1]
+        self._lead[:count] = nu[:, :n]
+        self._lead_off[:count, : n - 1] = off[:, : n - 1]
+        for lead_args, carrier_args in self._solve_args[:count]:
+            self._dsterf(*lead_args)
+            self._check()
+            self._dsterf(*carrier_args)
+            self._check()
+        return nu, self._lead[:count]
 
 
 def _blas_threads() -> int | None:
@@ -396,21 +514,26 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     Everything is planned once before the time loop. For a pure state
     S(X) = S(complement of X) (Peschel, J. Phys. A 36, L205 (2003)), so a
     subset is replaced by its complement when that is strictly smaller; a tie
-    keeps the subset. Equal sides are evaluated once. The sides are then put in
-    row groups (_row_groups), so that no block is much larger than the largest
-    side: the half chain keeps one group, the sic_profile sides at L = 100 take
-    two of 51 rows instead of one of 101. Each group builds only its own rows,
-    in one block_at call per time. Its times are taken in chunks whose blocks
-    fill a reused [chunk, rows, rows] stack; each side is cut from its group's
+    keeps the subset. Equal sides are evaluated once. Where numpy's OpenBLAS
+    has LAPACK zhetrd and dsterf, each side Y whose Y[:-1] is also a side is
+    paired with it (_pair_leads): the carrier Y's block gives both spectra from
+    one tridiagonal reduction (_PairSpectra); at L = 100 the sic_profile plan
+    has 18 pairs. The sides that are no lead are then put in row groups
+    (_row_groups), so that no block is much larger than the largest side: the
+    half chain keeps one group, the sic_profile sides at L = 100 take two of 51
+    rows instead of one of 101. Each group builds only its own rows, in one
+    block_at call per time. Its times are taken in chunks whose blocks fill a
+    reused [chunk, rows, rows] stack. A side in no pair is cut from its group's
     stack (a view where it is contiguous in the rows) and gets one
     block_entropies call per chunk, so numpy's per-call cost is paid once per
-    chunk, not once per time.
+    chunk, not once per time; a carrier's block is copied into its pair
+    routine's buffer one time at a time.
 
     OpenBLAS runs one thread throughout (_one_blas_thread). Each group's chunks
     are dealt round-robin to as many threads as the process had in OpenBLAS, at
     most one per chunk: this one and the helpers of one ThreadPoolExecutor made
-    for the call, each with a stack of its own. The groups run one after the
-    other. Every value is thus the same at every thread count.
+    for the call, each with a stack and pair buffers of its own. The groups run
+    one after the other. Every value is thus the same at every thread count.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so importing gaaquench.runner does not load it
 
@@ -427,17 +550,26 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
         sides.setdefault(tuple(idx), []).append(column)
     times = np.asarray(times, dtype=float)
     values = np.empty((times.size, len(subsets)))
-    groups = _row_groups(sides, dim, times.size)
+    routines = _pair_routines()
+    groups = _row_groups(sides, _pair_leads(sides) if routines else {}, dim, times.size)
 
     def work(group: _RowGroup, share: range) -> None:
         rows, chunk = group.rows, group.chunk
         stack = np.empty((chunk, rows.size, rows.size), dtype=complex)
+        pairs = {size: _PairSpectra(routines, size, chunk)  # one per carrier size: each call's views are used at once
+                 for _, size, _, lead_cols in group.cuts if lead_cols is not None}
         for start in share:
             count = min(chunk, times.size - start)
             for k in range(count):
                 stack[k] = evolution.block_at(times[start + k], rows + 1)
-            for cut, cols in group.cuts:
-                values[start : start + count, cols] = block_entropies(stack[:count][cut], log_base)[:, None]
+            done = slice(start, start + count)
+            for cut, size, cols, lead_cols in group.cuts:
+                if lead_cols is None:
+                    values[done, cols] = block_entropies(stack[:count][(slice(None), *cut)], log_base)[:, None]
+                else:
+                    nu, lead = pairs[size](stack, count, cut)
+                    values[done, cols] = _binary_entropies(nu, log_base)[:, None]
+                    values[done, lead_cols] = _binary_entropies(lead, log_base)[:, None]
 
     # an executor starts a thread only when a share is submitted to it
     with _one_blas_thread() as threads, ThreadPoolExecutor(max(threads - 1, 1)) as pool:

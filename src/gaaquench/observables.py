@@ -24,6 +24,10 @@ JUMP_SIZE = 5  # subsystem size probing information trapped by localized modes
 # and its 1000 sample times
 MAX_POINTS = 10**5
 
+# latest time of a sample, a fit window or a time table: 5000 times the paper's 2e4, where the phase E t
+# of an energy |E| ~ 5 still holds about 6e-8 rad; inf or 1e308 would turn every block into NaN
+MAX_TIME = 1e8
+
 _WINDOW_TOL = 1e-12  # a sample time this far outside the fit window still counts as inside
 
 
@@ -64,6 +68,12 @@ class SamplingProtocol:
             raise ValueError(f"n_samples must lie in 2..{MAX_POINTS}, got {self.n_samples}")
         if not self.mean_interval > self.jitter >= 0:
             raise ValueError("need mean_interval > jitter >= 0")
+        if hi > MAX_TIME:
+            raise ValueError(f"fit_window ends at {hi:g}, after the latest time {MAX_TIME:g}")
+        last = self.burn_in + self.n_samples * (self.mean_interval + self.jitter)  # no sample time is later
+        if not last <= MAX_TIME:
+            raise ValueError(f"sample times reach burn_in + n_samples * (mean_interval + jitter) = {last:g}, "
+                             f"after the latest time {MAX_TIME:g}")
 
 
 def sample_times(protocol: SamplingProtocol) -> np.ndarray:

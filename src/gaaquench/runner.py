@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, observables, oracle, spectral
+from . import __version__, gaussian, observables, oracle, spectral
 from .gaussian import (QuenchSetup, _blas_threads, _cap_blas_threads, entropies, quench_evolution,
                        reference_information)
 from .model import GOLDEN_INVERSE, LatticeSpec
@@ -37,6 +37,9 @@ from .observables import SamplingProtocol
 
 _ORACLE_TOLERANCE = 1e-8
 MAX_GRID_POINTS = observables.MAX_POINTS  # most points of a start:stop:step grid
+# longest chain: above every paper size (at most 240) and the L = 1000 spectral checks; the run
+# diagonalises an L x L Hamiltonian at each point
+MAX_L = 10**4
 
 _SCHEMAS = {
     "spectrum.csv": ("index", "energy", "ipr", "label"),
@@ -93,6 +96,8 @@ class ExperimentConfig:
         object.__setattr__(self, "L", tuple(sorted(int(v) for v in self.L)))
         object.__setattr__(self, "lam", tuple(sorted(float(v) for v in self.lam)))
         object.__setattr__(self, "a", tuple(sorted(float(v) for v in self.a)))
+        if self.L[-1] > MAX_L:
+            raise ConfigError(f"L must be at most {MAX_L}, got {self.L[-1]}")
         points = len(self.a) * len(self.lam) * len(self.L)
         if points > observables.MAX_POINTS:  # before a setup is built for each of them
             raise ConfigError(f"the sweep over a, lambda and L holds {points} points, "
@@ -118,6 +123,8 @@ class ExperimentConfig:
             object.__setattr__(self, "sizes", sizes)
         if self.times is not None and not self.times:
             raise ConfigError("times is empty")
+        if self.times is not None and max(abs(t) for t in self.times) > observables.MAX_TIME:
+            raise ConfigError(f"times must lie within +-{observables.MAX_TIME:g}, got {max(self.times, key=abs):g}")
         if self.coupling not in observables.COUPLINGS:
             raise ConfigError(f"coupling must be one of {observables.COUPLINGS}, got {self.coupling!r}")
         if self.initial == "random_product" and self.initial_seed is None:
@@ -510,6 +517,7 @@ def _environment(config: ExperimentConfig, threads: dict) -> dict:
         "numpy": np.__version__,
         "blas": getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name"),
         "blas_threads": _blas_threads(),
+        "lapack_pairs": gaussian._pair_routines() is not None,  # entropies pairs sides (see gaussian._PairSpectra)
         "cpu_count": os.cpu_count(),
         "workers": config.workers,
         **threads,

@@ -37,9 +37,14 @@ def per_time_entropies(ev, subsets, times, log_base):
     """The kernel's arithmetic one time and one side at a time, and the rows of each block it builds.
 
     A subset of a pure state that holds more than half of the modes is replaced
-    by its complement. Largest first, each distinct side joins the first group
-    whose rows, with its own, stay within max(ceil(dim / 2), largest side), or
-    opens a new group; each side is cut from its group's block.
+    by its complement. Where the LAPACK pair routines are present, largest side
+    first, a side Y of two or more modes is paired with its lead Y[:-1] when that
+    is also a side and neither is in a pair yet; a lead joins no group. Largest
+    first, each other distinct side joins the first group whose rows, with its
+    own, stay within max(ceil(dim / 2), largest side), or opens a new group.
+    Each side is cut from its group's block, a lead from its carrier's: a
+    carrier's block gives both spectra from the pair routine, any other block
+    goes to eigvalsh.
     """
     sides = []
     for subset in subsets:
@@ -47,9 +52,18 @@ def per_time_entropies(ev, subsets, times, log_base):
         if ev.pure and 2 * len(side) > ev.dim:
             side = sorted(set(range(1, ev.dim + 1)) - set(side))
         sides.append(tuple(side))
-    limit = max([(ev.dim + 1) // 2] + [len(side) for side in sides])
+    distinct = sorted(dict.fromkeys(sides), key=len, reverse=True)  # a stable sort keeps the order of ties
+    lead_of, paired = {}, set()
+    for side in distinct if gaussian._pair_routines() else []:
+        lead = side[:-1]
+        if len(side) > 1 and lead in distinct and side not in paired and lead not in paired:
+            lead_of[side] = lead
+            paired.update((side, lead))
+    carrier_of = {lead: side for side, lead in lead_of.items()}
+    grouped = [side for side in distinct if side not in carrier_of]
+    limit = max([(ev.dim + 1) // 2] + [len(side) for side in grouped])
     groups, group_of = [], {}
-    for side in sorted(dict.fromkeys(sides), key=len, reverse=True):  # a stable sort keeps the order of ties
+    for side in grouped:
         g = next((g for g, rows in enumerate(groups) if len(rows | set(side)) <= limit), len(groups))
         if g == len(groups):
             groups.append(set())
@@ -60,10 +74,23 @@ def per_time_entropies(ev, subsets, times, log_base):
     for k, t in enumerate(times):
         blocks = [ev.block_at(t, rows) for rows in groups]
         for j, side in enumerate(sides):
-            g = group_of[side]
-            pos = [groups[g].index(x) for x in side]
-            out[k, j] = entropy_of_block(blocks[g][np.ix_(pos, pos)], log_base)
+            carrier = carrier_of.get(side, side)
+            g = group_of[carrier]
+            pos = [groups[g].index(x) for x in carrier]
+            block = blocks[g][np.ix_(pos, pos)]
+            if carrier in lead_of:
+                nu, lead = pair_spectra(block)
+                out[k, j] = gaussian._binary_entropies(nu if side == carrier else lead, log_base)
+            else:
+                out[k, j] = entropy_of_block(block, log_base)
     return out, groups
+
+
+def pair_spectra(block):
+    """The kernel's pair routine on one carrier block: its spectrum and that of its leading block."""
+    pair = gaussian._PairSpectra(gaussian._pair_routines(), block.shape[0], 1)
+    nu, lead = pair(block[None], 1, (slice(None), slice(None)))
+    return nu[0].copy(), lead[0].copy()
 
 
 class TestQuenchSetup:
@@ -619,7 +646,9 @@ class TestChunkThreads:
 
     def test_missing_blas_symbol_runs_serially(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
-        missing = gaussian._blas_thread_control.__wrapped__()  # the lookup itself, past its per-process cache
+        # the lookups themselves, past their per-process caches
+        monkeypatch.setattr(gaussian, "_openblas", gaussian._openblas.__wrapped__)
+        missing = gaussian._blas_thread_control.__wrapped__()
         monkeypatch.setattr(gaussian, "_blas_thread_control", lambda: missing)
         assert gaussian._blas_threads() is None
         with gaussian._one_blas_thread() as threads:
@@ -777,3 +806,112 @@ class TestPaperScaleInvariants:
         assert np.all(np.diff(mi, axis=1) >= -1e-9)
         assert mi[:, 0] == pytest.approx(0.0, abs=1e-9)
         assert mi[:, -1] == pytest.approx(2.0, abs=1e-9)
+
+
+def plan_sides(ev, subsets):
+    """The distinct sides of an `entropies` plan (0-based modes, after the complement rule) and their columns."""
+    sides = {}
+    for column, subset in enumerate(subsets):
+        side = sorted(s - 1 for s in set(subset))
+        if ev.pure and 2 * len(side) > ev.dim:
+            side = sorted(set(range(ev.dim)) - set(side))
+        sides.setdefault(tuple(side), []).append(column)
+    return sides
+
+
+def needs_pair_routines():
+    if gaussian._pair_routines() is None:
+        pytest.skip("numpy's OpenBLAS exports no zhetrd and dsterf")
+
+
+class TestPairedSides:
+    """A side Y whose Y[:-1] is also a side is paired with it, and the spectra of both come from one
+    tridiagonal reduction of Y's block."""
+
+    @pytest.mark.parametrize("L, pairs", [(100, 18), (233, 46)])
+    def test_sic_plan_pairs_each_window_with_its_reference_side(self, L, pairs):
+        setup, subsets, _ = sic_sides_at(L, sorted(set(range(0, L + 1, 5)) | {L}))
+        sides = plan_sides(quench_evolution(setup), subsets)
+        leads = gaussian._pair_leads(sides)
+        assert len(leads) == pairs
+        assert all(lead == side[:-1] for side, lead in leads.items())
+        paired = set(leads) | set(leads.values())
+        assert len(paired) == 2 * pairs  # each side in at most one pair
+        if L == 100:
+            window = tuple(site - 1 for site in observables.subsystem_window(100, "center", 50))
+            rest = tuple(sorted(set(range(100)) - set(window)))
+            assert set(sides) - paired == {(), (100,), window, rest}
+
+    def test_chained_sides_pair_largest_first(self):
+        sides = {(0, 1, 2, 3): [0], (0, 1, 2): [1], (0, 1): [2], (0,): [3], (5, 6): [4], (5, 7): [5], (5,): [6]}
+        # (0, 1, 2, 3) takes (0, 1, 2); (0, 1) then takes (0,); (5, 6) takes (5,) before (5, 7) can
+        assert gaussian._pair_leads(sides) == {(0, 1, 2, 3): (0, 1, 2), (0, 1): (0,), (5, 6): (5,)}
+        assert gaussian._pair_leads({(3,): [0], (): [1]}) == {}  # an empty lead is left alone
+
+    def test_pair_routine_matches_eigvalsh_of_both_blocks(self):
+        needs_pair_routines()
+        rng = np.random.default_rng(17)
+        blocks = []
+        for L in (100, 233):
+            setup, subsets, _ = sic_sides_at(L, sorted(set(range(0, L + 1, 5)) | {L}))
+            ev = quench_evolution(setup)
+            carriers = gaussian._pair_leads(plan_sides(ev, subsets))
+            for t in [0.0, *rng.uniform(1e4, 2e4, 2)]:  # at t = 0 the blocks are diagonal but for the Bell pair
+                blocks += [ev.block_at(t, np.array(carrier) + 1) for carrier in carriers]
+        for size in range(2, 65):
+            x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            blocks.append(x + x.conj().T)
+        for block in blocks:
+            nu, lead = pair_spectra(block)
+            assert np.abs(nu - np.linalg.eigvalsh(block)).max() <= 1e-12
+            assert np.abs(lead - np.linalg.eigvalsh(block[:-1, :-1])).max() <= 1e-12
+
+    def test_chained_sic_plan_equals_the_reference_exactly(self, monkeypatch):
+        # every size at L = 24: windows Y, Y[:-1] and Y[:-2] are all sides, so a column given to the
+        # wrong side of a pair would show (a first version gave I = -19.5 bits here)
+        needs_pair_routines()
+        setup, subsets, log_base = sic_sides_at(24, range(25))
+        ev = quench_evolution(setup)
+        sides = plan_sides(ev, subsets)
+        assert any(len(side) > 2 and side[:-1] in sides and side[:-2] in sides for side in sides)
+        times = np.random.default_rng(19).uniform(1e4, 2e4, 20)
+        got = entropies(ev, subsets, times, log_base)
+        expected, _ = per_time_entropies(ev, subsets, times, log_base)
+        assert np.array_equal(got, expected)
+        protocol = observables.SamplingProtocol(n_samples=20)
+        profile = observables.sic_profile(setup, range(25), "center", protocol)  # checks I in [0, 2] bits
+        monkeypatch.setattr(gaussian, "_pair_routines", lambda: None)
+        assert np.abs(got - entropies(ev, subsets, times, log_base)).max() <= 1e-12
+        unpaired = observables.sic_profile(setup, range(25), "center", protocol)
+        assert np.abs(profile.mi - unpaired.mi).max() <= 1e-12
+
+    def test_hidden_symbols_give_the_unpaired_kernel(self, monkeypatch):
+        setup, subsets, log_base = sic_sides_at_L_100()
+        ev = quench_evolution(setup)
+        times = np.random.default_rng(23).uniform(1e4, 2e4, 20)
+        paired = entropies(ev, subsets, times, log_base)
+        for library in (object(), None):  # the lookup itself, past its cache: no symbols, no library
+            monkeypatch.setattr(gaussian, "_openblas", lambda: library)
+            assert gaussian._pair_routines.__wrapped__() is None
+        monkeypatch.setattr(gaussian, "_pair_routines", lambda: None)
+
+        def forbidden(*args):
+            raise AssertionError("paired a side without the LAPACK symbols")
+
+        monkeypatch.setattr(gaussian, "_PairSpectra", forbidden)
+        got = entropies(ev, subsets, times, log_base)
+        expected, groups = per_time_entropies(ev, subsets, times, log_base)  # pairs nothing either
+        assert [len(rows) for rows in groups] == [51, 51]
+        assert np.array_equal(got, expected)
+        assert np.abs(got - paired).max() <= 1e-12
+
+    @pytest.mark.parametrize("subsets", [[[3, 4, 5], [3, 4, 5, 13]], [[6], [6, 13]]], ids=["four-modes", "two-modes"])
+    def test_infinite_time_raises(self, subsets):
+        # a plan of one pair and no other side: the block at t = inf is NaN
+        ev = quench_evolution(neel_setup(12, reference=6))
+        assert len(gaussian._pair_leads(plan_sides(ev, subsets))) == (1 if gaussian._pair_routines() else 0)
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            entropies(ev, subsets, [1.0e4, np.inf])
+        if gaussian._pair_routines() is not None:
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                pair_spectra(np.full((len(subsets[1]),) * 2, np.nan, dtype=complex))

@@ -18,6 +18,7 @@ from gaaquench.gaussian import (
 from gaaquench.model import LatticeSpec
 from gaaquench.observables import (
     MAX_POINTS,
+    MAX_TIME,
     EETimeSeries,
     SamplingProtocol,
     SicProfile,
@@ -83,6 +84,21 @@ class TestSamplingProtocol:
     def test_time_tables_of_the_bound_accepted(self):
         protocol = SamplingProtocol(fit_window=(0.0, MAX_POINTS - 1.0), fit_dt=1.0, n_samples=MAX_POINTS)
         assert fit_window_times(protocol).size == sample_times(protocol).size == MAX_POINTS
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mean_interval=1e308, jitter=0.0, n_samples=10),
+        dict(burn_in=MAX_TIME, n_samples=2),
+        dict(fit_window=(0.0, 2 * MAX_TIME), fit_dt=MAX_TIME),
+    ])
+    def test_late_times_rejected(self, kwargs):
+        # mean_interval = 1e308 used to be accepted; np.cumsum then gave inf and eigvalsh a NaN block
+        with pytest.raises(ValueError, match=r"after the latest time 1e\+08"):
+            SamplingProtocol(**kwargs)
+
+    def test_latest_sample_time_of_the_bound_accepted(self):
+        protocol = SamplingProtocol(burn_in=MAX_TIME - 150.0, n_samples=10, mean_interval=10.0, jitter=5.0)
+        assert sample_times(protocol).max() <= MAX_TIME
+        assert SamplingProtocol(fit_window=(0.0, MAX_TIME), fit_dt=MAX_TIME / 2).fit_window[1] == MAX_TIME
 
     def test_sample_times_bounds_and_mean(self):
         p = SamplingProtocol(seed=3)
@@ -159,6 +175,15 @@ class TestEarlyVelocity:
         series = EETimeSeries(np.array([30.0, 40.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             early_velocity(series, SamplingProtocol())
+
+
+class TestClosedFormAnchors:
+    def test_clean_chain_velocity_is_the_quasiparticle_value(self):
+        # a = 0, lambda = 0: pairs of quasiparticles with speed |2 sin k| give
+        # v = ln 2 * integral dk / (2 pi) |2 sin k| = (4 / pi) ln 2 (Fagotti & Calabrese 2008);
+        # the default fit window 0:20 at L = 200 reads 0.88562, 1.0035 times that
+        setup = QuenchSetup(LatticeSpec(L=200, lam=0.0, a=0.0), "neel")
+        assert quench_velocity(setup, SamplingProtocol()) == pytest.approx(4 / np.pi * np.log(2.0), rel=0.01)
 
 
 class TestSaturation:

@@ -268,6 +268,46 @@ class TestParseConfig:
         hair = "experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 0:9999.900000000001:0.1\n"
         assert len(parse_config(hair).times) == runner.MAX_GRID_POINTS
 
+    def test_chain_length_bounded(self):
+        # L = 10^9 used to parse in about 1 ms, and the run would then diagonalise an L x L Hamiltonian
+        text = "experiment = spectrum\nL = {}\na = 0\nlambda = 1\n"
+        assert parse_config(text.format(runner.MAX_L)).L == (10**4,)
+        for L in (runner.MAX_L + 1, 10**9):
+            with pytest.raises(ConfigError, match=f"L must be at most 10000, got {L}"):
+                parse_config(text.format(L))
+        with pytest.raises(ConfigError, match="L must be at most 10000, got 10001"):
+            parse_config("experiment = saturation\nL = 8, 10001\na = 0\nlambda = 1\n")
+
+    @pytest.mark.parametrize("lines", [
+        "mean_interval = 1e308\njitter = 0\nn_samples = 10",
+        "burn_in = 99999850.000001\nn_samples = 10",
+        "fit_window = 0:2e8\nfit_dt = 1e4",
+    ], ids=["mean_interval", "burn_in", "fit_window"])
+    def test_late_sample_times_rejected(self, lines):
+        # mean_interval = 1e308 used to parse; np.cumsum then gave inf, and the point failed inside eigvalsh
+        with pytest.raises(ConfigError, match=r"after the latest time 1e\+08"):
+            parse_config(f"experiment = saturation\nL = 8\na = 0\nlambda = 1\n{lines}\n")
+
+    def test_sample_times_up_to_the_bound_accepted(self):
+        paper = "burn_in = 10000\nn_samples = 1000\nmean_interval = 10\njitter = 5\n"
+        config = parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\n" + paper)
+        assert config.protocol(0) == observables.SamplingProtocol()
+        # 99999850 + 10 * (10 + 5) reaches 1e8 exactly
+        edge = parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\nburn_in = 99999850\nn_samples = 10\n")
+        assert observables.sample_times(edge.protocol(0)).max() <= observables.MAX_TIME
+
+    @pytest.mark.parametrize("times, accepted", [
+        ("0, 1e8", True), ("-1e8, 5", True), ("1e308", False), ("0.5, 100000001", False), ("-2e8", False),
+    ])
+    def test_time_table_bounded(self, times, accepted):
+        # times = 1e308 used to parse, and `gaa ee` then failed inside eigvalsh on a NaN block
+        text = f"experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = {times}\n"
+        if accepted:
+            assert parse_config(text).times is not None
+        else:
+            with pytest.raises(ConfigError, match=r"times must lie within \+-1e\+08"):
+                parse_config(text)
+
     def test_oversized_sweep_rejected_quickly(self):
         # 100 a x 10^4 lambda: each grid is within its bound, but a setup per point took 6 s to build
         started = time.perf_counter()
@@ -548,6 +588,7 @@ class TestRun:
         assert env["cpu_count"] == os.cpu_count()
         assert (env["workers"], env["blas_threads_per_worker"]) == (1, "uncapped")
         assert env["entropy_threads"] == (env["blas_threads"] or 1)
+        assert env["lapack_pairs"] is (gaussian._pair_routines() is not None)
         assert "max_abs_delta" not in manifest and "verify_passed" not in manifest
 
     def test_pool_workers_run_with_one_blas_thread(self, tmp_path):
@@ -617,13 +658,17 @@ class TestRun:
             raise OSError("no such library")
 
         monkeypatch.setattr(ctypes, "CDLL", missing)
-        control = gaussian._blas_thread_control.__wrapped__()  # the lookup itself, past its per-process cache
-        assert control[0]() is None
-        monkeypatch.setattr(gaussian, "_blas_thread_control", lambda: control)  # pool workers inherit it
+        # the lookups themselves, past their per-process caches
+        monkeypatch.setattr(gaussian, "_openblas", gaussian._openblas.__wrapped__)
+        control, routines = gaussian._blas_thread_control.__wrapped__(), gaussian._pair_routines.__wrapped__()
+        assert control[0]() is None and routines is None
+        monkeypatch.setattr(gaussian, "_blas_thread_control", lambda: control)  # pool workers inherit both
+        monkeypatch.setattr(gaussian, "_pair_routines", lambda: routines)
         manifest = run(parse_config(VELOCITY_TOY + "workers = 2\n"), tmp_path)
         assert not manifest["failures"] and manifest["outputs"][0]["rows"] == 6
         assert manifest["environment"]["blas_threads"] is None
         assert manifest["environment"]["blas_threads_per_worker"] == "uncapped"
+        assert manifest["environment"]["lapack_pairs"] is False
 
     def test_verify_passes_at_small_size(self, tmp_path):
         config = parse_config("experiment = verify\nL = 6\na = 0.3\nlambda = 1.0\n")
