@@ -173,13 +173,16 @@ class QuenchEvolution:
 
     h is the single-particle Hamiltonian over all of C0's modes, the reference
     mode included (see setup_hamiltonian). C0, rotated to the eigenbasis of h,
-    is factored once as Q diag(n) Q^dag, keeping the orbitals Q with
-    occupation |n| > 1e-12 (for a Slater determinant, n = 1 on its N occupied
-    orbitals; Peschel & Eisler, J. Phys. A 42, 504003 (2009)). Every block is
-    then W diag(n) W^dag with W = V_rows e^{iEt} Q, exact at arbitrary t. An
+    is factored once as Q diag(n) Q^dag, and the occupations are folded into
+    one complex factor F = Q diag(sqrt(n)) over the orbitals with n > 1e-12
+    (for a Slater determinant, n = 1 on its N occupied orbitals, so F is Q to
+    within 1e-16; Peschel & Eisler, J. Phys. A 42, 504003 (2009)). Every block
+    is then W W^dag with W = V_rows e^{iEt} F, exact at arbitrary t. An
     occupation outside [0, 1] by more than 1e-10 is no physical state and is
-    rejected. `pure` records whether every occupation lies within 1e-10 of 0
-    or 1, i.e. C0 is a projector; unitary evolution keeps it one.
+    rejected; a negative one within that tolerance is round-off and is dropped
+    with the empty orbitals, which moves C by at most 1e-10. `pure` records
+    whether every occupation lies within 1e-10 of 0 or 1, i.e. C0 is a
+    projector; unitary evolution keeps it one.
     """
 
     def __init__(self, c0: CorrelationMatrix, h: np.ndarray):
@@ -189,30 +192,48 @@ class QuenchEvolution:
         self.reference_index = c0.reference_index
         self.dim = c0.dim
         c = c0.matrix
-        if not c.imag.any():  # every state the package builds: the factor stays real
+        if not c.imag.any():  # every state the package builds: the factor is real until it is folded
             c = c.real
         with _one_blas_thread():
             self.energies, self.modes = diagonalize(h)
             occupations, orbitals = np.linalg.eigh(self.modes.T @ c @ self.modes)
         _check_occupations(occupations)
         self.pure = bool(np.all(np.minimum(np.abs(occupations), np.abs(occupations - 1.0)) <= _PROJECTOR_TOL))
-        kept = np.abs(occupations) > _CLAMP
-        self._occupations = occupations[kept]
-        self._orbitals = orbitals[:, kept]
+        kept = occupations > _CLAMP
+        self._factor = np.ascontiguousarray(orbitals[:, kept] * np.sqrt(occupations[kept]), dtype=complex)
 
-    def _block(self, time: float, rows: np.ndarray | None) -> np.ndarray:
-        """C(t) on `rows` (0-based; None for all modes) as W diag(n) W^dag."""
-        v = self.modes if rows is None else self.modes[rows]
-        phase = self.energies * time
-        w = (v * np.cos(phase)) @ self._orbitals + 1j * ((v * np.sin(phase)) @ self._orbitals)
-        return (w * self._occupations) @ w.conj().T
+    def _fill(self, time: float, v_rows: np.ndarray, out: np.ndarray) -> None:
+        """C(t) on the rows of v_rows (the rows of `modes`) into `out`, a C-contiguous [m, m] complex
+        array: W = V_rows e^{iEt} F from one real GEMM, then W W^dag. Where the kernel routines are
+        found (_kernel_routines), zherk writes only the lower triangle of `out` (row-major), the one
+        that eigvalsh(UPLO='L') and the kernel's zhetrd(UPLO='U') on the C-order buffer read; the
+        strict upper triangle is left as it was. Otherwise numpy fills all of it."""
+        m, k = v_rows.shape[0], self._factor.shape[1]
+        if out.shape != (m, m) or out.dtype != complex or not out.flags.c_contiguous:
+            raise ValueError(f"_fill needs a C-contiguous complex ({m}, {m}) array")
+        p = np.exp(1j * (self.energies * time))[:, None] * self._factor
+        w = (v_rows @ p.view(float)).view(complex)  # one real GEMM: V_rows times the [dim, 2k] real view of p
+        routines = _kernel_routines()
+        if routines is None:
+            np.matmul(w, w.conj().T, out=out)
+        else:
+            zherk = routines[0]  # row-major (101), lower (122), no transpose (111): out = 1.0 W W^dag + 0.0 out
+            zherk(101, 122, 111, m, k, 1.0, w.ctypes.data, max(k, 1), 0.0, out.ctypes.data, max(m, 1))
+
+    def _block(self, time: float, v_rows: np.ndarray) -> np.ndarray:
+        """A fresh C(t) on the rows of v_rows, its strict upper triangle mirrored from the lower one,
+        so that it is exactly Hermitian and its lower triangle is the kernel's."""
+        out = np.empty((v_rows.shape[0],) * 2, dtype=complex)
+        self._fill(time, v_rows, out)
+        np.copyto(out, out.T.conj(), where=np.tri(out.shape[0], k=-1, dtype=bool).T)  # the strict upper triangle
+        return out
 
     def correlation_at(self, time: float) -> CorrelationMatrix:
-        return CorrelationMatrix(self._block(time, None), self.reference_index)
+        return CorrelationMatrix(self._block(time, self.modes), self.reference_index)
 
     def block_at(self, time: float, sites) -> np.ndarray:
         """Restricted correlation matrix C(t)[sites, sites] without forming all of C(t)."""
-        return self._block(time, _site_indices(sites, self.dim))
+        return self._block(time, self.modes[_site_indices(sites, self.dim)])
 
 
 def _site_indices(sites, dim: int) -> np.ndarray:
@@ -375,7 +396,7 @@ class _RowGroup:
 @functools.cache
 def _openblas():
     """The OpenBLAS that numpy's core extension links, opened once per process; None without it.
-    Its one owner: the thread control and the LAPACK pair routines both take their symbols from it."""
+    Its one owner: the thread control and the kernel routines both take their symbols from it."""
     import ctypes
 
     try:
@@ -403,39 +424,47 @@ def _blas_thread_control():
 
 
 @functools.cache
-def _pair_routines():
-    """(zhetrd, dsterf) of the same OpenBLAS, ILP64 LAPACK with every argument passed by address and
-    zhetrd's hidden length of UPLO last; None where either symbol is missing, which turns pairing off."""
+def _kernel_routines():
+    """(zherk, zhetrd, dsterf) of the same OpenBLAS, or None where any of the three symbols is missing,
+    which puts the whole kernel on its numpy path (numpy's matmul and eigvalsh). zherk is the ILP64
+    CBLAS routine, its arguments by value; zhetrd and dsterf are ILP64 LAPACK with every argument
+    passed by address and zhetrd's hidden length of UPLO last."""
     import ctypes
 
     try:
         lib = _openblas()
-        zhetrd, dsterf = lib.scipy_zhetrd_64_, lib.scipy_dsterf_64_
+        zherk, zhetrd, dsterf = lib.scipy_cblas_zherk64_, lib.scipy_zhetrd_64_, lib.scipy_dsterf_64_
     except AttributeError:
         return None
+    # order, uplo, trans, N, K, alpha, A, lda, beta, C, ldc
+    zherk.argtypes = [ctypes.c_int] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
+                                                                  ctypes.c_double, ctypes.c_void_p, ctypes.c_int64]
+    zherk.restype = None
     zhetrd.argtypes, zhetrd.restype = [ctypes.c_void_p] * 10 + [ctypes.c_size_t], None
     dsterf.argtypes, dsterf.restype = [ctypes.c_void_p] * 4, None
-    return zhetrd, dsterf
+    return zherk, zhetrd, dsterf
 
 
-class _PairSpectra:
-    """Spectra of carrier blocks M of `size` = n + 1 modes, the dropped mode last, and of their
-    leading n x n blocks, from one Householder reduction per block; buffers for `chunk` times.
+class _SideSpectra:
+    """Spectra of side blocks M of `size` modes from one Householder reduction per block, and, for a
+    carrier (size = n + 1, its dropped mode last), also of its leading n x n block; buffers for
+    `chunk` times.
 
-    M is copied in C order, so LAPACK zhetrd (UPLO = 'U') sees conj(M). Its first reflector clears
-    the last column, and every later one acts inside the leading n x n block as a unitary
-    similarity, so the tridiagonal T = (d, e) has T[:n, :n] ~ conj(M[:n, :n]). dsterf(d, e) then
-    gives spec(M) and dsterf(d[:n], e[:n-1]) spec(M[:n, :n]): one O(n^3) reduction and two O(n^2)
-    solves where two eigvalsh calls would take two reductions. A LAPACK error or a non-finite T
-    raises LinAlgError, as eigvalsh does.
+    M is copied in C order, so LAPACK zhetrd (UPLO = 'U') sees conj(M) and reads only M's lower
+    triangle, the one _fill writes. dsterf(d, e) on the tridiagonal T = (d, e) gives spec(M). For a
+    carrier, the first reflector clears the last column, and every later one acts inside the
+    leading n x n block as a unitary similarity, so T[:n, :n] ~ conj(M[:n, :n]) and
+    dsterf(d[:n], e[:n-1]) gives spec(M[:n, :n]): one O(n^3) reduction and two O(n^2) solves
+    where two eigvalsh calls would take two reductions. A LAPACK error or a non-finite T raises
+    LinAlgError, as eigvalsh does.
     """
 
     def __init__(self, routines, size: int, chunk: int):
         import ctypes
 
-        self._zhetrd, self._dsterf = routines
+        _, self._zhetrd, self._dsterf = routines
         self._matrix = np.empty((size, size), dtype=complex)
-        self._nu = np.empty((chunk, size))  # d from zhetrd, then the carrier's spectrum from dsterf
+        self._nu = np.empty((chunk, size))  # d from zhetrd, then the side's spectrum from dsterf
         self._lead = np.empty((chunk, size - 1))
         self._off = np.empty((chunk, size - 1))  # e
         self._lead_off = np.empty((chunk, max(size - 2, 1)))
@@ -457,16 +486,16 @@ class _PairSpectra:
         # the arguments of each call, by time in the chunk: ctypes passes the addresses as plain integers
         self._reduce_args = [(*head, nu_at[k], off_at[k], self._tau.ctypes.data, self._work.ctypes.data,
                               lwork_at, info_at, 1) for k in range(chunk)]
-        self._solve_args = [((lead_n_at, lead_at[k], lead_off_at[k], info_at), (n_at, nu_at[k], off_at[k], info_at))
-                            for k in range(chunk)]
+        self._solve_args = [(n_at, nu_at[k], off_at[k], info_at) for k in range(chunk)]
+        self._lead_solve_args = [(lead_n_at, lead_at[k], lead_off_at[k], info_at) for k in range(chunk)]
 
     def _check(self) -> None:
         if self._ints[3] != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def __call__(self, stack: np.ndarray, count: int, cut: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The spectra of stack[k][cut] and of its leading block for k < count: [count, n + 1] and
-        [count, n], views of this object's buffers."""
+    def __call__(self, stack: np.ndarray, count: int, cut: tuple, lead: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """The spectra of stack[k][cut] for k < count, [count, size], and, where `lead` is set, of its
+        leading block, [count, size - 1] (else None): views of this object's buffers."""
         for k in range(count):
             self._matrix[...] = stack[k][cut]
             self._zhetrd(*self._reduce_args[k])
@@ -474,15 +503,17 @@ class _PairSpectra:
         nu, off = self._nu[:count], self._off[:count]
         if not (np.isfinite(nu).all() and np.isfinite(off).all()):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        n = self._lead.shape[1]
-        self._lead[:count] = nu[:, :n]
-        self._lead_off[:count, : n - 1] = off[:, : n - 1]
-        for lead_args, carrier_args in self._solve_args[:count]:
-            self._dsterf(*lead_args)
+        if lead:
+            n = self._lead.shape[1]
+            self._lead[:count] = nu[:, :n]
+            self._lead_off[:count, : n - 1] = off[:, : n - 1]
+            for args in self._lead_solve_args[:count]:
+                self._dsterf(*args)
+                self._check()
+        for args in self._solve_args[:count]:
+            self._dsterf(*args)
             self._check()
-            self._dsterf(*carrier_args)
-            self._check()
-        return nu, self._lead[:count]
+        return nu, self._lead[:count] if lead else None
 
 
 def _blas_threads() -> int | None:
@@ -515,24 +546,28 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     S(X) = S(complement of X) (Peschel, J. Phys. A 36, L205 (2003)), so a
     subset is replaced by its complement when that is strictly smaller; a tie
     keeps the subset. Equal sides are evaluated once. Where numpy's OpenBLAS
-    has LAPACK zhetrd and dsterf, each side Y whose Y[:-1] is also a side is
-    paired with it (_pair_leads): the carrier Y's block gives both spectra from
-    one tridiagonal reduction (_PairSpectra); at L = 100 the sic_profile plan
-    has 18 pairs. The sides that are no lead are then put in row groups
-    (_row_groups), so that no block is much larger than the largest side: the
-    half chain keeps one group, the sic_profile sides at L = 100 take two of 51
-    rows instead of one of 101. Each group builds only its own rows, in one
-    block_at call per time. Its times are taken in chunks whose blocks fill a
-    reused [chunk, rows, rows] stack. A side in no pair is cut from its group's
-    stack (a view where it is contiguous in the rows) and gets one
-    block_entropies call per chunk, so numpy's per-call cost is paid once per
-    chunk, not once per time; a carrier's block is copied into its pair
-    routine's buffer one time at a time.
+    has zherk, zhetrd and dsterf (_kernel_routines), each side Y whose Y[:-1]
+    is also a side is paired with it (_pair_leads): the carrier Y's block gives
+    both spectra from one tridiagonal reduction (_SideSpectra); at L = 100 the
+    sic_profile plan has 18 pairs. The sides that are no lead are then put in
+    row groups (_row_groups), so that no block is much larger than the largest
+    side: the half chain keeps one group, the sic_profile sides at L = 100 take
+    two of 51 rows instead of one of 101. Each group slices its rows of the
+    eigenvectors once and builds only its own rows, with one _fill per time
+    (one real GEMM and one zherk into the lower triangle). Its times are taken
+    in chunks whose blocks fill a reused [chunk, rows, rows] stack. Each
+    nonempty side's block is cut from the stack and copied, one time at a
+    time, into its size's _SideSpectra buffer for one zhetrd and one dsterf,
+    and a carrier's second dsterf gives its lead; the empty side is 0. Without
+    the three routines nothing is paired, _fill uses numpy's matmul, and each
+    side gets one stacked block_entropies call per chunk (a view where the
+    side is contiguous in the rows), so numpy's per-call cost is paid once per
+    chunk, not once per time.
 
     OpenBLAS runs one thread throughout (_one_blas_thread). Each group's chunks
     are dealt round-robin to as many threads as the process had in OpenBLAS, at
     most one per chunk: this one and the helpers of one ThreadPoolExecutor made
-    for the call, each with a stack and pair buffers of its own. The groups run
+    for the call, each with a stack and spectra buffers of its own. The groups run
     one after the other. Every value is thus the same at every thread count.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so importing gaaquench.runner does not load it
@@ -550,26 +585,30 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
         sides.setdefault(tuple(idx), []).append(column)
     times = np.asarray(times, dtype=float)
     values = np.empty((times.size, len(subsets)))
-    routines = _pair_routines()
+    routines = _kernel_routines()
     groups = _row_groups(sides, _pair_leads(sides) if routines else {}, dim, times.size)
 
     def work(group: _RowGroup, share: range) -> None:
         rows, chunk = group.rows, group.chunk
+        v_rows = evolution.modes[rows]
         stack = np.empty((chunk, rows.size, rows.size), dtype=complex)
-        pairs = {size: _PairSpectra(routines, size, chunk)  # one per carrier size: each call's views are used at once
-                 for _, size, _, lead_cols in group.cuts if lead_cols is not None}
+        spectra = {size: _SideSpectra(routines, size, chunk)  # one per side size: each call's views are used at once
+                   for _, size, _, _ in group.cuts if routines and size}
         for start in share:
             count = min(chunk, times.size - start)
             for k in range(count):
-                stack[k] = evolution.block_at(times[start + k], rows + 1)
+                evolution._fill(times[start + k], v_rows, stack[k])
             done = slice(start, start + count)
             for cut, size, cols, lead_cols in group.cuts:
-                if lead_cols is None:
+                if routines is None:
                     values[done, cols] = block_entropies(stack[:count][(slice(None), *cut)], log_base)[:, None]
+                elif size == 0:
+                    values[done, cols] = 0.0
                 else:
-                    nu, lead = pairs[size](stack, count, cut)
+                    nu, lead = spectra[size](stack, count, cut, lead_cols is not None)
                     values[done, cols] = _binary_entropies(nu, log_base)[:, None]
-                    values[done, lead_cols] = _binary_entropies(lead, log_base)[:, None]
+                    if lead is not None:
+                        values[done, lead_cols] = _binary_entropies(lead, log_base)[:, None]
 
     # an executor starts a thread only when a share is submitted to it
     with _one_blas_thread() as threads, ThreadPoolExecutor(max(threads - 1, 1)) as pool:

@@ -517,7 +517,7 @@ def _environment(config: ExperimentConfig, threads: dict) -> dict:
         "numpy": np.__version__,
         "blas": getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name"),
         "blas_threads": _blas_threads(),
-        "lapack_pairs": gaussian._pair_routines() is not None,  # entropies pairs sides (see gaussian._PairSpectra)
+        "lapack_pairs": gaussian._kernel_routines() is not None,  # zherk, zhetrd and dsterf found (see gaussian.entropies)
         "cpu_count": os.cpu_count(),
         "workers": config.workers,
         **threads,

@@ -25,6 +25,7 @@ from gaaquench.gaussian import (
 )
 from gaaquench.model import LatticeSpec, build_hamiltonian
 from gaaquench.spectral import diagonalize
+from kernel_references import KERNEL_SYMBOLS, kernel_entropy, side_spectra
 
 LN2 = np.log(2.0)
 
@@ -37,14 +38,15 @@ def per_time_entropies(ev, subsets, times, log_base):
     """The kernel's arithmetic one time and one side at a time, and the rows of each block it builds.
 
     A subset of a pure state that holds more than half of the modes is replaced
-    by its complement. Where the LAPACK pair routines are present, largest side
+    by its complement. Where the kernel routines are present, largest side
     first, a side Y of two or more modes is paired with its lead Y[:-1] when that
     is also a side and neither is in a pair yet; a lead joins no group. Largest
     first, each other distinct side joins the first group whose rows, with its
     own, stay within max(ceil(dim / 2), largest side), or opens a new group.
-    Each side is cut from its group's block, a lead from its carrier's: a
-    carrier's block gives both spectra from the pair routine, any other block
-    goes to eigvalsh.
+    Each side is cut from its group's block_at block, a lead from its
+    carrier's: a carrier's block gives both spectra from the kernel's spectral
+    routine, any other block goes to the kernel's lone-side routine (to
+    eigvalsh without the kernel routines).
     """
     sides = []
     for subset in subsets:
@@ -54,7 +56,7 @@ def per_time_entropies(ev, subsets, times, log_base):
         sides.append(tuple(side))
     distinct = sorted(dict.fromkeys(sides), key=len, reverse=True)  # a stable sort keeps the order of ties
     lead_of, paired = {}, set()
-    for side in distinct if gaussian._pair_routines() else []:
+    for side in distinct if gaussian._kernel_routines() else []:
         lead = side[:-1]
         if len(side) > 1 and lead in distinct and side not in paired and lead not in paired:
             lead_of[side] = lead
@@ -79,18 +81,24 @@ def per_time_entropies(ev, subsets, times, log_base):
             pos = [groups[g].index(x) for x in carrier]
             block = blocks[g][np.ix_(pos, pos)]
             if carrier in lead_of:
-                nu, lead = pair_spectra(block)
+                nu, lead = side_spectra(block, lead=True)
                 out[k, j] = gaussian._binary_entropies(nu if side == carrier else lead, log_base)
             else:
-                out[k, j] = entropy_of_block(block, log_base)
+                out[k, j] = kernel_entropy(block, log_base)
     return out, groups
 
 
-def pair_spectra(block):
-    """The kernel's pair routine on one carrier block: its spectrum and that of its leading block."""
-    pair = gaussian._PairSpectra(gaussian._pair_routines(), block.shape[0], 1)
-    nu, lead = pair(block[None], 1, (slice(None), slice(None)))
-    return nu[0].copy(), lead[0].copy()
+def record_fill_rows(monkeypatch):
+    """Patch _fill, which builds every block, to record for each call the 1-based modes of its rows."""
+    built = []
+    fill = QuenchEvolution._fill
+
+    def recording_fill(self, time, v_rows, out):
+        built.append([int(np.flatnonzero((self.modes == row).all(axis=1))[0]) + 1 for row in v_rows])
+        return fill(self, time, v_rows, out)
+
+    monkeypatch.setattr(QuenchEvolution, "_fill", recording_fill)
+    return built
 
 
 class TestQuenchSetup:
@@ -387,18 +395,11 @@ class TestEntropiesKernel:
         half = range(1, 7)
         times = [1.0e4, 1.5e4]
         got = entropies(ev, [half], times)[:, 0]
-        assert got.tolist() == [entropy_of_block(ev.block_at(t, half)) for t in times]
+        assert got.tolist() == [kernel_entropy(ev.block_at(t, half)) for t in times]
 
     def test_builds_only_the_rows_of_the_chosen_sides(self, monkeypatch):
         ev = quench_evolution(neel_setup(24, reference=12))
-        built = []
-        block_at = QuenchEvolution.block_at
-
-        def recording_block_at(self, time, sites):
-            built.append(sorted(int(s) for s in sites))
-            return block_at(self, time, sites)
-
-        monkeypatch.setattr(QuenchEvolution, "block_at", recording_block_at)
+        built = record_fill_rows(monkeypatch)
         window = list(range(10, 15))
         # |A| = 0, 5 and L with and without R: the two largest sets flip to {R} and {}
         subsets = [[], window, list(range(1, 25)), [25], window + [25], list(range(1, 26))]
@@ -410,14 +411,7 @@ class TestEntropiesKernel:
     def test_sic_plan_at_L_100_builds_two_groups_of_51_rows(self, monkeypatch):
         setup, subsets, log_base = sic_sides_at_L_100()
         ev = quench_evolution(setup)
-        built = []
-        block_at = QuenchEvolution.block_at
-
-        def recording_block_at(self, time, sites):
-            built.append(sorted(int(s) for s in sites))
-            return block_at(self, time, sites)
-
-        monkeypatch.setattr(QuenchEvolution, "block_at", recording_block_at)
+        built = record_fill_rows(monkeypatch)
         times = [1.0e4, 1.1e4, 1.2e4]
         got = entropies(ev, subsets, times, log_base)
         monkeypatch.undo()
@@ -469,16 +463,17 @@ class FakeBlas:
         return (lambda: self.threads), self.set
 
 
-def record_block_threads(monkeypatch, blas_threads):
-    """Patch block_at to record, for each call, its thread and the BLAS count it ran with."""
+def record_fill_threads(monkeypatch, blas_threads):
+    """Patch _fill, which builds every block, to record for each call its thread and the BLAS count
+    it ran with."""
     seen = []
-    block_at = QuenchEvolution.block_at
+    fill = QuenchEvolution._fill
 
-    def recording_block_at(self, time, sites):
+    def recording_fill(self, time, v_rows, out):
         seen.append((threading.get_ident(), blas_threads()))
-        return block_at(self, time, sites)
+        return fill(self, time, v_rows, out)
 
-    monkeypatch.setattr(QuenchEvolution, "block_at", recording_block_at)
+    monkeypatch.setattr(QuenchEvolution, "_fill", recording_fill)
     return seen
 
 
@@ -487,9 +482,8 @@ class TestStackedKernel:
     must be the one its own time gives, whatever the chunk count, the place of the time in its chunk
     and the thread that takes the chunk."""
 
-    @pytest.mark.parametrize("log_base", ["natural", "two"])
-    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
-    def test_equals_per_time_blocks_exactly(self, case, log_base, monkeypatch):
+    @staticmethod
+    def check_chunks(case, log_base, monkeypatch):
         build, subsets = CHUNK_CASES[case]
         ev = build()
         assert ev.pure == (case != "mixed")
@@ -497,22 +491,36 @@ class TestStackedKernel:
         _, groups = per_time_entropies(ev, subsets, times[:1], log_base)
         assert len(groups) == (1 if case == "mixed" else 2)  # a 1-row group of {R} or {1} beside the rest
         rows = max(len(group) for group in groups)  # the largest group takes 3 times per chunk
-        monkeypatch.setattr(gaussian, "_CHUNK_ENTRIES", 3 * rows * rows)
-        monkeypatch.setattr(gaussian, "_GIL_FREE_SIZE", 0)  # no floor, and every stack counts as GIL-free
-        k = gaussian._chunk_times(rows)
-        assert k == 3
-        for threads in (1, 2):
-            # a stand-in count: the real one stays as it is, so both sides do the same arithmetic
-            blas = FakeBlas(threads)
-            monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
-            for count in (0, 1, k - 1, k, k + 1, 2 * k + 3):
-                expected, _ = per_time_entropies(ev, subsets, times[:count], log_base)
-                got = entropies(ev, subsets, times[:count], log_base)
-                assert got.shape == (count, len(subsets))
-                assert np.array_equal(got, expected), f"{count} times, {threads} threads"
-                assert blas.threads == threads
-            # capped at one thread and restored around every call, whatever its plan
-            assert blas.history == [1, threads] * 6
+        with monkeypatch.context() as patch:
+            patch.setattr(gaussian, "_CHUNK_ENTRIES", 3 * rows * rows)
+            patch.setattr(gaussian, "_GIL_FREE_SIZE", 0)  # no floor, and every stack counts as GIL-free
+            k = gaussian._chunk_times(rows)
+            assert k == 3
+            for threads in (1, 2):
+                # a stand-in count: the real one stays as it is, so both sides do the same arithmetic
+                blas = FakeBlas(threads)
+                patch.setattr(gaussian, "_blas_thread_control", blas.control)
+                for count in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+                    expected, _ = per_time_entropies(ev, subsets, times[:count], log_base)
+                    got = entropies(ev, subsets, times[:count], log_base)
+                    assert got.shape == (count, len(subsets))
+                    assert np.array_equal(got, expected), f"{count} times, {threads} threads"
+                    assert blas.threads == threads
+                # capped at one thread and restored around every call, whatever its plan
+                assert blas.history == [1, threads] * 6
+
+    @pytest.mark.parametrize("log_base", ["natural", "two"])
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_equals_per_time_blocks_exactly(self, case, log_base, monkeypatch):
+        self.check_chunks(case, log_base, monkeypatch)
+
+    @pytest.mark.parametrize("symbol", KERNEL_SYMBOLS)
+    def test_numpy_path_equals_per_time_blocks_exactly(self, symbol, monkeypatch, hide_openblas):
+        hide_openblas([symbol])
+        assert gaussian._kernel_routines() is None
+        for case in sorted(CHUNK_CASES):
+            for log_base in ("natural", "two"):
+                self.check_chunks(case, log_base, monkeypatch)
 
     def test_chunk_rule_stays_within_the_budget(self):
         budget, floor = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE
@@ -554,7 +562,7 @@ class TestChunkThreads:
         get, set_ = real_blas()
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)  # chunks of 6, 6, 6 and 2 times
-        seen = record_block_threads(monkeypatch, get)
+        seen = record_fill_threads(monkeypatch, get)
         before = get()
         try:
             set_(1)  # as in a pool worker: one thread
@@ -579,14 +587,14 @@ class TestChunkThreads:
         blas = FakeBlas(2)
         monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
         caller = threading.get_ident()
-        block_at = QuenchEvolution.block_at
+        fill = QuenchEvolution._fill
 
-        def failing_block_at(self, time, sites):
+        def failing_fill(self, time, v_rows, out):
             if (threading.get_ident() == caller) == (raiser == "caller"):
                 raise RuntimeError(f"synthetic failure in the {raiser}")
-            return block_at(self, time, sites)
+            return fill(self, time, v_rows, out)
 
-        monkeypatch.setattr(QuenchEvolution, "block_at", failing_block_at)
+        monkeypatch.setattr(QuenchEvolution, "_fill", failing_fill)
         alive = threading.active_count()
         with pytest.raises(RuntimeError, match=f"in the {raiser}"):
             entropies(ev, half, times)
@@ -598,7 +606,7 @@ class TestChunkThreads:
         setup, subsets, log_base = sic_sides_at_L_100()
         ev = quench_evolution(setup)
         times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, chunks of 15, 15 and 10 times
-        seen = record_block_threads(monkeypatch, get)
+        seen = record_fill_threads(monkeypatch, get)
         before = get()
         try:
             set_(1)
@@ -625,7 +633,7 @@ class TestChunkThreads:
         with monkeypatch.context() as patch:
             blas = FakeBlas(2)
             patch.setattr(gaussian, "_blas_thread_control", blas.control)
-            seen = record_block_threads(patch, lambda: blas.threads)
+            seen = record_fill_threads(patch, lambda: blas.threads)
             profile = observables.sic_profile(setup, sizes, "center", protocol)
         assert profile.mi.shape == (48,)
         assert len(seen) == 60 and len({ident for ident, _ in seen}) == 2
@@ -644,18 +652,14 @@ class TestChunkThreads:
             set_(before)
         assert (threaded == serial).all()
 
-    def test_missing_blas_symbol_runs_serially(self, monkeypatch):
-        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
-        # the lookups themselves, past their per-process caches
-        monkeypatch.setattr(gaussian, "_openblas", gaussian._openblas.__wrapped__)
-        missing = gaussian._blas_thread_control.__wrapped__()
-        monkeypatch.setattr(gaussian, "_blas_thread_control", lambda: missing)
-        assert gaussian._blas_threads() is None
+    def test_missing_blas_symbol_runs_serially(self, monkeypatch, hide_openblas):
+        hide_openblas(("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_") + KERNEL_SYMBOLS)
+        assert gaussian._blas_threads() is None and gaussian._kernel_routines() is None
         with gaussian._one_blas_thread() as threads:
             assert threads == 1
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)
-        seen = record_block_threads(monkeypatch, lambda: None)
+        seen = record_fill_threads(monkeypatch, lambda: None)
         got = entropies(ev, half, times)
         assert len(seen) == times.size and len({ident for ident, _ in seen}) == 1
         expected, _ = per_time_entropies(ev, half, times, "natural")
@@ -808,6 +812,80 @@ class TestPaperScaleInvariants:
         assert mi[:, -1] == pytest.approx(2.0, abs=1e-9)
 
 
+def parent_block(c0, h, time, sites):
+    """C(t)[sites, sites] by the formula the kernel had before the occupations were folded into one
+    factor: (w * n) @ w^dag with w = V_rows e^{iEt} Q over the orbitals Q with |n| > 1e-12."""
+    energies, modes = diagonalize(h)
+    n, q = np.linalg.eigh(modes.T @ c0 @ modes)
+    kept = np.abs(n) > 1e-12
+    v = modes[np.asarray(sorted(sites), dtype=int) - 1]
+    phase = energies * time
+    w = (v * np.cos(phase)) @ q[:, kept] + 1j * ((v * np.sin(phase)) @ q[:, kept])
+    return (w * n[kept]) @ w.conj().T
+
+
+class TestFill:
+    """block_at and correlation_at fill C(t) from one real GEMM with the folded factor F = Q diag(sqrt(n))
+    and one Hermitian rank-k update, and mirror the lower triangle: exactly Hermitian, and the parent's
+    matrix to round-off."""
+
+    TIMES = (1.0e4, 1.37e4, 2.0e4)
+
+    @pytest.mark.parametrize("L", [200, 233])
+    def test_paper_scale_blocks_equal_the_parent_formula(self, L):
+        if L == 200:  # the half chain of the saturation measurement
+            setup, sites = neel_setup(L), list(range(1, L // 2 + 1))
+        else:  # the largest reference side of the sic_profile plan at L = 233
+            setup, subsets, _ = sic_sides_at(L, [116])
+            sites = subsets[-1]
+        c0, h = initial_correlation(setup).matrix, setup_hamiltonian(setup)
+        ev = quench_evolution(setup)
+        for t in self.TIMES:
+            block = ev.block_at(t, sites)
+            assert np.array_equal(block, block.conj().T)
+            assert np.abs(block - parent_block(c0, h, t, sites)).max() <= 1e-13
+        full = ev.correlation_at(self.TIMES[0]).matrix
+        assert np.array_equal(full, full.conj().T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_small_setups_equal_the_parent_formula(self, data):
+        L = data.draw(st.integers(2, 14), label="L")
+        reference = data.draw(st.none() | st.integers(1, L), label="reference")
+        if reference is None:
+            L += L % 2  # half filling without a reference needs an even L
+        spec = LatticeSpec(L=L, lam=data.draw(st.floats(0.0, 2.5), label="lam"),
+                           a=data.draw(st.floats(-0.6, 0.6), label="a"))
+        setup = QuenchSetup(spec, "neel", reference_site=reference)
+        initial = initial_correlation(setup)
+        c0 = initial.matrix.copy()
+        mixed = data.draw(st.lists(st.integers(0, L - 1), max_size=3), label="mixed sites")
+        for site in mixed:  # a partial occupation without a partner: C0 is no projector
+            if reference is None or site != reference - 1:
+                c0[site, site] = data.draw(st.floats(0.0, 1.0), label="occupation")
+        h = setup_hamiltonian(setup)
+        ev = QuenchEvolution(CorrelationMatrix(c0, initial.reference_index), h)
+        sites = data.draw(st.lists(st.integers(1, ev.dim), min_size=1, unique=True), label="sites")
+        t = data.draw(st.floats(0.0, 2e4), label="t")
+        block = ev.block_at(t, sites)
+        assert np.array_equal(block, block.conj().T)
+        assert np.abs(block - parent_block(c0, h, t, sites)).max() <= 1e-13
+
+    def test_round_off_negative_occupation_is_dropped(self):
+        setup = neel_setup(12)
+        c0 = initial_correlation(setup).matrix
+        c0[1, 1] = -5e-11  # inside the 1e-10 tolerance of _check_occupations
+        h = setup_hamiltonian(setup)
+        ev = QuenchEvolution(CorrelationMatrix(c0), h)
+        sites = list(range(1, 7))
+        for t in (0.0, 2.5, *self.TIMES):
+            block = ev.block_at(t, sites)
+            assert np.isfinite(block).all()  # no NaN from the square root of a negative occupation
+            assert np.abs(block - parent_block(c0, h, t, sites)).max() <= 1e-10
+            assert np.isfinite(ev.correlation_at(t).matrix).all()
+        assert np.isfinite(entropies(ev, [sites, [1, 2]], self.TIMES)).all()
+
+
 def plan_sides(ev, subsets):
     """The distinct sides of an `entropies` plan (0-based modes, after the complement rule) and their columns."""
     sides = {}
@@ -819,9 +897,9 @@ def plan_sides(ev, subsets):
     return sides
 
 
-def needs_pair_routines():
-    if gaussian._pair_routines() is None:
-        pytest.skip("numpy's OpenBLAS exports no zhetrd and dsterf")
+def needs_kernel_routines():
+    if gaussian._kernel_routines() is None:
+        pytest.skip("numpy's OpenBLAS exports no zherk, zhetrd and dsterf")
 
 
 class TestPairedSides:
@@ -849,7 +927,7 @@ class TestPairedSides:
         assert gaussian._pair_leads({(3,): [0], (): [1]}) == {}  # an empty lead is left alone
 
     def test_pair_routine_matches_eigvalsh_of_both_blocks(self):
-        needs_pair_routines()
+        needs_kernel_routines()
         rng = np.random.default_rng(17)
         blocks = []
         for L in (100, 233):
@@ -862,14 +940,33 @@ class TestPairedSides:
             x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             blocks.append(x + x.conj().T)
         for block in blocks:
-            nu, lead = pair_spectra(block)
+            nu, lead = side_spectra(block, lead=True)
             assert np.abs(nu - np.linalg.eigvalsh(block)).max() <= 1e-12
             assert np.abs(lead - np.linalg.eigvalsh(block[:-1, :-1])).max() <= 1e-12
 
-    def test_chained_sic_plan_equals_the_reference_exactly(self, monkeypatch):
+    @pytest.mark.parametrize("plan", ["half_chain_L_200", "sic_L_100", "sic_L_233", "every_size_L_24"])
+    def test_lone_side_routine_matches_eigvalsh(self, plan):
+        # the routine of a side in no pair, applied to every side of the plan, against numpy
+        needs_kernel_routines()
+        if plan == "half_chain_L_200":
+            setup, subsets = neel_setup(200), [range(1, 101)]
+        else:
+            L = int(plan.rsplit("_", 1)[1])
+            sizes = range(L + 1) if plan.startswith("every") else sorted(set(range(0, L + 1, 5)) | {L})
+            setup, subsets, _ = sic_sides_at(L, sizes)
+        ev = quench_evolution(setup)
+        sides = [side for side in plan_sides(ev, subsets) if side]
+        for t in np.random.default_rng(29).uniform(1e4, 2e4, 2):
+            for side in sides:
+                block = ev.block_at(t, np.array(side) + 1)
+                nu, lead = side_spectra(block)
+                assert lead is None
+                assert np.abs(nu - np.linalg.eigvalsh(block)).max() <= 1e-12, side
+
+    def test_chained_sic_plan_equals_the_reference_exactly(self, hide_openblas):
         # every size at L = 24: windows Y, Y[:-1] and Y[:-2] are all sides, so a column given to the
         # wrong side of a pair would show (a first version gave I = -19.5 bits here)
-        needs_pair_routines()
+        needs_kernel_routines()
         setup, subsets, log_base = sic_sides_at(24, range(25))
         ev = quench_evolution(setup)
         sides = plan_sides(ev, subsets)
@@ -880,38 +977,39 @@ class TestPairedSides:
         assert np.array_equal(got, expected)
         protocol = observables.SamplingProtocol(n_samples=20)
         profile = observables.sic_profile(setup, range(25), "center", protocol)  # checks I in [0, 2] bits
-        monkeypatch.setattr(gaussian, "_pair_routines", lambda: None)
+        hide_openblas(KERNEL_SYMBOLS[1:2])  # no zhetrd: the numpy path, which pairs nothing
         assert np.abs(got - entropies(ev, subsets, times, log_base)).max() <= 1e-12
         unpaired = observables.sic_profile(setup, range(25), "center", protocol)
         assert np.abs(profile.mi - unpaired.mi).max() <= 1e-12
 
-    def test_hidden_symbols_give_the_unpaired_kernel(self, monkeypatch):
+    def test_hidden_symbols_give_the_unpaired_kernel(self, monkeypatch, hide_openblas):
         setup, subsets, log_base = sic_sides_at_L_100()
         ev = quench_evolution(setup)
         times = np.random.default_rng(23).uniform(1e4, 2e4, 20)
         paired = entropies(ev, subsets, times, log_base)
-        for library in (object(), None):  # the lookup itself, past its cache: no symbols, no library
-            monkeypatch.setattr(gaussian, "_openblas", lambda: library)
-            assert gaussian._pair_routines.__wrapped__() is None
-        monkeypatch.setattr(gaussian, "_pair_routines", lambda: None)
 
         def forbidden(*args):
-            raise AssertionError("paired a side without the LAPACK symbols")
+            raise AssertionError("ran the LAPACK spectra without the kernel routines")
 
-        monkeypatch.setattr(gaussian, "_PairSpectra", forbidden)
-        got = entropies(ev, subsets, times, log_base)
-        expected, groups = per_time_entropies(ev, subsets, times, log_base)  # pairs nothing either
-        assert [len(rows) for rows in groups] == [51, 51]
-        assert np.array_equal(got, expected)
-        assert np.abs(got - paired).max() <= 1e-12
+        monkeypatch.setattr(gaussian, "_SideSpectra", forbidden)
+        for symbol in KERNEL_SYMBOLS:  # any one of the three missing gives the numpy path
+            hide_openblas([symbol])
+            assert gaussian._kernel_routines() is None
+            got = entropies(ev, subsets, times, log_base)
+            expected, groups = per_time_entropies(ev, subsets, times, log_base)  # pairs nothing either
+            assert [len(rows) for rows in groups] == [51, 51]
+            assert np.array_equal(got, expected), symbol
+            assert np.abs(got - paired).max() <= 1e-12
 
-    @pytest.mark.parametrize("subsets", [[[3, 4, 5], [3, 4, 5, 13]], [[6], [6, 13]]], ids=["four-modes", "two-modes"])
+    @pytest.mark.parametrize("subsets", [[[3, 4, 5], [3, 4, 5, 13]], [[6], [6, 13]], [[2, 3, 4, 5]], [[13]]],
+                             ids=["four-modes", "two-modes", "lone-four-modes", "lone-one-mode"])
     def test_infinite_time_raises(self, subsets):
-        # a plan of one pair and no other side: the block at t = inf is NaN
+        # a plan of one pair, or of one lone side, and no other side: the block at t = inf is NaN
         ev = quench_evolution(neel_setup(12, reference=6))
-        assert len(gaussian._pair_leads(plan_sides(ev, subsets))) == (1 if gaussian._pair_routines() else 0)
+        pairs = len(subsets) - 1
+        assert len(gaussian._pair_leads(plan_sides(ev, subsets))) == pairs
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             entropies(ev, subsets, [1.0e4, np.inf])
-        if gaussian._pair_routines() is not None:
+        if gaussian._kernel_routines() is not None:
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-                pair_spectra(np.full((len(subsets[1]),) * 2, np.nan, dtype=complex))
+                side_spectra(np.full((len(subsets[-1]),) * 2, np.nan, dtype=complex), lead=pairs == 1)

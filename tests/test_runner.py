@@ -19,6 +19,7 @@ from gaaquench import gaussian, observables, runner
 from gaaquench.cli import main
 from gaaquench.model import GOLDEN_INVERSE
 from gaaquench.runner import ConfigError, ExperimentConfig, parse_config, run
+from kernel_references import KERNEL_SYMBOLS
 
 VELOCITY_TOY = """
 experiment = velocity
@@ -588,7 +589,7 @@ class TestRun:
         assert env["cpu_count"] == os.cpu_count()
         assert (env["workers"], env["blas_threads_per_worker"]) == (1, "uncapped")
         assert env["entropy_threads"] == (env["blas_threads"] or 1)
-        assert env["lapack_pairs"] is (gaussian._pair_routines() is not None)
+        assert env["lapack_pairs"] is (gaussian._kernel_routines() is not None)
         assert "max_abs_delta" not in manifest and "verify_passed" not in manifest
 
     def test_pool_workers_run_with_one_blas_thread(self, tmp_path):
@@ -653,22 +654,28 @@ class TestRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
-    def test_missing_blas_library_runs_uncapped(self, tmp_path, monkeypatch):
+    def test_missing_blas_library_runs_uncapped(self, tmp_path, monkeypatch, hide_openblas):
         def missing(*args, **kwargs):
             raise OSError("no such library")
 
-        monkeypatch.setattr(ctypes, "CDLL", missing)
-        # the lookups themselves, past their per-process caches
-        monkeypatch.setattr(gaussian, "_openblas", gaussian._openblas.__wrapped__)
-        control, routines = gaussian._blas_thread_control.__wrapped__(), gaussian._pair_routines.__wrapped__()
-        assert control[0]() is None and routines is None
-        monkeypatch.setattr(gaussian, "_blas_thread_control", lambda: control)  # pool workers inherit both
-        monkeypatch.setattr(gaussian, "_pair_routines", lambda: routines)
+        with monkeypatch.context() as patch:
+            patch.setattr(ctypes, "CDLL", missing)
+            assert gaussian._openblas.__wrapped__() is None  # the lookup itself, past its per-process cache
+        hide_openblas(None)  # pool workers inherit it
+        assert gaussian._blas_threads() is None and gaussian._kernel_routines() is None
         manifest = run(parse_config(VELOCITY_TOY + "workers = 2\n"), tmp_path)
         assert not manifest["failures"] and manifest["outputs"][0]["rows"] == 6
         assert manifest["environment"]["blas_threads"] is None
         assert manifest["environment"]["blas_threads_per_worker"] == "uncapped"
         assert manifest["environment"]["lapack_pairs"] is False
+
+    @pytest.mark.parametrize("symbol", KERNEL_SYMBOLS)
+    def test_any_missing_kernel_symbol_turns_lapack_pairs_off(self, symbol, tmp_path, hide_openblas):
+        hide_openblas([symbol])
+        manifest = run(parse_config(VELOCITY_TOY), tmp_path)
+        assert not manifest["failures"] and manifest["outputs"][0]["rows"] == 6
+        assert manifest["environment"]["lapack_pairs"] is False
+        assert manifest["environment"]["blas_threads"] == gaussian._blas_threads()
 
     def test_verify_passes_at_small_size(self, tmp_path):
         config = parse_config("experiment = verify\nL = 6\na = 0.3\nlambda = 1.0\n")
