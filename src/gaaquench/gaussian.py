@@ -246,11 +246,21 @@ def _site_indices(sites, dim: int) -> np.ndarray:
     return idx - 1
 
 
+def _entropy_terms(nu: np.ndarray) -> np.ndarray:
+    """nu log nu + (1-nu) log(1-nu) elementwise, nu clamped into [1e-12, 1-1e-12]."""
+    nu = np.clip(np.real(nu), _CLAMP, 1.0 - _CLAMP)
+    return nu * np.log(nu) + (1.0 - nu) * np.log(1.0 - nu)
+
+
+def _entropy_of_terms(terms: np.ndarray, log_base: str) -> np.ndarray:
+    """-sum of _entropy_terms over the last axis, in the log base."""
+    s = -terms.sum(axis=-1)
+    return s / math.log(2.0) if log_base == "two" else s
+
+
 def _binary_entropies(nu: np.ndarray, log_base: str) -> np.ndarray:
     """-sum [nu log nu + (1-nu) log(1-nu)] over the last axis, nu clamped into [1e-12, 1-1e-12]."""
-    nu = np.clip(np.real(nu), _CLAMP, 1.0 - _CLAMP)
-    s = -(nu * np.log(nu) + (1.0 - nu) * np.log(1.0 - nu)).sum(axis=-1)
-    return s / math.log(2.0) if log_base == "two" else s
+    return _entropy_of_terms(_entropy_terms(nu), log_base)
 
 
 def _check_log_base(log_base: str) -> None:
@@ -324,11 +334,11 @@ def mutual_information(c: CorrelationMatrix, a_sites) -> float:
     return float(mi[0])
 
 
-def _chunk_times(rows: int) -> int:
-    """Sample times per chunk of `entropies`: as many rows x rows blocks as fit in
-    _CHUNK_ENTRIES entries, but enough that chunk * rows exceeds _GIL_FREE_SIZE, and
-    at least one."""
-    return max(1, _CHUNK_ENTRIES // max(rows * rows, 1), _GIL_FREE_SIZE // max(rows, 1) + 1)
+def _chunk_times(rows: int, copy: int) -> int:
+    """Sample times per chunk of `entropies`: as many times as fit a rows x rows block and a copy x copy
+    side copy each in _CHUNK_ENTRIES entries, but enough that chunk * rows exceeds _GIL_FREE_SIZE,
+    and at least one."""
+    return max(1, _CHUNK_ENTRIES // max(rows * rows + copy * copy, 1), _GIL_FREE_SIZE // max(rows, 1) + 1)
 
 
 def _pair_leads(sides: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -375,21 +385,23 @@ def _row_groups(sides: dict[tuple[int, ...], list[int]], leads: dict[tuple[int, 
 
 class _RowGroup:
     """One row group of an `entropies` plan: its rows, the cut of each of its sides with the side's
-    size, the table columns it fills and those of its lead (None for a side in no pair), and its
-    chunks of sample times."""
+    positions in the rows, the table columns it fills and those of its lead (None for a side in no
+    pair), the size of its largest side that is not the whole block (`copy`), and its chunks of
+    sample times."""
 
     def __init__(self, rows: set[int], members: list[tuple[tuple[int, ...], list[int], list[int] | None]],
                  n_times: int):
         self.rows = np.array(sorted(rows), dtype=int)
-        self.cuts = []  # (cut of one block, size, cols, lead cols)
+        self.cuts = []  # (cut of one block, positions, cols, lead cols)
         for side, cols, lead_cols in members:
             pos = np.searchsorted(self.rows, side)
             if pos.size and pos[-1] - pos[0] + 1 == pos.size:
                 cut = slice(pos[0], pos[-1] + 1)
-                self.cuts.append(((cut, cut), pos.size, cols, lead_cols))
+                self.cuts.append(((cut, cut), pos, cols, lead_cols))
             else:
-                self.cuts.append(((pos[:, None], pos), pos.size, cols, lead_cols))
-        self.chunk = min(_chunk_times(self.rows.size), max(n_times, 1))
+                self.cuts.append(((pos[:, None], pos), pos, cols, lead_cols))
+        self.copy = max([pos.size for _, pos, _, _ in self.cuts if pos.size < self.rows.size], default=0)
+        self.chunk = min(_chunk_times(self.rows.size, self.copy), max(n_times, 1))
         self.starts = range(0, n_times, self.chunk)
 
 
@@ -446,74 +458,96 @@ def _kernel_routines():
 
 
 class _SideSpectra:
-    """Spectra of side blocks M of `size` modes from one Householder reduction per block, and, for a
-    carrier (size = n + 1, its dropped mode last), also of its leading n x n block; buffers for
-    `chunk` times.
+    """Spectra of every nonempty side of one row group, and of its carriers' leads, from one Householder
+    reduction per side block: one thread's buffers for the group's chunks, cut from its `stack`.
 
-    M is copied in C order, so LAPACK zhetrd (UPLO = 'U') sees conj(M) and reads only M's lower
-    triangle, the one _fill writes. dsterf(d, e) on the tridiagonal T = (d, e) gives spec(M). For a
-    carrier, the first reflector clears the last column, and every later one acts inside the
-    leading n x n block as a unitary similarity, so T[:n, :n] ~ conj(M[:n, :n]) and
-    dsterf(d[:n], e[:n-1]) gives spec(M[:n, :n]): one O(n^3) reduction and two O(n^2) solves
-    where two eigvalsh calls would take two reductions. A LAPACK error or a non-finite T raises
-    LinAlgError, as eigvalsh does.
+    Once per chunk, each side's block is copied from the stack into one [chunk, copy, copy] buffer: one
+    slice per pair of contiguous runs of its rows, only the pairs on and below the diagonal, which hold
+    its lower triangle. The side that is the whole block is reduced in the stack itself, after every
+    other side is copied out. In C order, LAPACK zhetrd (UPLO = 'U') sees conj(M) and reads only M's
+    lower triangle, the one _fill writes. dsterf(d, e) on the tridiagonal T = (d, e) gives spec(M). For
+    a carrier (size n + 1, its dropped mode last), the first reflector clears the last column, and
+    every later one acts inside the leading n x n block as a unitary similarity, so
+    T[:n, :n] ~ conj(M[:n, :n]) and dsterf(d[:n], e[:n-1]) gives spec(M[:n, :n]): one O(n^3) reduction
+    and two O(n^2) solves where two eigvalsh calls would take two reductions. Every call has an INFO of
+    its own, so a chunk's zhetrd calls, and then its dsterf calls, run back to back and are checked
+    once: a LAPACK error or a non-finite T raises LinAlgError, as eigvalsh does. The spectra fill one
+    table, every side's segment of its columns before every lead's; `segments` gives each segment's
+    columns there and the columns of `entropies` it fills.
     """
 
-    def __init__(self, routines, size: int, chunk: int):
+    def __init__(self, routines, group: _RowGroup, stack: np.ndarray):
         import ctypes
 
         _, self._zhetrd, self._dsterf = routines
-        self._matrix = np.empty((size, size), dtype=complex)
-        self._nu = np.empty((chunk, size))  # d from zhetrd, then the side's spectrum from dsterf
-        self._lead = np.empty((chunk, size - 1))
-        self._off = np.empty((chunk, size - 1))  # e
-        self._lead_off = np.empty((chunk, max(size - 2, 1)))
-        self._tau = np.empty(size - 1, dtype=complex)
+        chunk, rows = group.chunk, group.rows.size
+        # (positions, cols, lead cols) of each nonempty side, the whole block last: its reduction overwrites it
+        sides = sorted([cut[1:] for cut in group.cuts if cut[1].size], key=lambda side: side[0].size == rows)
+        segments = [(pos.size, cols) for pos, cols, _ in sides]
+        segments += [(pos.size - 1, lead) for pos, _, lead in sides if lead is not None]
+        sizes = [size for size, _ in segments]
+        starts = np.cumsum([0] + sizes).tolist()
+        self.segments = [(slice(start, start + size), cols) for start, (size, cols) in zip(starts, segments)]
+        self._sides, self._reduced = len(sides), starts[len(sides)]  # the columns that zhetrd writes
+        self._table = np.zeros((2, chunk, starts[-1]))  # d, and e in the first size - 1 columns of each segment
+        # the INFO of each zhetrd, then of each dsterf, by time; the last column, the workspace query's
+        self._info = np.zeros((chunk, len(sides) + len(sizes) + 1), dtype=np.int64)
+        self._copy = np.empty((chunk, group.copy, group.copy), dtype=complex)
+        self._tau = np.empty(max(sizes, default=1), dtype=complex)
         self._uplo = ctypes.create_string_buffer(b"U")
-        self._ints = (ctypes.c_int64 * 5)(size, size, -1, 0, size - 1)  # N, LDA, LWORK, INFO, n
-        n_at, lda_at, lwork_at, info_at, lead_n_at = (ctypes.addressof(self._ints) + 8 * i for i in range(5))
+        # LWORK, the LDA of the stack and of the copy, the largest N, then the N of each segment
+        self._ints = np.array([-1, max(rows, 1), group.copy, max(sizes, default=0), *sizes], dtype=np.int64)
+        bases = {id(array): array.ctypes.data for array in (stack, self._copy, self._table, self._info, self._ints)}
 
-        def rows(buffer):
-            return [buffer.ctypes.data + k * buffer.strides[0] for k in range(chunk)]
+        def at(array, *index):  # the address of array[index]: ctypes passes addresses as plain integers
+            return bases[id(array)] + sum(i * step for i, step in zip(index, array.strides))
 
-        nu_at, lead_at, off_at, lead_off_at = rows(self._nu), rows(self._lead), rows(self._off), rows(self._lead_off)
-        head = (ctypes.addressof(self._uplo), n_at, self._matrix.ctypes.data, lda_at)
-        query = np.empty(1, dtype=complex)
-        self._zhetrd(*head, nu_at[0], off_at[0], self._tau.ctypes.data, query.ctypes.data, lwork_at, info_at, 1)
-        self._check()  # LWORK = -1 above: the workspace query, which writes the optimal LWORK to query[0]
+        uplo, lwork, tau = ctypes.addressof(self._uplo), at(self._ints, 0), self._tau.ctypes.data
+        query = np.empty(1, dtype=complex)  # LWORK = -1: the workspace query writes the optimal LWORK here
+        self._zhetrd(uplo, at(self._ints, 3), at(stack), at(self._ints, 1), at(self._table, 0), at(self._table, 1),
+                     tau, query.ctypes.data, lwork, at(self._info, 0, len(sides) + len(sizes)), 1)
+        if self._info[0, -1] != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         self._work = np.empty(max(int(query[0].real), 1), dtype=complex)
-        self._ints[2] = self._work.size
-        # the arguments of each call, by time in the chunk: ctypes passes the addresses as plain integers
-        self._reduce_args = [(*head, nu_at[k], off_at[k], self._tau.ctypes.data, self._work.ctypes.data,
-                              lwork_at, info_at, 1) for k in range(chunk)]
-        self._solve_args = [(n_at, nu_at[k], off_at[k], info_at) for k in range(chunk)]
-        self._lead_solve_args = [(lead_n_at, lead_at[k], lead_off_at[k], info_at) for k in range(chunk)]
+        self._ints[0], work = self._work.size, self._work.ctypes.data
+        self._reductions = []  # (copies, the zhetrd arguments by time) of each side
+        for i, (pos, _, _) in enumerate(sides):
+            whole = pos.size == rows
+            matrix, lda = (stack, at(self._ints, 1)) if whole else (self._copy, at(self._ints, 2))
+            n = at(self._ints, 4 + i)
+            bounds = (np.flatnonzero(np.diff(pos) != 1) + 1).tolist()
+            runs = [(slice(a, b), slice(pos[a], pos[b - 1] + 1)) for a, b in zip([0, *bounds], [*bounds, pos.size])]
+            copies = [] if whole else [(self._copy[:, to_rows, to_cols], stack[:, rows_, cols_])
+                                       for r, (to_rows, rows_) in enumerate(runs) for to_cols, cols_ in runs[: r + 1]]
+            self._reductions.append((copies, [
+                (uplo, n, at(matrix, k), lda, at(self._table, 0, k, starts[i]), at(self._table, 1, k, starts[i]),
+                 tau, work, lwork, at(self._info, k, i), 1) for k in range(chunk)
+            ]))
+        carriers = [start for start, (_, _, lead) in zip(starts, sides) if lead is not None]
+        self._leads = [(self._table[:, :, start : start + size], self._table[:, :, carrier : carrier + size])
+                       for start, size, carrier in zip(starts[len(sides) :], sizes[len(sides) :], carriers)]
+        ns = [at(self._ints, 4 + j) for j in range(len(sizes))]
+        self._solves = [
+            (ns[j], at(self._table, 0, k, start), at(self._table, 1, k, start), at(self._info, k, self._sides + j))
+            for k in range(chunk) for j, start in enumerate(starts[:-1])
+        ]
 
-    def _check(self) -> None:
-        if self._ints[3] != 0:
+    def __call__(self, count: int) -> np.ndarray:
+        """The spectra of the first `count` blocks of the stack: a view [count, columns] of the table."""
+        for copies, calls in self._reductions:
+            for to, source in copies:
+                to[:count] = source[:count]
+            for args in calls[:count]:
+                self._zhetrd(*args)
+        if self._info[:count, : self._sides].any() or not np.isfinite(self._table[:, :count, : self._reduced]).all():
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    def __call__(self, stack: np.ndarray, count: int, cut: tuple, lead: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """The spectra of stack[k][cut] for k < count, [count, size], and, where `lead` is set, of its
-        leading block, [count, size - 1] (else None): views of this object's buffers."""
-        for k in range(count):
-            self._matrix[...] = stack[k][cut]
-            self._zhetrd(*self._reduce_args[k])
-            self._check()
-        nu, off = self._nu[:count], self._off[:count]
-        if not (np.isfinite(nu).all() and np.isfinite(off).all()):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        if lead:
-            n = self._lead.shape[1]
-            self._lead[:count] = nu[:, :n]
-            self._lead_off[:count, : n - 1] = off[:, : n - 1]
-            for args in self._lead_solve_args[:count]:
-                self._dsterf(*args)
-                self._check()
-        for args in self._solve_args[:count]:
+        for to, source in self._leads:
+            to[:, :count] = source[:, :count]
+        for args in self._solves[: count * len(self.segments)]:
             self._dsterf(*args)
-            self._check()
-        return nu, self._lead[:count] if lead else None
+        if self._info[:count, self._sides :].any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return self._table[0, :count]
 
 
 def _blas_threads() -> int | None:
@@ -555,24 +589,32 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     two of 51 rows instead of one of 101. Each group slices its rows of the
     eigenvectors once and builds only its own rows, with one _fill per time
     (one real GEMM and one zherk into the lower triangle). Its times are taken
-    in chunks whose blocks fill a reused [chunk, rows, rows] stack. Each
-    nonempty side's block is cut from the stack and copied, one time at a
-    time, into its size's _SideSpectra buffer for one zhetrd and one dsterf,
-    and a carrier's second dsterf gives its lead; the empty side is 0. Without
-    the three routines nothing is paired, _fill uses numpy's matmul, and each
-    side gets one stacked block_entropies call per chunk (a view where the
-    side is contiguous in the rows), so numpy's per-call cost is paid once per
-    chunk, not once per time.
+    in chunks whose blocks fill a reused [chunk, rows, rows] stack; the chunk
+    budget also counts one copy per time of the group's largest side that is
+    not the whole block (_chunk_times). Per chunk, _SideSpectra copies each
+    nonempty side's lower triangle out of the stack once, reduces the side
+    that is the whole block in the stack itself, and runs the chunk's zhetrd
+    calls and then its dsterf calls back to back into one spectra table, a
+    carrier's second dsterf giving its lead; one elementwise binary-entropy
+    pass over the table and one sum per side follow. The empty side is 0.
+    Without the three routines nothing is paired, _fill uses numpy's matmul,
+    and each side gets one stacked block_entropies call per chunk (a view
+    where the side is contiguous in the rows), so numpy's per-call cost is
+    paid once per chunk, not once per time.
 
     OpenBLAS runs one thread throughout (_one_blas_thread). Each group's chunks
     are dealt round-robin to as many threads as the process had in OpenBLAS, at
     most one per chunk: this one and the helpers of one ThreadPoolExecutor made
     for the call, each with a stack and spectra buffers of its own. The groups run
     one after the other. Every value is thus the same at every thread count.
+    `times` must be a 1-D array of sample times.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so importing gaaquench.runner does not load it
 
     _check_log_base(log_base)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array of sample times, got shape {times.shape}")
     dim = evolution.dim
     subsets = list(subsets)
     sides = {}  # side -> the table columns it fills
@@ -583,8 +625,7 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
             outside[idx] = False
             idx = np.flatnonzero(outside)
         sides.setdefault(tuple(idx), []).append(column)
-    times = np.asarray(times, dtype=float)
-    values = np.empty((times.size, len(subsets)))
+    values = np.zeros((times.size, len(subsets)))
     routines = _kernel_routines()
     groups = _row_groups(sides, _pair_leads(sides) if routines else {}, dim, times.size)
 
@@ -592,23 +633,19 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
         rows, chunk = group.rows, group.chunk
         v_rows = evolution.modes[rows]
         stack = np.empty((chunk, rows.size, rows.size), dtype=complex)
-        spectra = {size: _SideSpectra(routines, size, chunk)  # one per side size: each call's views are used at once
-                   for _, size, _, _ in group.cuts if routines and size}
+        spectra = _SideSpectra(routines, group, stack) if routines else None
         for start in share:
             count = min(chunk, times.size - start)
             for k in range(count):
                 evolution._fill(times[start + k], v_rows, stack[k])
             done = slice(start, start + count)
-            for cut, size, cols, lead_cols in group.cuts:
-                if routines is None:
+            if spectra is None:
+                for cut, _, cols, _ in group.cuts:
                     values[done, cols] = block_entropies(stack[:count][(slice(None), *cut)], log_base)[:, None]
-                elif size == 0:
-                    values[done, cols] = 0.0
-                else:
-                    nu, lead = spectra[size](stack, count, cut, lead_cols is not None)
-                    values[done, cols] = _binary_entropies(nu, log_base)[:, None]
-                    if lead is not None:
-                        values[done, lead_cols] = _binary_entropies(lead, log_base)[:, None]
+                continue
+            terms = _entropy_terms(spectra(count))  # the empty side keeps its 0
+            for segment, cols in spectra.segments:
+                values[done, cols] = _entropy_of_terms(terms[:, segment], log_base)[:, None]
 
     # an executor starts a thread only when a share is submitted to it
     with _one_blas_thread() as threads, ThreadPoolExecutor(max(threads - 1, 1)) as pool:

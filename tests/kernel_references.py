@@ -9,11 +9,15 @@ KERNEL_SYMBOLS = ("scipy_cblas_zherk64_", "scipy_zhetrd_64_", "scipy_dsterf_64_"
 
 
 def side_spectra(block, lead=False):
-    """The kernel's routine (_SideSpectra) on one side block: its spectrum and, for a carrier
-    (lead=True), that of its leading block, else None."""
-    spectra = gaussian._SideSpectra(gaussian._kernel_routines(), block.shape[0], 1)
-    nu, lead_nu = spectra(np.asarray(block)[None], 1, (slice(None), slice(None)), lead)
-    return nu[0].copy(), None if lead_nu is None else lead_nu[0].copy()
+    """The kernel's routine (_SideSpectra) on one side block, the whole block of a one-time stack: its
+    spectrum and, for a carrier (lead=True), that of its leading block, else None."""
+    m = block.shape[0]
+    group = gaussian._RowGroup(set(range(m)), [(tuple(range(m)), [0], [1] if lead else None)], 1)
+    stack = np.array(block, dtype=complex, order="C")[None]  # a copy: the routine reduces it in place
+    spectra = gaussian._SideSpectra(gaussian._kernel_routines(), group, stack)
+    table = spectra(1)
+    (side, _), *leads = spectra.segments
+    return table[0, side].copy(), table[0, leads[0][0]].copy() if lead else None
 
 
 def kernel_entropy(block, log_base="natural"):

@@ -1,5 +1,6 @@
 import ctypes
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ def neel_setup(L, lam=1.0, a=0.3, reference=None):
     return QuenchSetup(LatticeSpec(L=L, lam=lam, a=a), "neel", reference_site=reference)
 
 
+def chosen_sides(ev, subsets):
+    """The side of each subset: the subset, or, for a pure state, its complement where that is smaller."""
+    sides = []
+    for subset in subsets:
+        side = sorted(set(subset))
+        if ev.pure and 2 * len(side) > ev.dim:
+            side = sorted(set(range(1, ev.dim + 1)) - set(side))
+        sides.append(tuple(side))
+    return sides
+
+
+def largest_copy(ev, subsets, rows):
+    """The largest side that lies in the given rows and is not all of them: that row group's side copy."""
+    return max((len(side) for side in chosen_sides(ev, subsets) if set(side) < set(rows)), default=0)
+
+
 def per_time_entropies(ev, subsets, times, log_base):
     """The kernel's arithmetic one time and one side at a time, and the rows of each block it builds.
 
@@ -48,12 +65,7 @@ def per_time_entropies(ev, subsets, times, log_base):
     routine, any other block goes to the kernel's lone-side routine (to
     eigvalsh without the kernel routines).
     """
-    sides = []
-    for subset in subsets:
-        side = sorted(set(subset))
-        if ev.pure and 2 * len(side) > ev.dim:
-            side = sorted(set(range(1, ev.dim + 1)) - set(side))
-        sides.append(tuple(side))
+    sides = chosen_sides(ev, subsets)
     distinct = sorted(dict.fromkeys(sides), key=len, reverse=True)  # a stable sort keeps the order of ties
     lead_of, paired = {}, set()
     for side in distinct if gaussian._kernel_routines() else []:
@@ -427,6 +439,16 @@ class TestEntropiesKernel:
         with pytest.raises(ValueError):
             entropies(ev, [[1]], [1.0], "ten")
 
+    @pytest.mark.parametrize("times", [1.0e4, [[1.0e4, 1.1e4]], np.ones((2, 3))], ids=["scalar", "row", "table"])
+    def test_times_must_be_one_dimensional(self, times, monkeypatch):
+        ev = quench_evolution(neel_setup(6))
+        built = record_fill_rows(monkeypatch)
+        with pytest.raises(ValueError, match="1-D array of sample times"):
+            entropies(ev, [[1, 2], [3]], times)
+        with pytest.raises(ValueError, match="1-D array of sample times"):
+            observables.ee_timeseries(neel_setup(6), times)
+        assert built == []  # rejected before any block is built
+
 
 def _mixed_evolution():
     c0 = CorrelationMatrix(np.diag([0.5, 1.0, 0.5, 0.0, 1.0, 0.0, 1.0, 0.0]).astype(complex))
@@ -490,11 +512,12 @@ class TestStackedKernel:
         times = np.random.default_rng(5).uniform(1e4, 2e4, 12)
         _, groups = per_time_entropies(ev, subsets, times[:1], log_base)
         assert len(groups) == (1 if case == "mixed" else 2)  # a 1-row group of {R} or {1} beside the rest
-        rows = max(len(group) for group in groups)  # the largest group takes 3 times per chunk
+        rows = max(groups, key=len)  # the largest group takes 3 times per chunk
+        copy = largest_copy(ev, subsets, rows)
         with monkeypatch.context() as patch:
-            patch.setattr(gaussian, "_CHUNK_ENTRIES", 3 * rows * rows)
+            patch.setattr(gaussian, "_CHUNK_ENTRIES", 3 * (len(rows) ** 2 + copy**2))
             patch.setattr(gaussian, "_GIL_FREE_SIZE", 0)  # no floor, and every stack counts as GIL-free
-            k = gaussian._chunk_times(rows)
+            k = gaussian._chunk_times(len(rows), copy)
             assert k == 3
             for threads in (1, 2):
                 # a stand-in count: the real one stays as it is, so both sides do the same arithmetic
@@ -523,18 +546,53 @@ class TestStackedKernel:
                 self.check_chunks(case, log_base, monkeypatch)
 
     def test_chunk_rule_stays_within_the_budget(self):
+        # a time takes one block of the group's rows and one copy of its largest other side: both count
         budget, floor = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE
-        assert (budget, floor) == (40960, 500)  # 640 KiB of complex128 per stack
-        assert gaussian._chunk_times(51) == 15  # each sic_profile row group at L = 100
-        assert gaussian._chunk_times(100) == 6  # the half chain at L = 200: 4 blocks would hold the GIL
-        assert gaussian._chunk_times(101) == gaussian._chunk_times(117) == gaussian._chunk_times(120) == 5
-        assert gaussian._chunk_times(0) >= 1
+        assert (budget, floor) == (40960, 500)  # 640 KiB of complex128 per thread
+        assert gaussian._chunk_times(51, 50) == 10  # each sic_profile row group at L = 100: 8 would hold the GIL
+        assert gaussian._chunk_times(100, 0) == 6  # the half chain at L = 200 copies nothing
+        assert gaussian._chunk_times(116, 111) == gaussian._chunk_times(114, 109) == 5  # the groups at L = 233
+        assert gaussian._chunk_times(0, 0) >= 1
         for rows in range(1, 600):
-            k = gaussian._chunk_times(rows)
-            assert k * rows > floor  # a full chunk's eigvalsh runs without the GIL
-            fewest = (k - 1) * rows <= floor
-            fills_budget = k * rows * rows <= budget < (k + 1) * rows * rows
-            assert fewest or fills_budget, rows
+            for copy in {0, rows // 2, rows - 1}:
+                k, entries = gaussian._chunk_times(rows, copy), rows * rows + copy * copy
+                assert k * rows > floor  # a full chunk's eigvalsh runs without the GIL
+                fewest = (k - 1) * rows <= floor
+                fills_budget = k * entries <= budget < (k + 1) * entries
+                assert fewest or fills_budget, (rows, copy)
+
+    @pytest.mark.parametrize("plan", ["sic_L_100", "half_chain_L_200"])
+    def test_peak_memory_stays_within_the_chunk_budget(self, plan, monkeypatch):
+        # tracemalloc sees numpy's buffers. Per row group, one thread keeps the stack of its blocks and one
+        # copy of its largest other side (none where the side is the whole block), which the chunk rule
+        # counts, besides one time's block build and the spectra: no [count, m, m] array of a side
+        needs_kernel_routines()
+        if plan == "sic_L_100":
+            setup, subsets, log_base = sic_sides_at_L_100()
+        else:
+            setup, subsets, log_base = neel_setup(200), [range(1, 101)], "natural"
+        ev = quench_evolution(setup)
+        times = np.random.default_rng(31).uniform(1e4, 2e4, 30)
+        monkeypatch.setattr(gaussian, "_blas_thread_control", FakeBlas(1).control)  # one thread, one group at a time
+        _, groups = per_time_entropies(ev, subsets, times[:1], log_base)
+        budget, floor, orbitals = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE, ev._factor.shape[1]
+        limit = 0
+        for rows in groups:
+            m, copy = len(rows), largest_copy(ev, subsets, rows)
+            k = max(budget // (m * m + copy * copy), floor // m + 1)  # the budget, or the fewest times past the floor
+            columns = sum(len(side) for side in set(chosen_sides(ev, subsets)) if set(side) <= set(rows))
+            chunk = 16 * min(k, times.size) * (m * m + copy * copy)
+            build = 8 * m * ev.dim + 16 * (ev.dim + m) * orbitals  # the rows of the modes, V e^{iEt} F and W
+            spectra = 64 * min(k, times.size) * columns  # d, e and the entropy terms: 8 doubles a column
+            limit = max(limit, chunk + build + spectra + 128 * 1024)  # and the plan and the LAPACK arguments
+        entropies(ev, subsets, times[:2], log_base)  # first-use allocations outside the measurement
+        tracemalloc.start()
+        try:
+            table = entropies(ev, subsets, times, log_base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes <= limit, (peak - table.nbytes, limit)
 
     def test_no_subsets(self):
         ev = quench_evolution(neel_setup(6))
@@ -605,7 +663,7 @@ class TestChunkThreads:
         get, set_ = real_blas()
         setup, subsets, log_base = sic_sides_at_L_100()
         ev = quench_evolution(setup)
-        times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, chunks of 15, 15 and 10 times
+        times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, 4 chunks of 10 times
         seen = record_fill_threads(monkeypatch, get)
         before = get()
         try:
@@ -1000,6 +1058,35 @@ class TestPairedSides:
             assert [len(rows) for rows in groups] == [51, 51]
             assert np.array_equal(got, expected), symbol
             assert np.abs(got - paired).max() <= 1e-12
+
+    @pytest.mark.parametrize("routine, info", [(1, 9), (2, 3)], ids=["zhetrd", "dsterf"])
+    def test_lapack_failure_at_a_later_time_of_a_chunk_raises(self, routine, info, monkeypatch):
+        # each call of a chunk writes an INFO of its own: a failure at its 3rd time is not overwritten by the
+        # 4th and 5th, and a failed reduction is caught before any dsterf runs
+        needs_kernel_routines()
+        routines, calls = list(gaussian._kernel_routines()), {1: 0, 2: 0}
+
+        def failing(which):
+            real = routines[which]
+
+            def call(*args):
+                real(*args)
+                if which == 1 and ctypes.c_int64.from_address(args[8]).value == -1:
+                    return  # zhetrd's workspace query
+                calls[which] += 1
+                if which == routine and calls[which] == 3:
+                    ctypes.c_int64.from_address(args[info]).value = 1
+
+            return call
+
+        wrapped = (routines[0], failing(1), failing(2))
+        monkeypatch.setattr(gaussian, "_kernel_routines", lambda: wrapped)
+        ev, blas = quench_evolution(neel_setup(12)), FakeBlas(2)
+        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            entropies(ev, [range(1, 7)], np.linspace(1e4, 2e4, 5))  # one side, one chunk of 5 times
+        assert calls == ({1: 5, 2: 0} if routine == 1 else {1: 5, 2: 5})
+        assert blas.history == [1, 2] and blas.threads == 2
 
     @pytest.mark.parametrize("subsets", [[[3, 4, 5], [3, 4, 5, 13]], [[6], [6, 13]], [[2, 3, 4, 5]], [[13]]],
                              ids=["four-modes", "two-modes", "lone-four-modes", "lone-one-mode"])
