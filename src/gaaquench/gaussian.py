@@ -489,7 +489,9 @@ class _SideSpectra:
         starts = np.cumsum([0] + sizes).tolist()
         self.segments = [(slice(start, start + size), cols) for start, (size, cols) in zip(starts, segments)]
         self._sides, self._reduced = len(sides), starts[len(sides)]  # the columns that zhetrd writes
-        self._table = np.zeros((2, chunk, starts[-1]))  # d, and e in the first size - 1 columns of each segment
+        # d, and e in the first size - 1 columns of each segment; zeros, as the finiteness check reads the last
+        # column of each side's e, which nothing writes
+        self._table = np.zeros((2, chunk, starts[-1]))
         # the INFO of each zhetrd, then of each dsterf, by time; the last column, the workspace query's
         self._info = np.zeros((chunk, len(sides) + len(sizes) + 1), dtype=np.int64)
         self._copy = np.empty((chunk, group.copy, group.copy), dtype=complex)
