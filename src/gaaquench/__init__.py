@@ -12,8 +12,6 @@ from .gaussian import (
     QuenchEvolution,
     QuenchSetup,
     initial_correlation,
-    mutual_information,
-    subsystem_entropy,
 )
 from .observables import (
     EETimeSeries,
@@ -23,7 +21,6 @@ from .observables import (
     ee_timeseries,
     pearson,
     saturation_value,
-    scaling_exponent,
     sic_jump,
     sic_profile,
 )
@@ -46,8 +43,6 @@ __all__ = [
     "QuenchEvolution",
     "QuenchSetup",
     "initial_correlation",
-    "mutual_information",
-    "subsystem_entropy",
     "EETimeSeries",
     "SamplingProtocol",
     "SicProfile",
@@ -55,7 +50,6 @@ __all__ = [
     "ee_timeseries",
     "pearson",
     "saturation_value",
-    "scaling_exponent",
     "sic_jump",
     "sic_profile",
     "__version__",

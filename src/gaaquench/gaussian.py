@@ -67,10 +67,6 @@ class CorrelationMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def particle_number(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
 
 @dataclass(frozen=True)
 class QuenchSetup:
@@ -296,16 +292,6 @@ def entropy_of_block(block: np.ndarray, log_base: str = "natural") -> float:
     return float(block_entropies(block, log_base))
 
 
-def subsystem_entropy(c: CorrelationMatrix, sites, log_base: str = "natural") -> float:
-    """Von Neumann entropy of the modes in `sites` (1-based labels; empty set gives 0)."""
-    idx = _site_indices(sites, c.dim)
-    if idx.size == 0:
-        return 0.0
-    nu = np.linalg.eigvalsh(c.matrix[np.ix_(idx, idx)])
-    _check_occupations(nu)  # CorrelationMatrix itself checks only Hermiticity
-    return binary_entropy(nu, log_base)
-
-
 def reference_information(a_subsets, reference_index: int | None, entropy_of_sets) -> np.ndarray:
     """I(A:R) = S(A) + S(R) - S(AR) in bits for each A in a_subsets.
 
@@ -323,15 +309,6 @@ def reference_information(a_subsets, reference_index: int | None, entropy_of_set
     mi = s[..., :n] + s[..., n : n + 1]
     mi -= s[..., n + 1 :]  # in place: one [times, sizes] temporary fewer at the peak
     return mi
-
-
-def mutual_information(c: CorrelationMatrix, a_sites) -> float:
-    """I(A:R) in bits between subsystem A and the reference mode, from the three
-    sets evaluated directly (no purity is assumed of a bare matrix)."""
-    mi = reference_information(
-        [a_sites], c.reference_index, lambda sets: [subsystem_entropy(c, x, "two") for x in sets]
-    )
-    return float(mi[0])
 
 
 def _chunk_times(rows: int, copy: int) -> int:

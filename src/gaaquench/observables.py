@@ -10,7 +10,7 @@ small-subsystem jump value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,15 +184,6 @@ def fit_power_law(sizes, values) -> tuple[float, float]:
     return slope, stderr
 
 
-def scaling_exponent(setup: QuenchSetup, sizes, protocol: SamplingProtocol) -> tuple[float, float]:
-    """Finite-size scaling exponent of the saturation entropy over the given chain lengths."""
-    values = []
-    for L in sizes:
-        resized = replace(setup, spec=replace(setup.spec, L=int(L)))
-        values.append(saturation_value(resized, protocol))
-    return fit_power_law(sizes, values)
-
-
 def reference_site_for(L: int, coupling: str) -> int:
     """Chain site the reference couples to: the center L/2 or the edge 1."""
     if coupling not in COUPLINGS:
@@ -234,8 +225,6 @@ def sic_profile(
             f"got {setup.reference_site}"
         )
     sizes = sorted(int(s) for s in sizes)
-    if sizes and sizes[-1] > L:
-        raise ValueError(f"subsystem size {sizes[-1]} exceeds L={L}")
     windows = [subsystem_window(L, coupling, s) for s in sizes]
     ev = quench_evolution(setup)
     ts = sample_times(protocol)
@@ -257,6 +246,8 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
         raise ValueError("pearson needs two equal-length samples of size >= 3")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):  # n_e and n_l are NaN at the AA critical point
+        raise ValueError("pearson needs finite samples")
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise ValueError("degenerate variance")
     dx, dy = x - x.mean(), y - y.mean()

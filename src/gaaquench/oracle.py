@@ -46,12 +46,6 @@ class FockBasis:
         return len(self.states)
 
 
-def full_basis(modes: int) -> FockBasis:
-    _check_modes(modes)
-    states = tuple(range(2**modes))
-    return FockBasis(modes, None, states, {n: n for n in states})
-
-
 def fixed_number_basis(modes: int, particles: int) -> FockBasis:
     _check_modes(modes)
     if not 0 <= particles <= modes:

@@ -339,10 +339,7 @@ def _point_saturation(config: ExperimentConfig, protocol: SamplingProtocol, a: f
 
 
 def _point_scaling(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
-    means = []
-    for L in config.L:
-        values = [observables.saturation_value(s, protocol) for s in _realization_setups(config, a, lam, L)]
-        means.append(float(np.mean(values)))
+    means = [_point_saturation(config, protocol, a, lam, L)[0][3] for L in config.L]
     alpha, stderr = observables.fit_power_law(config.L, means)
     return [(a, lam, alpha, stderr)]
 

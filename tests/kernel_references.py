@@ -1,4 +1,5 @@
-"""The spectral routines of `gaussian.entropies` applied to one block at a time: exact references."""
+"""References for `gaussian.entropies`: its spectral routines applied to one block at a time, and the
+bare textbook path (the entropy of one restricted block, Peschel 2003) built from package names alone."""
 
 import numpy as np
 
@@ -26,3 +27,18 @@ def kernel_entropy(block, log_base="natural"):
     if gaussian._kernel_routines() is None or block.shape[0] == 0:
         return gaussian.entropy_of_block(block, log_base)
     return float(gaussian._binary_entropies(side_spectra(block)[0], log_base))
+
+
+def bare_entropy(c, sites, log_base="natural"):
+    """Entropy of the modes `sites` (1-based) of a CorrelationMatrix: entropy_of_block of its restricted
+    block, with none of the kernel's side choice, pairing or LAPACK path."""
+    idx = gaussian._site_indices(sites, c.dim)
+    return gaussian.entropy_of_block(c.matrix[np.ix_(idx, idx)], log_base)
+
+
+def bare_information(c, a_sites):
+    """I(A:R) in bits of a CorrelationMatrix with a reference mode, through reference_information on
+    the bare entropies of the three sets (no purity is assumed)."""
+    mi = gaussian.reference_information([a_sites], c.reference_index,
+                                        lambda sets: [bare_entropy(c, x, "two") for x in sets])
+    return float(mi[0])

@@ -12,12 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gaaquench.gaussian import (
-    QuenchSetup,
-    mutual_information,
-    quench_evolution,
-    subsystem_entropy,
-)
+from gaaquench.gaussian import QuenchSetup, entropies, quench_evolution, reference_information
 from gaaquench.model import LatticeSpec, build_hamiltonian
 from gaaquench.observables import (
     SamplingProtocol,
@@ -25,19 +20,20 @@ from gaaquench.observables import (
     pearson,
     quench_velocity,
     saturation_value,
-    scaling_exponent,
     sic_jump,
     sic_profile,
     subsystem_window,
 )
 from gaaquench.oracle import (
+    exact_entropies,
     exact_entropy,
     exact_evolve,
     initial_state,
     many_body_hamiltonian,
 )
-from gaaquench.runner import parse_config, run
+from gaaquench.runner import ExperimentConfig, _point_scaling, parse_config, run
 from gaaquench.spectral import PHASE_INTERMEDIATE, PHASE_LOCALIZED, analyze, phase_region
+from kernel_references import bare_entropy, bare_information
 from oracle_references import exact_mutual_information
 
 PROTOCOL = SamplingProtocol(seed=20240)
@@ -73,42 +69,49 @@ def jump_profiles():
 
 
 def test_criterion_1_oracle_equivalence_ee():
+    # the production kernel against the oracle's table, then the bare path against one-shot evolution
     start = time.perf_counter()
     setup = neel(8, 1.0, 0.3)
     ev = quench_evolution(setup)
     basis, psi0 = initial_state(setup)
     hamiltonian = many_body_hamiltonian(build_hamiltonian(setup.spec), basis)
     half = half_chain_sites(8)
-    deltas = []
-    for t in (0.5, 1.0, 2.0, 5.0, 10.0):
-        s_gauss = subsystem_entropy(ev.correlation_at(t), half)
-        s_exact = exact_entropy(exact_evolve(psi0, hamiltonian, t), basis, half)
-        deltas.append(abs(s_gauss - s_exact))
+    times = (0.5, 1.0, 2.0, 5.0, 10.0)
+    kernel = np.abs(entropies(ev, [half], times) - exact_entropies(setup, [half], times)).max()
+    bare = max(
+        abs(bare_entropy(ev.correlation_at(t), half) - exact_entropy(exact_evolve(psi0, hamiltonian, t), basis, half))
+        for t in times
+    )
     elapsed = time.perf_counter() - start
-    report(1, f"EE oracle equivalence: max |dS| = {max(deltas):.3e} ({elapsed:.1f} s)")
-    assert max(deltas) <= 1e-8
+    report(1, f"EE oracle equivalence: max |dS| = {kernel:.3e} (kernel), {bare:.3e} (bare) ({elapsed:.1f} s)")
+    assert kernel <= 1e-8
+    assert bare <= 1e-8
     assert elapsed < 10.0
 
 
 def test_criterion_2_oracle_equivalence_sic():
+    # the production kernel against the oracle's table, then the bare path against one-shot evolution
     start = time.perf_counter()
     setup = neel(6, 0.5, 0.0, reference=3)
     ev = quench_evolution(setup)
     basis, psi0 = initial_state(setup)
     h = build_hamiltonian(setup.spec)
     hamiltonian = many_body_hamiltonian(np.pad(h, (0, 1)), basis)
-    deltas = []
-    for t in (1.0, 3.0, 7.0):
+    windows = [subsystem_window(6, "center", size) for size in range(7)]
+    times = (1.0, 3.0, 7.0)
+    i_kernel = reference_information(windows, 7, lambda sets: entropies(ev, sets, times, "two"))
+    i_exact = reference_information(windows, 7, lambda sets: exact_entropies(setup, sets, times, "two"))
+    kernel = np.abs(i_kernel - i_exact).max()
+    bare = 0.0
+    for t in times:
         c = ev.correlation_at(t)
         psi_t = exact_evolve(psi0, hamiltonian, t)
-        for size in range(7):
-            window = subsystem_window(6, "center", size)
-            i_gauss = mutual_information(c, window)
-            i_exact = exact_mutual_information(psi_t, basis, window, 7)
-            deltas.append(abs(i_gauss - i_exact))
+        for window in windows:
+            bare = max(bare, abs(bare_information(c, window) - exact_mutual_information(psi_t, basis, window, 7)))
     elapsed = time.perf_counter() - start
-    report(2, f"SIC oracle equivalence: max |dI| = {max(deltas):.3e} ({elapsed:.1f} s)")
-    assert max(deltas) <= 1e-8
+    report(2, f"SIC oracle equivalence: max |dI| = {kernel:.3e} (kernel), {bare:.3e} (bare) ({elapsed:.1f} s)")
+    assert kernel <= 1e-8
+    assert bare <= 1e-8
     assert elapsed < 30.0
 
 
@@ -152,10 +155,12 @@ def test_criterion_3_saturation_contrast():
 
 def test_criterion_4_scaling_exponents():
     start = time.perf_counter()
-    sizes = (80, 120, 160, 200, 240)
+    # the points of one `gaa scaling` run, each at PROTOCOL
+    config = ExperimentConfig("scaling", L=(80, 120, 160, 200, 240), lam=(0.5, 1.0, 1.5), a=(0.0, 0.3))
     results = {}
     for a, lam in ((0.0, 0.5), (0.0, 1.5), (0.3, 1.0)):
-        results[(a, lam)] = scaling_exponent(neel(80, lam, a), sizes, PROTOCOL)
+        [(_, _, alpha, err)] = _point_scaling(config, PROTOCOL, a, lam)
+        results[(a, lam)] = alpha, err
     elapsed = time.perf_counter() - start
     summary = ", ".join(
         f"alpha(a={a}, lam={lam}) = {alpha:.3f} +- {err:.3f}"

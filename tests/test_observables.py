@@ -11,7 +11,6 @@ from gaaquench.gaussian import (
     CorrelationMatrix,
     QuenchEvolution,
     QuenchSetup,
-    mutual_information,
     quench_evolution,
 )
 from gaaquench.model import LatticeSpec
@@ -31,13 +30,13 @@ from gaaquench.observables import (
     reference_site_for,
     sample_times,
     saturation_value,
-    scaling_exponent,
     sic_jump,
     sic_profile,
     steady_entropy_mean,
     subsystem_window,
 )
-from kernel_references import kernel_entropy
+from gaaquench.runner import _point_scaling, parse_config
+from kernel_references import bare_information, kernel_entropy
 
 FAST = SamplingProtocol(burn_in=50.0, n_samples=40, mean_interval=2.0, jitter=1.0, seed=9)
 
@@ -270,8 +269,8 @@ class TestScalingFit:
             fit_power_law([100, 200], [1.0, 2.0])
 
     def test_scaling_exponent_of_real_quench(self):
-        setup = QuenchSetup(LatticeSpec(L=12, lam=0.5, a=0.0), "neel")
-        alpha, stderr = scaling_exponent(setup, (12, 16, 20, 24), FAST)
+        config = parse_config("experiment = scaling\nL = 12, 16, 20, 24\na = 0\nlambda = 0.5\n")
+        [(_, _, alpha, stderr)] = _point_scaling(config, FAST, 0.0, 0.5)
         assert 0.5 < alpha < 1.5  # volume-law trend already visible at toy sizes
         assert stderr >= 0.0
 
@@ -325,10 +324,15 @@ class TestSicProfile:
         with pytest.raises(ValueError):
             sic_profile(setup, range(9), "center", FAST)
 
-    def test_sizes_beyond_chain_rejected(self):
+    def test_sizes_beyond_chain_rejected(self, monkeypatch):
+        def no_evolution(setup):
+            raise AssertionError("an evolution was built before the sizes were checked")
+
+        monkeypatch.setattr(gaaquench.observables, "quench_evolution", no_evolution)
         setup = QuenchSetup(LatticeSpec(L=8, lam=0.8, a=0.3), "neel", reference_site=4)
-        with pytest.raises(ValueError):
-            sic_profile(setup, [0, 9], "center", FAST)
+        for sizes, bad in (([0, 9], 9), ([-1, 8], -1)):  # L + 1 and -1
+            with pytest.raises(ValueError, match=rf"subsystem size {bad} outside 0\.\.8"):
+                sic_profile(setup, sizes, "center", FAST)
 
     def test_jump_extraction(self):
         profile = SicProfile("center", [0, 5, 8], [0.0, 1.25, 2.0], "open")
@@ -358,7 +362,7 @@ class TestSamplingKernelEquivalence:
         profile = sic_profile(setup, range(L + 1), coupling, LATE)
         ev = quench_evolution(setup)
         direct = [
-            np.mean([mutual_information(ev.correlation_at(t), subsystem_window(L, coupling, size))
+            np.mean([bare_information(ev.correlation_at(t), subsystem_window(L, coupling, size))
                      for t in sample_times(LATE)])
             for size in range(L + 1)
         ]
@@ -401,6 +405,12 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("x, y", [([0.1, 0.2, 0.3], [0.0, np.nan, 1.0]), ([0.1, np.inf, 0.3], [0.0, 0.5, 1.0])],
+                             ids=["nan", "inf"])
+    def test_non_finite_samples_rejected(self, x, y):
+        with pytest.raises(ValueError, match="finite samples"):
+            pearson(x, y)
 
     def test_textbook_value(self):
         # deviations from the mean 2.5: (-1.5, -0.5, 0.5, 1.5) and (-1.5, 0.5, -0.5, 1.5), so r = 4 / 5

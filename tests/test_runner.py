@@ -502,6 +502,28 @@ class TestRun:
         assert lines[0] == "a,lambda,alpha,stderr"
         assert len(lines) == 2
 
+    def test_scaling_point_fits_the_saturation_means(self):
+        # `gaa scaling` and `gaa saturation` share one path: the fit runs over the realization means
+        config = parse_config(
+            "experiment = scaling\nL = 8, 12, 16\na = 0\nlambda = 0.5, 1.5\ninitial = random_product\n"
+            "n_random = 2\nn_samples = 40\nburn_in = 50\nmean_interval = 2\njitter = 1\n"
+        )
+        protocol = config.protocol(runner.derived_seed(config.seed, 0))
+        for lam in config.lam:
+            means = [runner._point_saturation(config, protocol, 0.0, lam, L)[0][3] for L in config.L]
+            expected = (0.0, lam, *observables.fit_power_law(config.L, means))
+            assert runner._point_scaling(config, protocol, 0.0, lam) == [expected]
+
+    @pytest.mark.parametrize("experiment", ["saturation", "sic_jump"])
+    def test_sweep_through_the_aa_critical_point_writes_no_figure(self, tmp_path, experiment):
+        # n_e and n_l are NaN at a = 0, lambda = 1: no fractions.csv and no NaN pearson_r
+        config = parse_config(f"experiment = {experiment}\nL = 20\na = 0\nlambda = 0.5, 1.0, 1.5\n"
+                              "n_samples = 20\nburn_in = 100\n")
+        manifest = run(config, tmp_path)
+        assert manifest["failures"] == []
+        assert [o["file"] for o in manifest["outputs"]] == [runner.EXPERIMENTS[experiment].output]
+        assert not (tmp_path / "fractions.csv").exists() and not (tmp_path / "correlation.csv").exists()
+
     def test_fractions_sweep(self, tmp_path):
         config = parse_config("experiment = fractions\nL = 100\na = 0.3\nlambda = 0.5, 1.0, 2.0\n")
         run(config, tmp_path)
