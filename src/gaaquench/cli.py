@@ -57,7 +57,8 @@ def main(argv=None) -> int:
         return 1
     if experiment == "verify":
         status = "PASS" if manifest["verify_passed"] else "FAIL"
-        print(f"verify: max |delta| = {manifest['max_abs_delta']:.3e} [{status}]")
+        checks = ", ".join(manifest["verify_checks"])
+        print(f"verify ({checks}): max |delta| = {manifest['max_abs_delta']:.3e} [{status}]")
         if not manifest["verify_passed"]:
             return 1
     return 0

@@ -39,8 +39,6 @@ _GIL_FREE_SIZE = 500
 
 INITIAL_STATES = ("neel", "domain_wall", "random_product", "custom")
 
-LOG_BASES = ("natural", "two")
-
 
 @dataclass
 class CorrelationMatrix:
@@ -248,55 +246,44 @@ def _entropy_terms(nu: np.ndarray) -> np.ndarray:
     return nu * np.log(nu) + (1.0 - nu) * np.log(1.0 - nu)
 
 
-def _entropy_of_terms(terms: np.ndarray, log_base: str) -> np.ndarray:
-    """-sum of _entropy_terms over the last axis, in the log base."""
-    s = -terms.sum(axis=-1)
-    return s / math.log(2.0) if log_base == "two" else s
-
-
-def _binary_entropies(nu: np.ndarray, log_base: str) -> np.ndarray:
+def _binary_entropies(nu: np.ndarray) -> np.ndarray:
     """-sum [nu log nu + (1-nu) log(1-nu)] over the last axis, nu clamped into [1e-12, 1-1e-12]."""
-    return _entropy_of_terms(_entropy_terms(nu), log_base)
+    return -_entropy_terms(nu).sum(axis=-1)
 
 
-def _check_log_base(log_base: str) -> None:
-    if log_base not in LOG_BASES:
-        raise ValueError(f"log_base must be one of {LOG_BASES}")
-
-
-def block_entropies(blocks: np.ndarray, log_base: str = "natural") -> np.ndarray:
-    """Entropy of each restricted correlation matrix in a stack [..., n, n] (Hermitian): array [...].
+def block_entropies(blocks: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each restricted correlation matrix in a stack [..., n, n] (Hermitian): array [...].
 
     One eigvalsh call and one binary-entropy reduction serve the whole stack;
     numpy diagonalises each matrix on its own, so every value equals that of
     the matrix alone. n = 0 gives entropies 0.
     """
-    _check_log_base(log_base)
     blocks = np.asarray(blocks)
     if blocks.shape[-1] == 0:
         return np.zeros(blocks.shape[:-2])
-    return _binary_entropies(np.linalg.eigvalsh(blocks), log_base)
+    return _binary_entropies(np.linalg.eigvalsh(blocks))
 
 
-def binary_entropy(nu: np.ndarray, log_base: str = "natural") -> float:
-    """-sum [nu log nu + (1-nu) log(1-nu)] with nu clamped into [1e-12, 1-1e-12]."""
-    _check_log_base(log_base)
-    return float(_binary_entropies(np.asarray(nu).ravel(), log_base))
+def binary_entropy(nu: np.ndarray) -> float:
+    """-sum [nu log nu + (1-nu) log(1-nu)] in nats, with nu clamped into [1e-12, 1-1e-12]."""
+    return float(_binary_entropies(np.asarray(nu).ravel()))
 
 
-def entropy_of_block(block: np.ndarray, log_base: str = "natural") -> float:
+def entropy_of_block(block: np.ndarray) -> float:
     """Entropy of a restricted correlation matrix (one Hermitian block): block_entropies of one block."""
     block = np.asarray(block)
     if block.ndim != 2:
         raise ValueError(f"entropy_of_block takes one 2-D block, got shape {block.shape}")
-    return float(block_entropies(block, log_base))
+    return float(block_entropies(block))
 
 
 def reference_information(a_subsets, reference_index: int | None, entropy_of_sets) -> np.ndarray:
     """I(A:R) = S(A) + S(R) - S(AR) in bits for each A in a_subsets.
 
     entropy_of_sets maps a list of mode sets (1-based) to their entropies in
-    bits along the last axis; it is asked once for [A_1.., R, A_1 + R..].
+    nats along the last axis; it is asked once for [A_1.., R, A_1 + R..]. The
+    table is converted to bits here, once, before the sums; a float array that
+    the callback returns is converted in place.
     """
     if reference_index is None:
         raise ValueError("mutual information needs a reference mode")
@@ -304,7 +291,8 @@ def reference_information(a_subsets, reference_index: int | None, entropy_of_set
     if any(reference_index in a for a in a_sets):
         raise ValueError("subsystem A must not contain the reference mode")
     r = [reference_index]
-    s = np.asarray(entropy_of_sets(a_sets + [r] + [a + r for a in a_sets]))
+    s = np.asarray(entropy_of_sets(a_sets + [r] + [a + r for a in a_sets]), dtype=float)
+    s /= math.log(2.0)  # in place: no second [times, sets] table at the peak
     n = len(a_sets)
     mi = s[..., :n] + s[..., n : n + 1]
     mi -= s[..., n + 1 :]  # in place: one [times, sizes] temporary fewer at the peak
@@ -552,8 +540,8 @@ def _one_blas_thread():
         set_(before)
 
 
-def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natural") -> np.ndarray:
-    """Entropy of each subset (1-based mode labels) at each time: array [n_times, n_subsets].
+def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
+    """Entropy in nats of each subset (1-based mode labels) at each time: array [n_times, n_subsets].
 
     Everything is planned once before the time loop. For a pure state
     S(X) = S(complement of X) (Peschel, J. Phys. A 36, L205 (2003)), so a
@@ -590,7 +578,6 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so importing gaaquench.runner does not load it
 
-    _check_log_base(log_base)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D array of sample times, got shape {times.shape}")
@@ -620,11 +607,11 @@ def entropies(evolution: QuenchEvolution, subsets, times, log_base: str = "natur
             done = slice(start, start + count)
             if spectra is None:
                 for cut, _, cols, _ in group.cuts:
-                    values[done, cols] = block_entropies(stack[:count][(slice(None), *cut)], log_base)[:, None]
+                    values[done, cols] = block_entropies(stack[:count][(slice(None), *cut)])[:, None]
                 continue
             terms = _entropy_terms(spectra(count))  # the empty side keeps its 0
             for segment, cols in spectra.segments:
-                values[done, cols] = _entropy_of_terms(terms[:, segment], log_base)[:, None]
+                values[done, cols] = -terms[:, segment].sum(axis=-1)[:, None]
 
     # an executor starts a thread only when a share is submitted to it
     with _one_blas_thread() as threads, ThreadPoolExecutor(max(threads - 1, 1)) as pool:

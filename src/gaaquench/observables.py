@@ -145,14 +145,9 @@ def quench_velocity(setup: QuenchSetup, protocol: SamplingProtocol) -> float:
     return early_velocity(ee_timeseries(setup, fit_window_times(protocol)), protocol)
 
 
-def steady_entropy_mean(
-    ev: QuenchEvolution,
-    sites,
-    protocol: SamplingProtocol,
-    log_base: str = "natural",
-) -> float:
-    """Mean subsystem entropy over the protocol's steady-state sample times."""
-    return float(np.mean(entropies(ev, [sites], sample_times(protocol), log_base)[:, 0]))
+def steady_entropy_mean(ev: QuenchEvolution, sites, protocol: SamplingProtocol) -> float:
+    """Mean subsystem entropy in nats over the protocol's steady-state sample times."""
+    return float(np.mean(entropies(ev, [sites], sample_times(protocol))[:, 0]))
 
 
 def saturation_value(setup: QuenchSetup, protocol: SamplingProtocol) -> float:
@@ -216,7 +211,7 @@ def sic_profile(
     coupling: str,
     protocol: SamplingProtocol,
 ) -> SicProfile:
-    """Steady-state I(A:R) for each |A|, averaged over the protocol's sample times."""
+    """Steady-state I(A:R) in bits for each |A|, averaged over the protocol's sample times."""
     L = setup.spec.L
     expected = reference_site_for(L, coupling)
     if setup.reference_site != expected:
@@ -228,7 +223,7 @@ def sic_profile(
     windows = [subsystem_window(L, coupling, s) for s in sizes]
     ev = quench_evolution(setup)
     ts = sample_times(protocol)
-    mi = reference_information(windows, ev.reference_index, lambda sets: entropies(ev, sets, ts, "two"))
+    mi = reference_information(windows, ev.reference_index, lambda sets: entropies(ev, sets, ts))
     return SicProfile(coupling, np.asarray(sizes), mi.mean(axis=0), setup.spec.boundary)
 
 

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gaussian import QuenchSetup, _check_log_base, _site_indices, occupation_pattern, setup_hamiltonian
+from .gaussian import QuenchSetup, _site_indices, occupation_pattern, setup_hamiltonian
 
 MAX_MODES = 12
 
@@ -137,13 +137,12 @@ def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.nd
     return psi @ psi.conj().T
 
 
-def exact_entropy(state: np.ndarray, basis: FockBasis, subset, log_base: str = "natural") -> float:
-    """Von Neumann entropy of the reduced density matrix on `subset` (1-based modes).
+def exact_entropy(state: np.ndarray, basis: FockBasis, subset) -> float:
+    """Von Neumann entropy in nats of the reduced density matrix on `subset` (1-based modes).
 
     The state vector is pure, so the larger side is replaced by its complement
     (a tie keeps `subset`); an empty side has entropy 0 and builds no matrix.
     """
-    _check_log_base(log_base)
     labels = (_site_indices(subset, basis.modes) + 1).tolist()
     if 2 * len(labels) > basis.modes:
         labels = sorted(set(range(1, basis.modes + 1)) - set(labels))
@@ -152,8 +151,7 @@ def exact_entropy(state: np.ndarray, basis: FockBasis, subset, log_base: str = "
     rho = reduced_density_matrix(state, basis, labels)
     p = np.linalg.eigvalsh(rho)
     p = p[p > 1e-14]
-    s = float(-(p * np.log(p)).sum())
-    return s / math.log(2.0) if log_base == "two" else s
+    return float(-(p * np.log(p)).sum())
 
 
 def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
@@ -185,10 +183,10 @@ def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
     return basis, state
 
 
-def exact_entropies(setup: QuenchSetup, subsets, times, log_base: str = "natural") -> np.ndarray:
+def exact_entropies(setup: QuenchSetup, subsets, times) -> np.ndarray:
     """gaussian.entropies(quench_evolution(setup), ...) on the exact sector state: entropy of each
     subset (1-based modes) at each time, [n_times, n_subsets], from one many-body eigh."""
     basis, state = initial_state(setup)
     evolution = ExactEvolution(state, many_body_hamiltonian(setup_hamiltonian(setup), basis))
-    values = [[exact_entropy(psi, basis, x, log_base) for x in subsets] for psi in map(evolution.state_at, times)]
+    values = [[exact_entropy(psi, basis, x) for x in subsets] for psi in map(evolution.state_at, times)]
     return np.array(values, dtype=float).reshape(len(values), len(subsets))

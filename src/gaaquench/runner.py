@@ -90,12 +90,11 @@ class ExperimentConfig:
         experiment = EXPERIMENTS.get(self.experiment)
         if experiment is None:
             raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}")
-        for name, values in (("L", self.L), ("lambda", self.lam), ("a", self.a)):
-            if not values:
-                raise ConfigError(f"sweep range for '{name}' is empty")
-        object.__setattr__(self, "L", tuple(sorted(int(v) for v in self.L)))
-        object.__setattr__(self, "lam", tuple(sorted(float(v) for v in self.lam)))
-        object.__setattr__(self, "a", tuple(sorted(float(v) for v in self.a)))
+        for name, kind in (("L", int), ("lam", float), ("a", float)):
+            key = _KEY_OF_FIELD.get(name, name)
+            if not getattr(self, name):
+                raise ConfigError(f"sweep range for '{key}' is empty")
+            object.__setattr__(self, name, _sorted_distinct(key, map(kind, getattr(self, name))))
         if self.L[-1] > MAX_L:
             raise ConfigError(f"L must be at most {MAX_L}, got {self.L[-1]}")
         points = len(self.a) * len(self.lam) * len(self.L)
@@ -115,7 +114,7 @@ class ExperimentConfig:
         if experiment.fixed_sizes and self.sizes is not None:
             raise ConfigError(f"sizes are fixed to {{0, {observables.JUMP_SIZE}, L}} for {self.experiment}")
         if self.sizes is not None:
-            sizes = tuple(sorted(int(s) for s in self.sizes))
+            sizes = _sorted_distinct("sizes", map(int, self.sizes))
             if not sizes:
                 raise ConfigError("sizes is empty")
             if sizes[0] < 0 or sizes[-1] > self.L[-1]:
@@ -187,6 +186,15 @@ class ExperimentConfig:
         if isinstance(kwargs.get("b"), str):
             kwargs["b"] = Fraction(kwargs["b"])
         return cls(**kwargs)
+
+
+def _sorted_distinct(key: str, values) -> tuple:
+    """The values of a sweep key in ascending order; a repeated value would run one point twice."""
+    values = tuple(sorted(values))
+    for before, value in zip(values, values[1:]):
+        if before == value:
+            raise ConfigError(f"'{key}' repeats the value {value:g}")
+    return values
 
 
 # the one config key that differs from the ExperimentConfig field it sets
@@ -382,8 +390,8 @@ def _point_verify(config: ExperimentConfig, protocol: SamplingProtocol, a: float
         ev_r = quench_evolution(setup_r)
         windows = [observables.subsystem_window(L, "center", size) for size in range(L + 1)]
         times = (1.0, 3.0, 7.0)
-        gauss = reference_information(windows, L + 1, lambda sets: entropies(ev_r, sets, times, "two"))
-        exact = reference_information(windows, L + 1, lambda sets: oracle.exact_entropies(setup_r, sets, times, "two"))
+        gauss = reference_information(windows, L + 1, lambda sets: entropies(ev_r, sets, times))
+        exact = reference_information(windows, L + 1, lambda sets: oracle.exact_entropies(setup_r, sets, times))
         rows += [("sic", t, size, g, e, abs(g - e))
                  for t, g_t, e_t in zip(times, gauss, exact) for size, (g, e) in enumerate(zip(g_t, e_t))]
     return rows
@@ -391,7 +399,8 @@ def _point_verify(config: ExperimentConfig, protocol: SamplingProtocol, a: float
 
 def _verify_summary(rows: list[tuple]) -> dict:
     max_abs_delta = max(row[5] for row in rows)
-    return {"max_abs_delta": max_abs_delta, "verify_passed": bool(max_abs_delta <= _ORACLE_TOLERANCE)}
+    return {"max_abs_delta": max_abs_delta, "verify_passed": bool(max_abs_delta <= _ORACLE_TOLERANCE),
+            "verify_checks": list(dict.fromkeys(row[0] for row in rows))}
 
 
 @dataclass(frozen=True)
@@ -463,10 +472,13 @@ def _write_csv(path: Path, name: str, rows: list[tuple]) -> dict:
     return {"file": name, "rows": len(rows), "sha256": digest}
 
 
-def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list[tuple]) -> list[dict]:
-    """fractions.csv and the Pearson row tying a lambda sweep to them (single a, single L)."""
-    if len(config.a) != 1 or len(config.L) != 1 or len(config.lam) < 3:
-        return []
+def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list, failures: list) -> tuple[list, str | None]:
+    """fractions.csv and the Pearson row tying a lambda sweep at single a and L to them, or no files and why
+    not; ([], None) where the experiment draws no figure or the sweep has another shape."""
+    if figure is None or len(config.a) != 1 or len(config.L) != 1 or len(config.lam) < 3:
+        return [], None
+    if failures:
+        return [], f"{len(failures)} sweep point(s) failed"
     name, fraction, by_lambda = figure
     keyed = by_lambda(rows)
     fractions = [
@@ -475,10 +487,10 @@ def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list[tuple]
     values = [keyed[lam] for lam in config.lam]
     try:
         corr = [(name, observables.pearson(values, [getattr(d, fraction) for d in fractions]))]
-    except ValueError:
-        return []  # degenerate sweep; nothing meaningful to report
+    except ValueError as exc:  # a degenerate sweep: nothing meaningful to report
+        return [], str(exc)
     fraction_rows = [(config.a[0], lam, d.n_e, d.n_l) for lam, d in zip(config.lam, fractions)]
-    return [_write_csv(out, "fractions.csv", fraction_rows), _write_csv(out, "correlation.csv", corr)]
+    return [_write_csv(out, "fractions.csv", fraction_rows), _write_csv(out, "correlation.csv", corr)], None
 
 
 def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict], list[float], dict]:
@@ -530,8 +542,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     experiment = EXPERIMENTS[config.experiment]
     rows, failures, point_wall_s, threads = _run_points(config, experiment)
     outputs = [_write_csv(out, experiment.output, rows)]
-    if experiment.figure is not None and not failures:
-        outputs += _write_figure(out, config, experiment.figure, rows)
+    figure, figure_skipped = _write_figure(out, config, experiment.figure, rows, failures)
     manifest = {
         "experiment": config.experiment,
         "config": config.to_dict(),
@@ -540,10 +551,12 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "started": started,
         "wall_time_s": time.perf_counter() - t0,
         "point_wall_s": point_wall_s,
-        "outputs": outputs,
+        "outputs": outputs + figure,
         "failures": failures,
         "environment": _environment(config, threads),
     }
+    if figure_skipped is not None:
+        manifest["figure_skipped"] = figure_skipped
     if experiment.summary is not None:
         manifest.update(experiment.summary(rows))
     with open(out / "manifest.json", "w") as fh:

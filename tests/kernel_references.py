@@ -21,24 +21,24 @@ def side_spectra(block, lead=False):
     return table[0, side].copy(), table[0, leads[0][0]].copy() if lead else None
 
 
-def kernel_entropy(block, log_base="natural"):
+def kernel_entropy(block):
     """The entropy the kernel gives a side in no pair: its lone-side routine where the kernel routines
     are found, stacked eigvalsh (entropy_of_block) where not; 0 for the empty side."""
     if gaussian._kernel_routines() is None or block.shape[0] == 0:
-        return gaussian.entropy_of_block(block, log_base)
-    return float(gaussian._binary_entropies(side_spectra(block)[0], log_base))
+        return gaussian.entropy_of_block(block)
+    return float(gaussian._binary_entropies(side_spectra(block)[0]))
 
 
-def bare_entropy(c, sites, log_base="natural"):
+def bare_entropy(c, sites):
     """Entropy of the modes `sites` (1-based) of a CorrelationMatrix: entropy_of_block of its restricted
     block, with none of the kernel's side choice, pairing or LAPACK path."""
     idx = gaussian._site_indices(sites, c.dim)
-    return gaussian.entropy_of_block(c.matrix[np.ix_(idx, idx)], log_base)
+    return gaussian.entropy_of_block(c.matrix[np.ix_(idx, idx)])
 
 
 def bare_information(c, a_sites):
     """I(A:R) in bits of a CorrelationMatrix with a reference mode, through reference_information on
     the bare entropies of the three sets (no purity is assumed)."""
     mi = gaussian.reference_information([a_sites], c.reference_index,
-                                        lambda sets: [bare_entropy(c, x, "two") for x in sets])
+                                        lambda sets: [bare_entropy(c, x) for x in sets])
     return float(mi[0])

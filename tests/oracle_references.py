@@ -9,7 +9,7 @@ from gaaquench.oracle import FockBasis, _check_modes, exact_entropy
 
 def exact_mutual_information(state: np.ndarray, basis: FockBasis, a_modes, r_mode: int) -> float:
     """I(A:R) in bits from exact reduced density matrices."""
-    mi = reference_information([a_modes], r_mode, lambda sets: [exact_entropy(state, basis, x, "two") for x in sets])
+    mi = reference_information([a_modes], r_mode, lambda sets: [exact_entropy(state, basis, x) for x in sets])
     return float(mi[0])
 
 

@@ -99,8 +99,8 @@ def test_criterion_2_oracle_equivalence_sic():
     hamiltonian = many_body_hamiltonian(np.pad(h, (0, 1)), basis)
     windows = [subsystem_window(6, "center", size) for size in range(7)]
     times = (1.0, 3.0, 7.0)
-    i_kernel = reference_information(windows, 7, lambda sets: entropies(ev, sets, times, "two"))
-    i_exact = reference_information(windows, 7, lambda sets: exact_entropies(setup, sets, times, "two"))
+    i_kernel = reference_information(windows, 7, lambda sets: entropies(ev, sets, times))
+    i_exact = reference_information(windows, 7, lambda sets: exact_entropies(setup, sets, times))
     kernel = np.abs(i_kernel - i_exact).max()
     bare = 0.0
     for t in times:

@@ -49,7 +49,7 @@ def largest_copy(ev, subsets, rows):
     return max((len(side) for side in chosen_sides(ev, subsets) if set(side) < set(rows)), default=0)
 
 
-def per_time_entropies(ev, subsets, times, log_base):
+def per_time_entropies(ev, subsets, times):
     """The kernel's arithmetic one time and one side at a time, and the rows of each block it builds.
 
     A subset of a pure state that holds more than half of the modes is replaced
@@ -92,9 +92,9 @@ def per_time_entropies(ev, subsets, times, log_base):
             block = blocks[g][np.ix_(pos, pos)]
             if carrier in lead_of:
                 nu, lead = side_spectra(block, lead=True)
-                out[k, j] = gaussian._binary_entropies(nu if side == carrier else lead, log_base)
+                out[k, j] = gaussian._binary_entropies(nu if side == carrier else lead)
             else:
-                out[k, j] = kernel_entropy(block, log_base)
+                out[k, j] = kernel_entropy(block)
     return out, groups
 
 
@@ -163,7 +163,7 @@ class TestInitialCorrelation:
         assert np.allclose(block, 0.5 * np.ones((2, 2)))
         assert sorted(np.linalg.eigvalsh(block).round(12)) == [0.0, 1.0]
         # reference marginal carries exactly one bit
-        assert bare_entropy(c, [7], "two") == pytest.approx(1.0, abs=1e-9)
+        assert bare_entropy(c, [7]) / LN2 == pytest.approx(1.0, abs=1e-9)
         # pattern occupations on the remaining sites are untouched
         diag = np.real(np.diag(c.matrix))
         assert diag[[0, 1, 3, 4, 5]] == pytest.approx([1, 0, 0, 1, 0])
@@ -253,7 +253,7 @@ class TestEvolve:
         ev = quench_evolution(setup)
         for t in (0.5, 12.0, 300.0):
             c = ev.correlation_at(t)
-            assert bare_entropy(c, [7], "two") == pytest.approx(1.0, abs=1e-8)
+            assert bare_entropy(c, [7]) / LN2 == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize(
         "matrix, occupation",
@@ -283,8 +283,8 @@ class TestSubsystemEntropy:
 
     def test_maximally_mixed_mode(self):
         c = CorrelationMatrix(np.array([[0.5]], dtype=complex))
-        assert bare_entropy(c, [1], "natural") == pytest.approx(LN2)
-        assert bare_entropy(c, [1], "two") == pytest.approx(1.0)
+        assert bare_entropy(c, [1]) == pytest.approx(LN2)
+        assert bare_entropy(c, [1]) / LN2 == pytest.approx(1.0)
 
     def test_empty_set(self):
         c = CorrelationMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -342,6 +342,17 @@ class TestMutualInformation:
             assert np.all(np.diff(nested) >= -1e-9)
             assert min(nested) >= -1e-9 and max(nested) <= 2 + 1e-9
 
+    def test_one_conversion_to_bits_keeps_every_bit(self):
+        # the kernel once divided each side's entropy by ln 2 and reference_information summed the bits;
+        # reference_information now divides the table in nats, the same division of the same doubles
+        setup, subsets = sic_sides_at_L_100()
+        ev = quench_evolution(setup)
+        times = observables.sample_times(observables.SamplingProtocol(n_samples=20))
+        windows, n = subsets[:21], 21
+        e = entropies(ev, subsets, times)
+        mi = reference_information(windows, 101, lambda sets: entropies(ev, sets, times))
+        assert np.array_equal(mi, (e[:, :n] / LN2 + e[:, n : n + 1] / LN2) - e[:, n + 1 :] / LN2)
+
 
 class TestEntropiesKernel:
     @settings(max_examples=40, deadline=None)
@@ -379,9 +390,9 @@ class TestEntropiesKernel:
         assert not ev.pure
         subsets = [[1, 2, 3, 4, 5], [6], [2, 4, 5, 6], [1, 3]]
         times = [0.0, 2.5, 1.3e4]
-        got = entropies(ev, subsets, times, "two")
+        got = entropies(ev, subsets, times) / LN2  # in bits
         for k, t in enumerate(times):
-            direct = [entropy_of_block(ev.block_at(t, x), "two") for x in subsets]
+            direct = [entropy_of_block(ev.block_at(t, x)) / LN2 for x in subsets]
             assert got[k] == pytest.approx(direct, abs=1e-12)
         # the complement rule would have put S({1..5}) = S({6}) = 0 at t = 0
         assert got[0, 0] == pytest.approx(2.0, abs=1e-9)
@@ -400,19 +411,19 @@ class TestEntropiesKernel:
         window = list(range(10, 15))
         # |A| = 0, 5 and L with and without R: the two largest sets flip to {R} and {}
         subsets = [[], window, list(range(1, 25)), [25], window + [25], list(range(1, 26))]
-        got = entropies(ev, subsets, [1.0e4, 1.2e4], "two")
+        got = entropies(ev, subsets, [1.0e4, 1.2e4])
         assert built == [window + [25]] * 2
-        assert got[:, 2] == pytest.approx(got[:, 3], abs=1e-12)
-        assert got[:, 5] == pytest.approx(0.0, abs=1e-9)
+        assert np.array_equal(got[:, 2], got[:, 3])  # one side, {R}
+        assert (got[:, 5] == 0.0).all()  # the empty side
 
     def test_sic_plan_at_L_100_builds_two_groups_of_51_rows(self, monkeypatch):
-        setup, subsets, log_base = sic_sides_at_L_100()
+        setup, subsets = sic_sides_at_L_100()
         ev = quench_evolution(setup)
         built = record_fill_rows(monkeypatch)
         times = [1.0e4, 1.1e4, 1.2e4]
-        got = entropies(ev, subsets, times, log_base)
+        got = entropies(ev, subsets, times)
         monkeypatch.undo()
-        expected, groups = per_time_entropies(ev, subsets, times, log_base)
+        expected, groups = per_time_entropies(ev, subsets, times)
         assert [len(rows) for rows in groups] == [51, 51]  # not one block of all 101 modes
         assert built == [groups[0]] * 3 + [groups[1]] * 3
         assert np.array_equal(got, expected)
@@ -421,8 +432,6 @@ class TestEntropiesKernel:
         ev = quench_evolution(neel_setup(6))
         with pytest.raises(ValueError):
             entropies(ev, [[7]], [1.0])
-        with pytest.raises(ValueError):
-            entropies(ev, [[1]], [1.0], "ten")
 
     @pytest.mark.parametrize("times", [1.0e4, [[1.0e4, 1.1e4]], np.ones((2, 3))], ids=["scalar", "row", "table"])
     def test_times_must_be_one_dimensional(self, times, monkeypatch):
@@ -490,12 +499,12 @@ class TestStackedKernel:
     and the thread that takes the chunk."""
 
     @staticmethod
-    def check_chunks(case, log_base, monkeypatch):
+    def check_chunks(case, monkeypatch):
         build, subsets = CHUNK_CASES[case]
         ev = build()
         assert ev.pure == (case != "mixed")
         times = np.random.default_rng(5).uniform(1e4, 2e4, 12)
-        _, groups = per_time_entropies(ev, subsets, times[:1], log_base)
+        _, groups = per_time_entropies(ev, subsets, times[:1])
         assert len(groups) == (1 if case == "mixed" else 2)  # a 1-row group of {R} or {1} beside the rest
         rows = max(groups, key=len)  # the largest group takes 3 times per chunk
         copy = largest_copy(ev, subsets, rows)
@@ -509,26 +518,24 @@ class TestStackedKernel:
                 blas = FakeBlas(threads)
                 patch.setattr(gaussian, "_blas_thread_control", blas.control)
                 for count in (0, 1, k - 1, k, k + 1, 2 * k + 3):
-                    expected, _ = per_time_entropies(ev, subsets, times[:count], log_base)
-                    got = entropies(ev, subsets, times[:count], log_base)
+                    expected, _ = per_time_entropies(ev, subsets, times[:count])
+                    got = entropies(ev, subsets, times[:count])
                     assert got.shape == (count, len(subsets))
                     assert np.array_equal(got, expected), f"{count} times, {threads} threads"
                     assert blas.threads == threads
                 # capped at one thread and restored around every call, whatever its plan
                 assert blas.history == [1, threads] * 6
 
-    @pytest.mark.parametrize("log_base", ["natural", "two"])
     @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
-    def test_equals_per_time_blocks_exactly(self, case, log_base, monkeypatch):
-        self.check_chunks(case, log_base, monkeypatch)
+    def test_equals_per_time_blocks_exactly(self, case, monkeypatch):
+        self.check_chunks(case, monkeypatch)
 
     @pytest.mark.parametrize("symbol", KERNEL_SYMBOLS)
     def test_numpy_path_equals_per_time_blocks_exactly(self, symbol, monkeypatch, hide_openblas):
         hide_openblas([symbol])
         assert gaussian._kernel_routines() is None
         for case in sorted(CHUNK_CASES):
-            for log_base in ("natural", "two"):
-                self.check_chunks(case, log_base, monkeypatch)
+            self.check_chunks(case, monkeypatch)
 
     def test_chunk_rule_stays_within_the_budget(self):
         # a time takes one block of the group's rows and one copy of its largest other side: both count
@@ -553,13 +560,13 @@ class TestStackedKernel:
         # counts, besides one time's block build and the spectra: no [count, m, m] array of a side
         needs_kernel_routines()
         if plan == "sic_L_100":
-            setup, subsets, log_base = sic_sides_at_L_100()
+            setup, subsets = sic_sides_at_L_100()
         else:
-            setup, subsets, log_base = neel_setup(200), [range(1, 101)], "natural"
+            setup, subsets = neel_setup(200), [range(1, 101)]
         ev = quench_evolution(setup)
         times = np.random.default_rng(31).uniform(1e4, 2e4, 30)
         monkeypatch.setattr(gaussian, "_blas_thread_control", FakeBlas(1).control)  # one thread, one group at a time
-        _, groups = per_time_entropies(ev, subsets, times[:1], log_base)
+        _, groups = per_time_entropies(ev, subsets, times[:1])
         budget, floor, orbitals = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE, ev._factor.shape[1]
         limit = 0
         for rows in groups:
@@ -570,10 +577,10 @@ class TestStackedKernel:
             build = 8 * m * ev.dim + 16 * (ev.dim + m) * orbitals  # the rows of the modes, V e^{iEt} F and W
             spectra = 64 * min(k, times.size) * columns  # d, e and the entropy terms: 8 doubles a column
             limit = max(limit, chunk + build + spectra + 128 * 1024)  # and the plan and the LAPACK arguments
-        entropies(ev, subsets, times[:2], log_base)  # first-use allocations outside the measurement
+        entropies(ev, subsets, times[:2])  # first-use allocations outside the measurement
         tracemalloc.start()
         try:
-            table = entropies(ev, subsets, times, log_base)
+            table = entropies(ev, subsets, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -646,18 +653,18 @@ class TestChunkThreads:
 
     def test_sic_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch):
         get, set_ = real_blas()
-        setup, subsets, log_base = sic_sides_at_L_100()
+        setup, subsets = sic_sides_at_L_100()
         ev = quench_evolution(setup)
         times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, 4 chunks of 10 times
         seen = record_fill_threads(monkeypatch, get)
         before = get()
         try:
             set_(1)
-            serial = entropies(ev, subsets, times, log_base)
+            serial = entropies(ev, subsets, times)
             serial_seen = list(seen)
             set_(2)
             seen.clear()
-            threaded = entropies(ev, subsets, times, log_base)
+            threaded = entropies(ev, subsets, times)
             assert get() == 2
         finally:
             set_(before)
@@ -671,7 +678,7 @@ class TestChunkThreads:
         # the sic_profile plan at L = 233: row groups of 116 and 114 rows at 5 times per chunk, where only
         # the sides of m >= 101 pass 5 * m > 500; 30 times give each group 6 chunks
         sizes = sorted(set(range(0, 234, 5)) | {233})
-        setup, subsets, log_base = sic_sides_at(233, sizes)
+        setup, subsets = sic_sides_at(233, sizes)
         protocol = observables.SamplingProtocol(n_samples=30)
         with monkeypatch.context() as patch:
             blas = FakeBlas(2)
@@ -688,9 +695,9 @@ class TestChunkThreads:
         before = get()
         try:
             set_(1)
-            serial = entropies(ev, subsets, times, log_base)
+            serial = entropies(ev, subsets, times)
             set_(2)
-            threaded = entropies(ev, subsets, times, log_base)
+            threaded = entropies(ev, subsets, times)
         finally:
             set_(before)
         assert (threaded == serial).all()
@@ -705,7 +712,7 @@ class TestChunkThreads:
         seen = record_fill_threads(monkeypatch, lambda: None)
         got = entropies(ev, half, times)
         assert len(seen) == times.size and len({ident for ident, _ in seen}) == 1
-        expected, _ = per_time_entropies(ev, half, times, "natural")
+        expected, _ = per_time_entropies(ev, half, times)
         assert np.array_equal(got, expected)
 
 
@@ -714,7 +721,7 @@ def sic_sides_at(L, sizes):
     setup = QuenchSetup(LatticeSpec(L=L, lam=1.0, a=0.3), "neel",
                         reference_site=observables.reference_site_for(L, "center"))
     windows = [observables.subsystem_window(L, "center", size) for size in sizes]
-    return setup, windows + [[L + 1]] + [window + [L + 1] for window in windows], "two"
+    return setup, windows + [[L + 1]] + [window + [L + 1] for window in windows]
 
 
 def sic_sides_at_L_100():
@@ -722,9 +729,9 @@ def sic_sides_at_L_100():
     return sic_sides_at(100, range(0, 101, 5))
 
 
-# (setup, subsets, log base) of the plans whose unrounded tables must not depend on the BLAS count
+# (setup, subsets) of the plans whose unrounded tables must not depend on the BLAS count
 BLAS_COUNT_PLANS = {
-    "half_chain_L_240": lambda: (neel_setup(240), [range(1, 121)], "natural"),
+    "half_chain_L_240": lambda: (neel_setup(240), [range(1, 121)]),
     "sic_sides_L_100": sic_sides_at_L_100,
 }
 
@@ -735,14 +742,14 @@ class TestOneBlasThread:
     @pytest.mark.parametrize("plan", sorted(BLAS_COUNT_PLANS))
     def test_tables_equal_at_blas_counts_1_and_2(self, plan):
         get, set_ = real_blas()
-        setup, subsets, log_base = BLAS_COUNT_PLANS[plan]()
+        setup, subsets = BLAS_COUNT_PLANS[plan]()
         times = np.random.default_rng(3).uniform(1e4, 2e4, 30)
         tables = []
         before = get()
         try:
             for threads in (1, 2):
                 set_(threads)
-                tables.append(entropies(quench_evolution(setup), subsets, times, log_base))
+                tables.append(entropies(quench_evolution(setup), subsets, times))
                 assert get() == threads
         finally:
             set_(before)
@@ -787,19 +794,16 @@ class TestBlockEntropies:
         ev = quench_evolution(neel_setup(12, reference=6))
         rows = [2, 3, 5, 8, 13]
         stack = np.array([ev.block_at(t, rows) for t in (1.0e4, 1.3e4, 1.7e4)]).reshape(3, 1, 5, 5)
-        for log_base in ("natural", "two"):
-            got = block_entropies(stack, log_base)
-            assert got.shape == (3, 1)
-            assert got[:, 0].tolist() == [entropy_of_block(b[0], log_base) for b in stack]
-            assert got[0, 0] == binary_entropy(np.linalg.eigvalsh(stack[0, 0]), log_base)
+        got = block_entropies(stack)
+        assert got.shape == (3, 1)
+        assert got[:, 0].tolist() == [entropy_of_block(b[0]) for b in stack]
+        assert got[0, 0] == binary_entropy(np.linalg.eigvalsh(stack[0, 0]))
 
     def test_empty_blocks_give_zero(self):
         assert block_entropies(np.zeros((4, 0, 0), dtype=complex)).tolist() == [0.0] * 4
         assert entropy_of_block(np.zeros((0, 0))) == 0.0
 
     def test_bad_input_rejected(self):
-        with pytest.raises(ValueError):
-            block_entropies(np.eye(2)[None] * 0.5, "ten")
         with pytest.raises(ValueError, match="2-D"):
             entropy_of_block(np.eye(2)[None] * 0.5)
 
@@ -848,7 +852,7 @@ class TestPaperScaleInvariants:
         L = 100
         ev = quench_evolution(neel_setup(L, lam=1.0, a=0.3, reference=L // 2))
         nested = [range(1, k + 1) for k in range(L + 1)]
-        mi = reference_information(nested, L + 1, lambda sets: entropies(ev, sets, self.TIMES, "two"))
+        mi = reference_information(nested, L + 1, lambda sets: entropies(ev, sets, self.TIMES))
         assert mi.min() >= -1e-9 and mi.max() <= 2 + 1e-9
         assert np.all(np.diff(mi, axis=1) >= -1e-9)
         assert mi[:, 0] == pytest.approx(0.0, abs=1e-9)
@@ -879,7 +883,7 @@ class TestFill:
         if L == 200:  # the half chain of the saturation measurement
             setup, sites = neel_setup(L), list(range(1, L // 2 + 1))
         else:  # the largest reference side of the sic_profile plan at L = 233
-            setup, subsets, _ = sic_sides_at(L, [116])
+            setup, subsets = sic_sides_at(L, [116])
             sites = subsets[-1]
         c0, h = initial_correlation(setup).matrix, setup_hamiltonian(setup)
         ev = quench_evolution(setup)
@@ -951,7 +955,7 @@ class TestPairedSides:
 
     @pytest.mark.parametrize("L, pairs", [(100, 18), (233, 46)])
     def test_sic_plan_pairs_each_window_with_its_reference_side(self, L, pairs):
-        setup, subsets, _ = sic_sides_at(L, sorted(set(range(0, L + 1, 5)) | {L}))
+        setup, subsets = sic_sides_at(L, sorted(set(range(0, L + 1, 5)) | {L}))
         sides = plan_sides(quench_evolution(setup), subsets)
         leads = gaussian._pair_leads(sides)
         assert len(leads) == pairs
@@ -974,7 +978,7 @@ class TestPairedSides:
         rng = np.random.default_rng(17)
         blocks = []
         for L in (100, 233):
-            setup, subsets, _ = sic_sides_at(L, sorted(set(range(0, L + 1, 5)) | {L}))
+            setup, subsets = sic_sides_at(L, sorted(set(range(0, L + 1, 5)) | {L}))
             ev = quench_evolution(setup)
             carriers = gaussian._pair_leads(plan_sides(ev, subsets))
             for t in [0.0, *rng.uniform(1e4, 2e4, 2)]:  # at t = 0 the blocks are diagonal but for the Bell pair
@@ -996,7 +1000,7 @@ class TestPairedSides:
         else:
             L = int(plan.rsplit("_", 1)[1])
             sizes = range(L + 1) if plan.startswith("every") else sorted(set(range(0, L + 1, 5)) | {L})
-            setup, subsets, _ = sic_sides_at(L, sizes)
+            setup, subsets = sic_sides_at(L, sizes)
         ev = quench_evolution(setup)
         sides = [side for side in plan_sides(ev, subsets) if side]
         for t in np.random.default_rng(29).uniform(1e4, 2e4, 2):
@@ -1010,26 +1014,26 @@ class TestPairedSides:
         # every size at L = 24: windows Y, Y[:-1] and Y[:-2] are all sides, so a column given to the
         # wrong side of a pair would show (a first version gave I = -19.5 bits here)
         needs_kernel_routines()
-        setup, subsets, log_base = sic_sides_at(24, range(25))
+        setup, subsets = sic_sides_at(24, range(25))
         ev = quench_evolution(setup)
         sides = plan_sides(ev, subsets)
         assert any(len(side) > 2 and side[:-1] in sides and side[:-2] in sides for side in sides)
         times = np.random.default_rng(19).uniform(1e4, 2e4, 20)
-        got = entropies(ev, subsets, times, log_base)
-        expected, _ = per_time_entropies(ev, subsets, times, log_base)
+        got = entropies(ev, subsets, times)
+        expected, _ = per_time_entropies(ev, subsets, times)
         assert np.array_equal(got, expected)
         protocol = observables.SamplingProtocol(n_samples=20)
         profile = observables.sic_profile(setup, range(25), "center", protocol)  # checks I in [0, 2] bits
         hide_openblas(KERNEL_SYMBOLS[1:2])  # no zhetrd: the numpy path, which pairs nothing
-        assert np.abs(got - entropies(ev, subsets, times, log_base)).max() <= 1e-12
+        assert np.abs(got - entropies(ev, subsets, times)).max() / LN2 <= 1e-12  # in bits
         unpaired = observables.sic_profile(setup, range(25), "center", protocol)
         assert np.abs(profile.mi - unpaired.mi).max() <= 1e-12
 
     def test_hidden_symbols_give_the_unpaired_kernel(self, monkeypatch, hide_openblas):
-        setup, subsets, log_base = sic_sides_at_L_100()
+        setup, subsets = sic_sides_at_L_100()
         ev = quench_evolution(setup)
         times = np.random.default_rng(23).uniform(1e4, 2e4, 20)
-        paired = entropies(ev, subsets, times, log_base)
+        paired = entropies(ev, subsets, times)
 
         def forbidden(*args):
             raise AssertionError("ran the LAPACK spectra without the kernel routines")
@@ -1038,11 +1042,11 @@ class TestPairedSides:
         for symbol in KERNEL_SYMBOLS:  # any one of the three missing gives the numpy path
             hide_openblas([symbol])
             assert gaussian._kernel_routines() is None
-            got = entropies(ev, subsets, times, log_base)
-            expected, groups = per_time_entropies(ev, subsets, times, log_base)  # pairs nothing either
+            got = entropies(ev, subsets, times)
+            expected, groups = per_time_entropies(ev, subsets, times)  # pairs nothing either
             assert [len(rows) for rows in groups] == [51, 51]
             assert np.array_equal(got, expected), symbol
-            assert np.abs(got - paired).max() <= 1e-12
+            assert np.abs(got - paired).max() / LN2 <= 1e-12  # in bits
 
     @pytest.mark.parametrize("routine, info", [(1, 9), (2, 3)], ids=["zhetrd", "dsterf"])
     def test_lapack_failure_at_a_later_time_of_a_chunk_raises(self, routine, info, monkeypatch):

@@ -186,8 +186,9 @@ class TestExactEntropy:
     def test_bell_pair_marginal(self):
         setup = QuenchSetup(LatticeSpec(L=4, lam=1.0, a=0.0), "neel", reference_site=2)
         basis, psi = initial_state(setup)
-        assert exact_entropy(psi, basis, [2], "two") == pytest.approx(1.0, abs=1e-10)
-        assert exact_entropy(psi, basis, [5], "two") == pytest.approx(1.0, abs=1e-10)
+        # one bit each
+        assert exact_entropy(psi, basis, [2]) / np.log(2.0) == pytest.approx(1.0, abs=1e-10)
+        assert exact_entropy(psi, basis, [5]) / np.log(2.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_reduced_density_matrix_properties(self):
         setup = QuenchSetup(LatticeSpec(L=6, lam=1.0, a=0.3), "neel")
@@ -393,7 +394,7 @@ class TestExactEvolution:
     def test_entropy_table_shape(self):
         setup = QuenchSetup(LatticeSpec(L=4, lam=0.6, a=0.2), "neel", reference_site=2)
         assert exact_entropies(setup, [[1], [2, 5]], []).shape == (0, 2)
-        table = exact_entropies(setup, [[2], [5], [2, 5]], [0.0], "two")
+        table = exact_entropies(setup, [[2], [5], [2, 5]], [0.0]) / np.log(2.0)  # in bits
         assert table == pytest.approx(np.array([[1.0, 1.0, 0.0]]), abs=1e-12)
 
 
@@ -432,7 +433,7 @@ class TestProductionKernelAgreesWithOracle:
         assert entropies(ev, subsets, [t]) == pytest.approx(exact_entropies(setup, subsets, [t]), abs=1e-8)
         if reference:
             windows = _draw_subsets(data, L, "sites")
-            mi = reference_information(windows, L + 1, lambda sets: entropies(ev, sets, [t], "two"))
+            mi = reference_information(windows, L + 1, lambda sets: entropies(ev, sets, [t]))
             basis, psi = initial_state(setup)
             hm = many_body_hamiltonian(np.pad(build_hamiltonian(spec), (0, 1)), basis)
             psi_t = ExactEvolution(psi, hm).state_at(t)

@@ -157,6 +157,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="at least 3"):
             parse_config("experiment = scaling\nL = 100, 200\na = 0\nlambda = 0.5\n")
 
+    @pytest.mark.parametrize("text, key, value", [
+        ("experiment = saturation\nL = 8\na = 0\nlambda = 0.5, 0.5, 1.5\n", "lambda", "0.5"),
+        ("experiment = fractions\nL = 8\na = 0.3, 0.1, 0.3\nlambda = 1\n", "a", "0.3"),
+        ("experiment = sic_profile\nL = 8\na = 0\nlambda = 0.5\nsizes = 5, 5\n", "sizes", "5"),
+        ("experiment = scaling\nL = 8, 8, 8\na = 0\nlambda = 0.5\n", "L", "8"),
+        ("experiment = scaling\nL = 8, 8, 12\na = 0\nlambda = 0.5\n", "L", "8"),
+    ], ids=["lambda", "a", "sizes", "scaling-one-L", "scaling-L-twice"])
+    def test_repeated_sweep_value_rejected(self, text, key, value):
+        # each used to run one point twice: duplicate rows, a Pearson row over a repeated point, a fit that
+        # counts one length twice, or 3 "lengths" that fail at run time in fit_power_law
+        with pytest.raises(ConfigError, match=rf"^'{key}' repeats the value {value}$"):
+            parse_config(text)
+
     def test_sic_jump_needs_the_probe_size(self):
         # below |A| = 5 every point would fail at run time and leave an empty CSV
         with pytest.raises(ConfigError, match=f"L >= {observables.JUMP_SIZE}"):
@@ -523,6 +536,23 @@ class TestRun:
         assert manifest["failures"] == []
         assert [o["file"] for o in manifest["outputs"]] == [runner.EXPERIMENTS[experiment].output]
         assert not (tmp_path / "fractions.csv").exists() and not (tmp_path / "correlation.csv").exists()
+        assert manifest["figure_skipped"] == "pearson needs finite samples"
+
+    def test_failed_point_skips_the_figure_with_its_reason(self, tmp_path, monkeypatch):
+        real = observables.saturation_value
+
+        def flaky(setup, protocol):
+            if setup.spec.lam == 1.0:
+                raise RuntimeError("synthetic point failure")
+            return real(setup, protocol)
+
+        monkeypatch.setattr(observables, "saturation_value", flaky)
+        config = parse_config("experiment = saturation\nL = 8\na = 0.3\nlambda = 0.5, 1.0, 1.5\n"
+                              "n_samples = 20\nburn_in = 100\n")
+        manifest = run(config, tmp_path)
+        assert len(manifest["failures"]) == 1
+        assert [o["file"] for o in manifest["outputs"]] == ["saturation.csv"]
+        assert manifest["figure_skipped"] == "1 sweep point(s) failed"
 
     def test_fractions_sweep(self, tmp_path):
         config = parse_config("experiment = fractions\nL = 100\na = 0.3\nlambda = 0.5, 1.0, 2.0\n")
@@ -541,6 +571,7 @@ class TestRun:
         manifest = run(config, tmp_path)
         names = {o["file"] for o in manifest["outputs"]}
         assert names == {"sic_profile.csv", "fractions.csv", "correlation.csv"}
+        assert "figure_skipped" not in manifest
         profile_lines = (tmp_path / "sic_profile.csv").read_text().splitlines()
         assert profile_lines[0] == "coupling,boundary,a,lambda,size_A,mi_bits"
         sizes = {line.split(",")[4] for line in profile_lines[1:]}
@@ -709,6 +740,15 @@ class TestRun:
         checks = {line.split(",")[0] for line in lines[1:]}
         assert checks == {"ee", "sic"}
 
+    @pytest.mark.parametrize("L, checks", [(10, ["ee", "sic"]), (12, ["ee"])], ids=["L10", "L12"])
+    def test_verify_records_the_checks_that_ran(self, tmp_path, L, checks):
+        # the oracle holds at most 12 modes: at L = 12 the reference mode leaves no room for the sic check
+        manifest = run(parse_config(f"experiment = verify\nL = {L}\na = 0.3\nlambda = 1.0\n"), tmp_path)
+        assert manifest["verify_passed"] is True
+        assert manifest["verify_checks"] == checks
+        rows = (tmp_path / "verify.csv").read_text().splitlines()[1:]
+        assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == checks
+
 
     def test_verify_diagonalises_each_many_body_hamiltonian_once(self, tmp_path, monkeypatch):
         dims = []
@@ -765,4 +805,5 @@ class TestCli:
     def test_verify_cli_reports_status(self, tmp_path, capsys):
         path = write_config(tmp_path, "experiment = verify\nL = 6\na = 0\nlambda = 0.5\n")
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verify (ee, sic): max |delta| = " in out and "[PASS]" in out
