@@ -120,10 +120,13 @@ class ExperimentConfig:
             if sizes[0] < 0 or sizes[-1] > self.L[-1]:
                 raise ConfigError(f"sizes must lie in 0..L, got {sizes}")
             object.__setattr__(self, "sizes", sizes)
-        if self.times is not None and not self.times:
-            raise ConfigError("times is empty")
-        if self.times is not None and max(abs(t) for t in self.times) > observables.MAX_TIME:
-            raise ConfigError(f"times must lie within +-{observables.MAX_TIME:g}, got {max(self.times, key=abs):g}")
+        if self.times is not None:
+            times = _sorted_distinct("times", map(float, self.times))
+            if not times:
+                raise ConfigError("times is empty")
+            if max(abs(t) for t in times) > observables.MAX_TIME:
+                raise ConfigError(f"times must lie within +-{observables.MAX_TIME:g}, got {max(times, key=abs):g}")
+            object.__setattr__(self, "times", times)
         if self.coupling not in observables.COUPLINGS:
             raise ConfigError(f"coupling must be one of {observables.COUPLINGS}, got {self.coupling!r}")
         if self.initial == "random_product" and self.initial_seed is None:

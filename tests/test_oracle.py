@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaaquench import gaussian
 from gaaquench.gaussian import (
     QuenchSetup,
     entropies,
@@ -14,9 +16,11 @@ from gaaquench.gaussian import (
     setup_hamiltonian,
 )
 from gaaquench.model import LatticeSpec, build_hamiltonian
+from gaaquench.observables import reference_site_for
 from gaaquench.oracle import (
     MAX_MODES,
     ExactEvolution,
+    _spectator_blocks,
     FockBasis,
     exact_entropies,
     exact_entropy,
@@ -396,6 +400,85 @@ class TestExactEvolution:
         assert exact_entropies(setup, [[1], [2, 5]], []).shape == (0, 2)
         table = exact_entropies(setup, [[2], [5], [2, 5]], [0.0]) / np.log(2.0)  # in bits
         assert table == pytest.approx(np.array([[1.0, 1.0, 0.0]]), abs=1e-12)
+
+
+def reference_quench(L, coupling):
+    """Neel chain of L sites with the reference at the edge or centre: its sector basis, state, h and H."""
+    setup = QuenchSetup(LatticeSpec(L=L, lam=1.0, a=0.3), "neel", reference_site=reference_site_for(L, coupling))
+    basis, psi = initial_state(setup)
+    h = setup_hamiltonian(setup)
+    return setup, basis, psi, h, many_body_hamiltonian(h, basis)
+
+
+class TestSpectatorBlocks:
+    @pytest.mark.parametrize("coupling", ["edge", "center"])
+    @pytest.mark.parametrize("L", [6, 7, 8, 9, 10])
+    def test_block_split_equals_one_block(self, L, coupling):
+        _, basis, psi, h, hm = reference_quench(L, coupling)
+        blocks = _spectator_blocks(h, basis)
+        # R empty or occupied: the chain holds all N particles or N - 1 of them
+        assert [len(kets) for kets in blocks] == [comb(L, basis.particles), comb(L, basis.particles - 1)]
+        split, whole = ExactEvolution(psi, hm, blocks), ExactEvolution(psi, hm)
+        for t in np.linspace(0.0, 10.0, 20):
+            assert np.max(np.abs(split.state_at(t) - whole.state_at(t))) <= 1e-13
+
+    def test_no_spectator_keeps_one_block(self):
+        setup = QuenchSetup(LatticeSpec(L=8, lam=1.0, a=0.3), "neel")
+        basis, _ = initial_state(setup)
+        blocks = _spectator_blocks(setup_hamiltonian(setup), basis)
+        assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(len(basis)))
+
+    def test_coupled_blocks_rejected(self):
+        _, basis, psi, h, hm = reference_quench(6, "center")
+        chain, reference = _spectator_blocks(h, basis)
+        halves = np.array_split(np.arange(len(basis)), 2)  # splits the chain's own hopping
+        with pytest.raises(ValueError, match="couples two blocks"):
+            ExactEvolution(psi, hm, halves)
+        with pytest.raises(ValueError, match="every ket"):
+            ExactEvolution(psi, hm, [chain])
+        with pytest.raises(ValueError, match="every ket"):
+            ExactEvolution(psi, hm, [chain, reference, chain[:1]])
+
+    def test_many_body_eigh_runs_at_one_blas_thread(self, monkeypatch):
+        get, set_ = gaussian._blas_thread_control()
+        if get() is None:
+            pytest.skip("numpy's OpenBLAS thread control is not available")
+        setup, *_ = reference_quench(10, "center")
+        subsets = [[5], [4, 5, 6], list(range(1, 11)), [11], [4, 5, 6, 11]]
+        times = np.linspace(0.0, 10.0, 7)
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: seen.append(get()) or eigh(m, *args, **kw))
+        before = get()
+        try:
+            tables = []
+            for threads in (1, 2):
+                set_(threads)
+                tables.append(exact_entropies(setup, subsets, times))
+                assert get() == threads
+        finally:
+            set_(before)
+        assert seen == [1, 1, 1, 1]
+        assert np.array_equal(tables[0], tables[1])
+
+
+class TestStackedStates:
+    @pytest.mark.parametrize("subset", [[], [3], [1, 4, 9], [2, 3, 5, 7], [1, 2, 3, 4, 5, 6, 9]],
+                             ids=["empty", "one", "spread", "four", "complement"])
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_stack_equals_each_state_exactly(self, subset, count):
+        setup, basis, psi, h, hm = reference_quench(8, "center")
+        with gaussian._one_blas_thread():  # as exact_entropies runs
+            evolution = ExactEvolution(psi, hm, _spectator_blocks(h, basis))
+            states = np.array([evolution.state_at(t) for t in np.linspace(0.0, 10.0, count)])
+            states = states.reshape(count, len(basis))
+            rho = reduced_density_matrix(states, basis, subset)
+            values = exact_entropy(states, basis, subset)
+            assert rho.shape == (count,) + (2 ** len(subset),) * 2 and values.shape == (count,)
+            for k, state in enumerate(states):
+                assert np.array_equal(rho[k], reduced_density_matrix(state, basis, subset))
+                assert values[k] == exact_entropy(state, basis, subset)
+        assert np.array_equal(exact_entropies(setup, [subset], np.linspace(0.0, 10.0, count))[:, 0], values)
 
 
 def _draw_subsets(data, modes, label):

@@ -170,6 +170,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"^'{key}' repeats the value {value}$"):
             parse_config(text)
 
+    def test_repeated_time_rejected(self):
+        # used to write the row at t = 1 twice and out of time order
+        with pytest.raises(ConfigError, match=r"^'times' repeats the value 1$"):
+            parse_config("experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 2, 1, 1\n")
+
+    def test_times_sorted(self):
+        assert parse_config("experiment = verify\nL = 8\na = 0\nlambda = 1\ntimes = 2, 1\n").times == (1.0, 2.0)
+
     def test_sic_jump_needs_the_probe_size(self):
         # below |A| = 5 every point would fail at run time and leave an empty CSV
         with pytest.raises(ConfigError, match=f"L >= {observables.JUMP_SIZE}"):
@@ -757,9 +765,10 @@ class TestRun:
         manifest = run(parse_config("experiment = verify\nL = 10\na = 0.3\nlambda = 1.0\n"), tmp_path)
         assert manifest["verify_passed"] is True
         # the Gaussian engine diagonalises h and factors C0 once each, for the chain without and
-        # with the reference (10 and 11 modes); the oracle diagonalises each many-body sector
-        # (C(10, 5) = 252 and C(11, 5) = 462 states) once
-        assert sorted(dims) == [10, 10, 11, 11, 252, 462]
+        # with the reference (10 and 11 modes); the oracle diagonalises each block of each many-body
+        # sector once: C(10, 5) = 252 states without the reference, and with it the 462 states of
+        # C(11, 5) split on the occupation of R, which never hops, into 252 (R empty) + 210
+        assert sorted(dims) == [10, 10, 11, 11, 210, 252, 252]
 
 
 class TestCli:
