@@ -861,9 +861,14 @@ class TestPaperScaleInvariants:
 
 def parent_block(c0, h, time, sites):
     """C(t)[sites, sites] by the formula the kernel had before the occupations were folded into one
-    factor: (w * n) @ w^dag with w = V_rows e^{iEt} Q over the orbitals Q with |n| > 1e-12."""
-    energies, modes = diagonalize(h)
-    n, q = np.linalg.eigh(modes.T @ c0 @ modes)
+    factor: (w * n) @ w^dag with w = V_rows e^{iEt} Q over the orbitals Q with |n| > 1e-12. The occupations
+    come from the eigh the kernel runs (of the real part of a real C0, at one BLAS thread): an occupation at
+    the 1e-12 cut then falls on the same side of it in both, where a complex eigh may put it on the other."""
+    if not c0.imag.any():
+        c0 = c0.real
+    with gaussian._one_blas_thread():
+        energies, modes = diagonalize(h)
+        n, q = np.linalg.eigh(modes.T @ c0 @ modes)
     kept = np.abs(n) > 1e-12
     v = modes[np.asarray(sorted(sites), dtype=int) - 1]
     phase = energies * time
