@@ -99,28 +99,23 @@ def many_body_hamiltonian(h: np.ndarray, basis: FockBasis) -> np.ndarray:
 class ExactEvolution:
     """exp(-iHt)|state> from one eigendecomposition of H for all times, like gaussian.QuenchEvolution.
 
-    `blocks` lists the kets (index arrays) of each block of a block-diagonal H; each block is
-    diagonalised on its own. They must cover every ket once, and H may have no nonzero element
-    between two blocks. Without `blocks`, H is one block. Each eigh runs at one OpenBLAS thread.
+    H (Hermitian) is diagonalised one block at a time: the blocks are the connected components of its
+    nonzero pattern, so H has no element between two of them (at L = 10 with the reference mode R,
+    which never hops, the 462-ket sector splits into 252 kets with R empty and 210 with R occupied).
+    Each eigh runs at one OpenBLAS thread.
     """
 
-    def __init__(self, state: np.ndarray, hamiltonian: np.ndarray, blocks=None):
+    def __init__(self, state: np.ndarray, hamiltonian: np.ndarray):
         state = np.asarray(state, dtype=complex)
         dim = hamiltonian.shape[0]
         if dim > 2**MAX_MODES:
             raise ValueError("many-body dimension exceeds the oracle guard")
         if dim != state.size:
             raise ValueError("state and Hamiltonian dimensions disagree")
-        blocks = [np.arange(dim)] if blocks is None else [np.asarray(kets, dtype=np.int64) for kets in blocks]
-        if not np.array_equal(np.sort(np.concatenate(blocks)), np.arange(dim)):
-            raise ValueError("blocks must hold every ket of the Hamiltonian once")
-        parts = [hamiltonian[np.ix_(kets, kets)] for kets in blocks]
-        if sum(map(np.count_nonzero, parts)) != np.count_nonzero(hamiltonian):
-            raise ValueError("the Hamiltonian couples two blocks")
         self._blocks = []
         with _one_blas_thread():
-            for kets, part in zip(blocks, parts):
-                energies, vectors = np.linalg.eigh(part)
+            for kets in _connected_blocks(hamiltonian):
+                energies, vectors = np.linalg.eigh(hamiltonian[np.ix_(kets, kets)])
                 # the block's state in its eigenbasis, shared by all times
                 self._blocks.append((kets, energies, vectors, vectors.conj().T @ state[kets]))
         self.dim = dim
@@ -130,6 +125,23 @@ class ExactEvolution:
         for kets, energies, vectors, state_eig in self._blocks:
             out[kets] = vectors @ (np.exp(-1j * energies * time) * state_eig)
         return out
+
+
+def _connected_blocks(hamiltonian: np.ndarray) -> list[np.ndarray]:
+    """The kets of each connected component of the nonzero pattern of a Hermitian H, each in ascending
+    order, the components in the order of their first ket: one breadth-first search per component."""
+    linked = hamiltonian != 0
+    free = np.ones(len(linked), dtype=bool)
+    blocks = []
+    while free.any():
+        seen = np.zeros_like(free)
+        frontier = np.flatnonzero(free)[:1]
+        while frontier.size:
+            seen[frontier] = True
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
+        free &= ~seen
+        blocks.append(np.flatnonzero(seen))
+    return blocks
 
 
 def exact_evolve(state: np.ndarray, hamiltonian: np.ndarray, time: float) -> np.ndarray:
@@ -209,29 +221,27 @@ def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
     return basis, state
 
 
-def _spectator_blocks(h: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
-    """The kets of `basis` grouped by the occupations of the spectator modes, the modes that h couples
-    to no other mode (the reference mode R): the sum_ij h_ij c_i^dag c_j matrix is block diagonal in
-    these groups. Without a spectator, one group of every ket."""
-    coupled = (h != 0) & ~np.eye(basis.modes, dtype=bool)
-    spectators = sum(1 << m for m in np.flatnonzero(~(coupled.any(axis=0) | coupled.any(axis=1))))
-    _, group = np.unique(np.asarray(basis.states, dtype=np.int64) & spectators, return_inverse=True)
-    return [np.flatnonzero(group == g) for g in range(group.max() + 1)]
+# psi amplitudes [k, 2^|A|, 2^|B|] of one chunk of sample times in exact_entropies (4 MB)
+_CHUNK_AMPLITUDES = 2**18
 
 
 def exact_entropies(setup: QuenchSetup, subsets, times) -> np.ndarray:
     """gaussian.entropies(quench_evolution(setup), ...) on the exact sector state: entropy of each
     subset (1-based modes) at each time, [n_times, n_subsets].
 
-    The sector Hamiltonian is diagonalised once, one spectator block at a time (at L = 10 with a
-    reference, 252 + 210 kets instead of 462), and each subset's reduced density matrices are built
-    and diagonalised once for the stack of all times. Everything runs at one OpenBLAS thread, so no
-    value depends on the process's thread count.
+    The sector Hamiltonian is diagonalised once, one block at a time (ExactEvolution), and each
+    subset's reduced density matrices are built and diagonalised once per chunk of sample times, the
+    stack of a chunk's states; a chunk holds _CHUNK_AMPLITUDES >> modes times, so memory does not grow
+    with the number of times. Everything runs at one OpenBLAS thread, so no value depends on the
+    process's thread count.
     """
     basis, state = initial_state(setup)
-    h = setup_hamiltonian(setup)
+    chunk = max(1, _CHUNK_AMPLITUDES >> basis.modes)
+    values = np.zeros((len(times), len(subsets)))
     with _one_blas_thread():
-        evolution = ExactEvolution(state, many_body_hamiltonian(h, basis), _spectator_blocks(h, basis))
-        states = np.array([evolution.state_at(t) for t in times], dtype=complex).reshape(len(times), len(basis))
-        values = [exact_entropy(states, basis, x) for x in subsets]
-    return np.array(values, dtype=float).reshape(len(subsets), len(times)).T
+        evolution = ExactEvolution(state, many_body_hamiltonian(setup_hamiltonian(setup), basis))
+        for start in range(0, len(times), chunk):
+            states = np.array([evolution.state_at(t) for t in times[start : start + chunk]], dtype=complex)
+            for j, subset in enumerate(subsets):
+                values[start : start + chunk, j] = exact_entropy(states, basis, subset)
+    return values

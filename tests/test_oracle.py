@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaaquench import gaussian
+from gaaquench import gaussian, oracle
 from gaaquench.gaussian import (
     QuenchSetup,
     entropies,
@@ -20,7 +20,6 @@ from gaaquench.observables import reference_site_for
 from gaaquench.oracle import (
     MAX_MODES,
     ExactEvolution,
-    _spectator_blocks,
     FockBasis,
     exact_entropies,
     exact_entropy,
@@ -403,41 +402,26 @@ class TestExactEvolution:
 
 
 def reference_quench(L, coupling):
-    """Neel chain of L sites with the reference at the edge or centre: its sector basis, state, h and H."""
+    """Neel chain of L sites with the reference at the edge or centre: its sector basis, state and H."""
     setup = QuenchSetup(LatticeSpec(L=L, lam=1.0, a=0.3), "neel", reference_site=reference_site_for(L, coupling))
     basis, psi = initial_state(setup)
-    h = setup_hamiltonian(setup)
-    return setup, basis, psi, h, many_body_hamiltonian(h, basis)
+    return setup, basis, psi, many_body_hamiltonian(setup_hamiltonian(setup), basis)
 
 
 class TestSpectatorBlocks:
     @pytest.mark.parametrize("coupling", ["edge", "center"])
     @pytest.mark.parametrize("L", [6, 7, 8, 9, 10])
-    def test_block_split_equals_one_block(self, L, coupling):
-        _, basis, psi, h, hm = reference_quench(L, coupling)
-        blocks = _spectator_blocks(h, basis)
-        # R empty or occupied: the chain holds all N particles or N - 1 of them
-        assert [len(kets) for kets in blocks] == [comb(L, basis.particles), comb(L, basis.particles - 1)]
-        split, whole = ExactEvolution(psi, hm, blocks), ExactEvolution(psi, hm)
+    def test_block_split_equals_one_block(self, L, coupling, monkeypatch):
+        _, basis, psi, hm = reference_quench(L, coupling)
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: shapes.append(m.shape) or eigh(m, *args, **kw))
+        split = ExactEvolution(psi, hm)
+        # R, which never hops, empty or occupied: the chain holds all N particles or N - 1 of them
+        sizes = [comb(L, basis.particles), comb(L, basis.particles - 1)]
+        assert shapes == [(size, size) for size in sizes]
         for t in np.linspace(0.0, 10.0, 20):
-            assert np.max(np.abs(split.state_at(t) - whole.state_at(t))) <= 1e-13
-
-    def test_no_spectator_keeps_one_block(self):
-        setup = QuenchSetup(LatticeSpec(L=8, lam=1.0, a=0.3), "neel")
-        basis, _ = initial_state(setup)
-        blocks = _spectator_blocks(setup_hamiltonian(setup), basis)
-        assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(len(basis)))
-
-    def test_coupled_blocks_rejected(self):
-        _, basis, psi, h, hm = reference_quench(6, "center")
-        chain, reference = _spectator_blocks(h, basis)
-        halves = np.array_split(np.arange(len(basis)), 2)  # splits the chain's own hopping
-        with pytest.raises(ValueError, match="couples two blocks"):
-            ExactEvolution(psi, hm, halves)
-        with pytest.raises(ValueError, match="every ket"):
-            ExactEvolution(psi, hm, [chain])
-        with pytest.raises(ValueError, match="every ket"):
-            ExactEvolution(psi, hm, [chain, reference, chain[:1]])
+            assert np.max(np.abs(split.state_at(t) - _one_shot_evolve(psi, hm, t))) <= 1e-13
 
     def test_many_body_eigh_runs_at_one_blas_thread(self, monkeypatch):
         get, set_ = gaussian._blas_thread_control()
@@ -467,9 +451,9 @@ class TestStackedStates:
                              ids=["empty", "one", "spread", "four", "complement"])
     @pytest.mark.parametrize("count", [0, 1, 5])
     def test_stack_equals_each_state_exactly(self, subset, count):
-        setup, basis, psi, h, hm = reference_quench(8, "center")
+        setup, basis, psi, hm = reference_quench(8, "center")
         with gaussian._one_blas_thread():  # as exact_entropies runs
-            evolution = ExactEvolution(psi, hm, _spectator_blocks(h, basis))
+            evolution = ExactEvolution(psi, hm)
             states = np.array([evolution.state_at(t) for t in np.linspace(0.0, 10.0, count)])
             states = states.reshape(count, len(basis))
             rho = reduced_density_matrix(states, basis, subset)
@@ -479,6 +463,20 @@ class TestStackedStates:
                 assert np.array_equal(rho[k], reduced_density_matrix(state, basis, subset))
                 assert values[k] == exact_entropy(state, basis, subset)
         assert np.array_equal(exact_entropies(setup, [subset], np.linspace(0.0, 10.0, count))[:, 0], values)
+
+    def test_chunked_times_equal_one_chunk(self, monkeypatch):
+        setup, basis, _, _ = reference_quench(6, "center")
+        subsets = [[], [3], [1, 4, 7], [2, 3, 5, 6]]
+        times = np.linspace(0.0, 20.0, 50)
+        stacks = []
+        rdm = oracle.reduced_density_matrix
+        monkeypatch.setattr(oracle, "reduced_density_matrix",
+                            lambda states, *args: stacks.append(len(states)) or rdm(states, *args))
+        whole = exact_entropies(setup, subsets, times)
+        monkeypatch.setattr(oracle, "_CHUNK_AMPLITUDES", 3 << basis.modes)  # three times per chunk
+        assert np.array_equal(exact_entropies(setup, subsets, times), whole)
+        # the empty subset builds no matrix; 50 times are 16 chunks of 3 and one of 2
+        assert stacks == [50] * 3 + [3] * 16 * 3 + [2] * 3
 
 
 def _draw_subsets(data, modes, label):
