@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -231,7 +232,11 @@ class QuenchEvolution:
 
 
 def _site_indices(sites, dim: int) -> np.ndarray:
-    idx = np.asarray(sorted(int(s) for s in sites), dtype=int)
+    """Sorted 0-based indices of distinct integer labels in 1..dim; 1.5 or 2.0 is rejected, not truncated."""
+    try:
+        idx = np.asarray(sorted(map(operator.index, sites)), dtype=int)
+    except TypeError:
+        raise ValueError("site labels must be integers") from None
     if idx.size:
         if idx[0] < 1 or idx[-1] > dim:
             raise ValueError(f"site labels must lie in 1..{dim}")
@@ -540,6 +545,14 @@ def _one_blas_thread():
         set_(before)
 
 
+def _sample_times(times) -> np.ndarray:
+    """`times` as a float array, which must be 1-D: the one rule for both engines' entropy tables."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array of sample times, got shape {times.shape}")
+    return times
+
+
 def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
     """Entropy in nats of each subset (1-based mode labels) at each time: array [n_times, n_subsets].
 
@@ -578,9 +591,7 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so importing gaaquench.runner does not load it
 
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"times must be a 1-D array of sample times, got shape {times.shape}")
+    times = _sample_times(times)
     dim = evolution.dim
     subsets = list(subsets)
     sides = {}  # side -> the table columns it fills

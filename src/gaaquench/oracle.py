@@ -9,10 +9,10 @@ a canonical basis ket is
     |n> = (c_1^dag)^{n_1} (c_2^dag)^{n_2} ... (c_M^dag)^{n_M} |vac>,
 
 stored as the bitmask sum_m n_m 2^{m-1}. The Hamiltonian conserves particle
-number, so every initial state lives in one fixed-number sector, the reference
-mode included. A state vector is pure, so S(A) = S(complement of A) and
-`exact_entropy` builds the reduced density matrix of the smaller side.
-Hard size guard: M <= 12 modes.
+number, so every initial state lives in one fixed-number sector, made of one or
+two sectors of the chain (ChainSectors). A state vector is pure, so
+S(A) = S(complement of A) and `exact_entropy` builds the reduced density matrix
+of the smaller side. Hard size guard: M <= 12 modes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gaussian import QuenchSetup, _one_blas_thread, _site_indices, occupation_pattern, setup_hamiltonian
+from .gaussian import QuenchSetup, _one_blas_thread, _sample_times, _site_indices, occupation_pattern
+from .model import LatticeSpec, build_hamiltonian
 
 MAX_MODES = 12
 
@@ -96,57 +97,49 @@ def many_body_hamiltonian(h: np.ndarray, basis: FockBasis) -> np.ndarray:
     return out
 
 
-class ExactEvolution:
-    """exp(-iHt)|state> from one eigendecomposition of H for all times, like gaussian.QuenchEvolution.
+class ChainSectors:
+    """The chain Hamiltonian's many-body eigendecomposition per particle number over the L sites, each
+    made on first use at one OpenBLAS thread. The reference mode R (mode L + 1) never hops, so a sector
+    over L + 1 modes is the chain's N-particle kets (R empty), then its N - 1 with R's bit set, and H on
+    each part is that chain sector's: one store serves the chain with and without R. It lives only as
+    long as its caller keeps it, so a repeated run repeats every `eigh`."""
 
-    H (Hermitian) is diagonalised one block at a time: the blocks are the connected components of its
-    nonzero pattern, so H has no element between two of them (at L = 10 with the reference mode R,
-    which never hops, the 462-ket sector splits into 252 kets with R empty and 210 with R occupied).
-    Each eigh runs at one OpenBLAS thread.
-    """
+    def __init__(self, spec: LatticeSpec):
+        self.spec = spec
+        self._h = build_hamiltonian(spec)
+        self._sectors = {}
 
-    def __init__(self, state: np.ndarray, hamiltonian: np.ndarray):
-        state = np.asarray(state, dtype=complex)
-        dim = hamiltonian.shape[0]
-        if dim > 2**MAX_MODES:
-            raise ValueError("many-body dimension exceeds the oracle guard")
-        if dim != state.size:
-            raise ValueError("state and Hamiltonian dimensions disagree")
-        self._blocks = []
-        with _one_blas_thread():
-            for kets in _connected_blocks(hamiltonian):
-                energies, vectors = np.linalg.eigh(hamiltonian[np.ix_(kets, kets)])
-                # the block's state in its eigenbasis, shared by all times
-                self._blocks.append((kets, energies, vectors, vectors.conj().T @ state[kets]))
-        self.dim = dim
-
-    def state_at(self, time: float) -> np.ndarray:
-        out = np.empty(self.dim, dtype=complex)
-        for kets, energies, vectors, state_eig in self._blocks:
-            out[kets] = vectors @ (np.exp(-1j * energies * time) * state_eig)
+    def evolve(self, state: np.ndarray, basis: FockBasis, times) -> np.ndarray:
+        """exp(-iHt)|state> at each time, [n_times, dim], for a state in a fixed-number `basis` over the
+        chain or over the chain and R."""
+        L, state = self.spec.L, np.asarray(state, dtype=complex)
+        if basis.particles is None or basis.modes not in (L, L + 1) or state.shape != (len(basis),):
+            raise ValueError(f"the state lies in no fixed-number sector of the {L}-site chain (and R)")
+        out = np.empty((len(times), state.size), dtype=complex)
+        counts = [basis.particles] if basis.modes == L else [basis.particles, basis.particles - 1]
+        start = 0
+        for particles in (n for n in counts if 0 <= n <= L):  # R empty, then R occupied
+            if particles not in self._sectors:
+                hamiltonian = many_body_hamiltonian(self._h, fixed_number_basis(L, particles))
+                with _one_blas_thread():
+                    self._sectors[particles] = np.linalg.eigh(hamiltonian)
+            energies, vectors = self._sectors[particles]
+            kets = slice(start, start + energies.size)
+            start = kets.stop
+            state_eig = vectors.conj().T @ state[kets]  # shared by all times
+            for k, time in enumerate(times):
+                out[k, kets] = vectors @ (np.exp(-1j * energies * time) * state_eig)
         return out
 
 
-def _connected_blocks(hamiltonian: np.ndarray) -> list[np.ndarray]:
-    """The kets of each connected component of the nonzero pattern of a Hermitian H, each in ascending
-    order, the components in the order of their first ket: one breadth-first search per component."""
-    linked = hamiltonian != 0
-    free = np.ones(len(linked), dtype=bool)
-    blocks = []
-    while free.any():
-        seen = np.zeros_like(free)
-        frontier = np.flatnonzero(free)[:1]
-        while frontier.size:
-            seen[frontier] = True
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
-        free &= ~seen
-        blocks.append(np.flatnonzero(seen))
-    return blocks
-
-
 def exact_evolve(state: np.ndarray, hamiltonian: np.ndarray, time: float) -> np.ndarray:
-    """One-shot exp(-i H t) |state>; build an ExactEvolution directly for many times."""
-    return ExactEvolution(state, hamiltonian).state_at(time)
+    """One-shot exp(-i H t) |state> from one `eigh` of any many-body H at one OpenBLAS thread: the
+    direct reference for ChainSectors.evolve."""
+    if hamiltonian.shape[0] > 2**MAX_MODES:
+        raise ValueError("many-body dimension exceeds the oracle guard")
+    with _one_blas_thread():
+        energies, vectors = np.linalg.eigh(hamiltonian)
+    return vectors @ (np.exp(-1j * energies * time) * (vectors.conj().T @ np.asarray(state, dtype=complex)))
 
 
 def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.ndarray:
@@ -225,23 +218,27 @@ def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
 _CHUNK_AMPLITUDES = 2**18
 
 
-def exact_entropies(setup: QuenchSetup, subsets, times) -> np.ndarray:
+def exact_entropies(setup: QuenchSetup, subsets, times, sectors: ChainSectors | None = None) -> np.ndarray:
     """gaussian.entropies(quench_evolution(setup), ...) on the exact sector state: entropy of each
-    subset (1-based modes) at each time, [n_times, n_subsets].
+    subset (1-based modes) at each time, [n_times, n_subsets]; `times` must be 1-D.
 
-    The sector Hamiltonian is diagonalised once, one block at a time (ExactEvolution), and each
-    subset's reduced density matrices are built and diagonalised once per chunk of sample times, the
-    stack of a chunk's states; a chunk holds _CHUNK_AMPLITUDES >> modes times, so memory does not grow
-    with the number of times. Everything runs at one OpenBLAS thread, so no value depends on the
-    process's thread count.
+    The state evolves on `sectors`, a store of the setup's chain (by default the call's own); a caller
+    that evaluates the chain with and without R passes one store to both. Each subset's reduced
+    density matrices are built and diagonalised once per chunk of sample times; a chunk holds
+    _CHUNK_AMPLITUDES >> modes times, so memory does not grow with the number of times. All runs at
+    one OpenBLAS thread, so no value depends on the process's thread count.
     """
+    times = _sample_times(times)
+    if sectors is None:
+        sectors = ChainSectors(setup.spec)
+    elif sectors.spec != setup.spec:
+        raise ValueError("the sector store is of another chain")
     basis, state = initial_state(setup)
     chunk = max(1, _CHUNK_AMPLITUDES >> basis.modes)
-    values = np.zeros((len(times), len(subsets)))
+    values = np.zeros((times.size, len(subsets)))
     with _one_blas_thread():
-        evolution = ExactEvolution(state, many_body_hamiltonian(setup_hamiltonian(setup), basis))
-        for start in range(0, len(times), chunk):
-            states = np.array([evolution.state_at(t) for t in times[start : start + chunk]], dtype=complex)
+        for start in range(0, times.size, chunk):
+            states = sectors.evolve(state, basis, times[start : start + chunk])
             for j, subset in enumerate(subsets):
                 values[start : start + chunk, j] = exact_entropy(states, basis, subset)
     return values

@@ -385,7 +385,8 @@ def _point_verify(config: ExperimentConfig, protocol: SamplingProtocol, a: float
     half = [observables.half_chain_sites(L)]
     times = config.times if config.times is not None else (0.5, 1.0, 2.0, 5.0, 10.0)
     gauss = entropies(quench_evolution(setup), half, times)[:, 0]
-    exact = oracle.exact_entropies(setup, half, times)[:, 0]
+    sectors = oracle.ChainSectors(setup.spec)  # both checks' chain: each sector diagonalised once
+    exact = oracle.exact_entropies(setup, half, times, sectors)[:, 0]
     rows = [("ee", t, len(half[0]), g, e, abs(g - e)) for t, g, e in zip(times, gauss, exact)]
 
     if L + 1 <= oracle.MAX_MODES:
@@ -394,7 +395,7 @@ def _point_verify(config: ExperimentConfig, protocol: SamplingProtocol, a: float
         windows = [observables.subsystem_window(L, "center", size) for size in range(L + 1)]
         times = (1.0, 3.0, 7.0)
         gauss = reference_information(windows, L + 1, lambda sets: entropies(ev_r, sets, times))
-        exact = reference_information(windows, L + 1, lambda sets: oracle.exact_entropies(setup_r, sets, times))
+        exact = reference_information(windows, L + 1, lambda sets: oracle.exact_entropies(setup_r, sets, times, sectors))
         rows += [("sic", t, size, g, e, abs(g - e))
                  for t, g_t, e_t in zip(times, gauss, exact) for size, (g, e) in enumerate(zip(g_t, e_t))]
     return rows

@@ -298,6 +298,23 @@ class TestSubsystemEntropy:
             with pytest.raises(ValueError, match="site labels"):
                 entropies(ev, [sites], [1.0])
 
+    @pytest.mark.parametrize("sites", [[1.5, 2.9], [2.0], [np.float64(3.0)], [1, 2, 3, 4, 5.5]],
+                             ids=["fractions", "float", "numpy-float", "fraction-large"])
+    def test_non_integer_labels_rejected_not_truncated(self, sites):
+        # [1.5, 2.9] once gave the entropy of sites {1, 2}
+        ev = quench_evolution(neel_setup(6))
+        with pytest.raises(ValueError, match="site labels must be integers"):
+            entropies(ev, [sites], [1.0])
+        with pytest.raises(ValueError, match="site labels must be integers"):
+            ev.block_at(1.0, sites)
+
+    def test_numpy_integer_labels_accepted(self):
+        ev = quench_evolution(neel_setup(6))
+        subsets = [[1, 2], [2, 3, 4, 5]]
+        as_numpy = [np.array(subsets[0]), [np.int32(m) for m in subsets[1]]]
+        assert np.array_equal(entropies(ev, as_numpy, [1.0]), entropies(ev, subsets, [1.0]))
+        assert np.array_equal(ev.block_at(1.0, np.arange(1, 4)), ev.block_at(1.0, [1, 2, 3]))
+
     def test_complement_symmetry_for_pure_state(self):
         setup = neel_setup(10, lam=0.9, a=0.4)
         ev = quench_evolution(setup)

@@ -19,7 +19,7 @@ from gaaquench.model import LatticeSpec, build_hamiltonian
 from gaaquench.observables import reference_site_for
 from gaaquench.oracle import (
     MAX_MODES,
-    ExactEvolution,
+    ChainSectors,
     FockBasis,
     exact_entropies,
     exact_entropy,
@@ -307,6 +307,22 @@ class TestSectorAndComplement:
         with pytest.raises(ValueError):
             exact_entropy(psi, basis, subset)
 
+    @pytest.mark.parametrize("subset", [[1.5, 2.9], [2.0], [np.float64(3.0)], [1, 2, 3, 4, 5, 6, 7.5]],
+                             ids=["fractions", "float", "numpy-float", "fraction-large"])
+    def test_non_integer_labels_rejected_not_truncated(self, subset):
+        setup = QuenchSetup(LatticeSpec(L=10, lam=1.0, a=0.3), "neel", reference_site=5)
+        basis, psi = initial_state(setup)
+        for evaluate in (lambda: exact_entropy(psi, basis, subset), lambda: reduced_density_matrix(psi, basis, subset),
+                         lambda: exact_entropies(setup, [subset], [1.0])):
+            with pytest.raises(ValueError, match="site labels must be integers"):
+                evaluate()
+
+    def test_numpy_integer_labels_accepted(self):
+        setup = QuenchSetup(LatticeSpec(L=6, lam=1.0, a=0.3), "neel", reference_site=3)
+        subsets = [[1, 2, 7], [3, 4, 5, 6, 7]]
+        as_numpy = [np.array(subsets[0]), [np.int32(m) for m in subsets[1]]]
+        assert np.array_equal(exact_entropies(setup, as_numpy, [2.0]), exact_entropies(setup, subsets, [2.0]))
+
     @pytest.mark.parametrize("site, particles", [(5, 5), (4, 6)])
     def test_reference_state_lives_in_one_sector(self, site, particles):
         # Neel at L = 10 fills sites 1, 3, ..., 9; the Bell pair puts one particle on E or R
@@ -365,40 +381,51 @@ class TestSectorAndComplement:
         )
 
 
-def _one_shot_evolve(state, hamiltonian, time):
-    """exp(-iHt)|state> from its own eigendecomposition per call: the one-shot reference for ExactEvolution."""
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    return vectors @ (np.exp(-1j * energies * time) * (vectors.conj().T @ np.asarray(state, dtype=complex)))
-
-
 class TestExactEvolution:
     def test_one_eigh_for_many_times(self, monkeypatch):
         setup = QuenchSetup(LatticeSpec(L=8, lam=1.1, a=0.3), "neel")
         basis, psi = initial_state(setup)
         hm = many_body_hamiltonian(build_hamiltonian(setup.spec), basis)
         times = np.linspace(0.0, 10.0, 21)
-        expected = [_one_shot_evolve(psi, hm, t) for t in times]
+        expected = [exact_evolve(psi, hm, t) for t in times]
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: calls.append(m.shape) or eigh(m, *args, **kw))
-        evolution = ExactEvolution(psi, hm)
-        states = [evolution.state_at(t) for t in times]
-        assert calls == [(70, 70)]
-        for state, reference in zip(states, expected):
-            assert np.max(np.abs(state - reference)) <= 1e-14
-        assert np.array_equal(exact_evolve(psi, hm, times[5]), states[5])
+        sectors = ChainSectors(setup.spec)
+        states = np.concatenate([sectors.evolve(psi, basis, times[:7]), sectors.evolve(psi, basis, times[7:])])
+        assert calls == [(70, 70)]  # the store diagonalises the sector once, for both calls
+        assert states.shape == (21, 70)
+        for state, reference in zip(states, expected):  # one sector: the same arithmetic as the one-shot path
+            assert np.array_equal(state, reference)
 
     def test_guards(self):
-        basis = fixed_number_basis(4, 2)
-        hm = many_body_hamiltonian(build_hamiltonian(LatticeSpec(L=4, lam=1.0)), basis)
-        with pytest.raises(ValueError, match="disagree"):
-            ExactEvolution(np.ones(5), hm)
+        setup = QuenchSetup(LatticeSpec(L=4, lam=1.0), "neel", reference_site=2)
+        basis, psi = initial_state(setup)
+        sectors = ChainSectors(setup.spec)
+        # a state of the wrong size, the full Fock space, a basis over 6 modes, one over 3
+        for state, states_basis in ((np.ones(5), basis), (psi, full_basis(5)),
+                                    (np.ones(15), fixed_number_basis(6, 2)), (np.ones(3), fixed_number_basis(3, 1))):
+            with pytest.raises(ValueError, match="no fixed-number sector"):
+                sectors.evolve(state, states_basis, [1.0])
+        with pytest.raises(ValueError, match="oracle guard"):  # a view: no matrix is allocated
+            exact_evolve(np.ones(2**MAX_MODES + 1), np.broadcast_to(0.0, (2**MAX_MODES + 1,) * 2), 1.0)
+        with pytest.raises(ValueError, match="another chain"):
+            exact_entropies(setup, [[1]], [1.0], ChainSectors(LatticeSpec(L=4, lam=1.5)))
 
     def test_entropy_table_shape(self):
         setup = QuenchSetup(LatticeSpec(L=4, lam=0.6, a=0.2), "neel", reference_site=2)
         assert exact_entropies(setup, [[1], [2, 5]], []).shape == (0, 2)
         table = exact_entropies(setup, [[2], [5], [2, 5]], [0.0]) / np.log(2.0)  # in bits
         assert table == pytest.approx(np.array([[1.0, 1.0, 0.0]]), abs=1e-12)
+
+    @pytest.mark.parametrize("times", [1.0, [[1.0, 2.0]], np.ones((2, 3))], ids=["scalar", "row", "table"])
+    def test_times_must_be_one_dimensional(self, times):
+        # the rule and message of gaussian.entropies, checked before any sector is diagonalised
+        setup = QuenchSetup(LatticeSpec(L=8, lam=1.0, a=0.3), "neel")
+        with pytest.raises(ValueError, match="1-D array of sample times"):
+            exact_entropies(setup, [[1, 2, 3, 4]], times)
+        with pytest.raises(ValueError, match="1-D array of sample times"):
+            entropies(quench_evolution(setup), [[1, 2, 3, 4]], times)
 
 
 def reference_quench(L, coupling):
@@ -408,26 +435,54 @@ def reference_quench(L, coupling):
     return setup, basis, psi, many_body_hamiltonian(setup_hamiltonian(setup), basis)
 
 
+def record_many_body_eigh(monkeypatch, L):
+    """The shapes of the eigh calls on matrices larger than the chain and R: the many-body ones."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(m, *args, **kw):
+        if m.shape[0] > L + 1:
+            shapes.append(m.shape)
+        return eigh(m, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
 class TestSpectatorBlocks:
     @pytest.mark.parametrize("coupling", ["edge", "center"])
     @pytest.mark.parametrize("L", [6, 7, 8, 9, 10])
     def test_block_split_equals_one_block(self, L, coupling, monkeypatch):
-        _, basis, psi, hm = reference_quench(L, coupling)
-        shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: shapes.append(m.shape) or eigh(m, *args, **kw))
-        split = ExactEvolution(psi, hm)
+        # the chain sectors against one eigh of the whole (L+1)-mode sector
+        setup, basis, psi, hm = reference_quench(L, coupling)
+        times = np.linspace(0.0, 10.0, 20)
+        whole = [exact_evolve(psi, hm, t) for t in times]
+        shapes = record_many_body_eigh(monkeypatch, L)
+        split = ChainSectors(setup.spec).evolve(psi, basis, times)
         # R, which never hops, empty or occupied: the chain holds all N particles or N - 1 of them
         sizes = [comb(L, basis.particles), comb(L, basis.particles - 1)]
-        assert shapes == [(size, size) for size in sizes]
-        for t in np.linspace(0.0, 10.0, 20):
-            assert np.max(np.abs(split.state_at(t) - _one_shot_evolve(psi, hm, t))) <= 1e-13
+        assert shapes == [(size, size) for size in sizes] and sum(sizes) == len(basis)
+        for state, reference in zip(split, whole):
+            assert np.max(np.abs(state - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("particles", [0, 1, 5, 6])
+    def test_sectors_at_the_ends_of_the_filling(self, particles):
+        # R occupied with an empty chain, or R empty with a full one: one of the two parts has no kets
+        L = 5
+        spec = LatticeSpec(L=L, lam=0.8, a=0.2)
+        basis = fixed_number_basis(L + 1, particles)
+        rng = np.random.default_rng(particles)
+        psi = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        hm = many_body_hamiltonian(np.pad(build_hamiltonian(spec), (0, 1)), basis)
+        split = ChainSectors(spec).evolve(psi, basis, [0.7, 3.0])
+        for state, t in zip(split, (0.7, 3.0)):
+            assert np.max(np.abs(state - exact_evolve(psi, hm, t))) <= 1e-12
 
     def test_many_body_eigh_runs_at_one_blas_thread(self, monkeypatch):
         get, set_ = gaussian._blas_thread_control()
         if get() is None:
             pytest.skip("numpy's OpenBLAS thread control is not available")
-        setup, *_ = reference_quench(10, "center")
+        setup, basis, psi, _ = reference_quench(10, "center")
         subsets = [[5], [4, 5, 6], list(range(1, 11)), [11], [4, 5, 6, 11]]
         times = np.linspace(0.0, 10.0, 7)
         seen = []
@@ -439,10 +494,11 @@ class TestSpectatorBlocks:
             for threads in (1, 2):
                 set_(threads)
                 tables.append(exact_entropies(setup, subsets, times))
+                ChainSectors(setup.spec).evolve(psi, basis, times)
                 assert get() == threads
         finally:
             set_(before)
-        assert seen == [1, 1, 1, 1]
+        assert seen == [1] * 8
         assert np.array_equal(tables[0], tables[1])
 
 
@@ -451,11 +507,9 @@ class TestStackedStates:
                              ids=["empty", "one", "spread", "four", "complement"])
     @pytest.mark.parametrize("count", [0, 1, 5])
     def test_stack_equals_each_state_exactly(self, subset, count):
-        setup, basis, psi, hm = reference_quench(8, "center")
+        setup, basis, psi, _ = reference_quench(8, "center")
         with gaussian._one_blas_thread():  # as exact_entropies runs
-            evolution = ExactEvolution(psi, hm)
-            states = np.array([evolution.state_at(t) for t in np.linspace(0.0, 10.0, count)])
-            states = states.reshape(count, len(basis))
+            states = ChainSectors(setup.spec).evolve(psi, basis, np.linspace(0.0, 10.0, count))
             rho = reduced_density_matrix(states, basis, subset)
             values = exact_entropy(states, basis, subset)
             assert rho.shape == (count,) + (2 ** len(subset),) * 2 and values.shape == (count,)
@@ -517,7 +571,7 @@ class TestProductionKernelAgreesWithOracle:
             mi = reference_information(windows, L + 1, lambda sets: entropies(ev, sets, [t]))
             basis, psi = initial_state(setup)
             hm = many_body_hamiltonian(np.pad(build_hamiltonian(spec), (0, 1)), basis)
-            psi_t = ExactEvolution(psi, hm).state_at(t)
+            psi_t = exact_evolve(psi, hm, t)
             exact = [exact_mutual_information(psi_t, basis, w, L + 1) for w in windows]
             assert mi[0] == pytest.approx(exact, abs=1e-8)
 

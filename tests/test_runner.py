@@ -765,10 +765,10 @@ class TestRun:
         manifest = run(parse_config("experiment = verify\nL = 10\na = 0.3\nlambda = 1.0\n"), tmp_path)
         assert manifest["verify_passed"] is True
         # the Gaussian engine diagonalises h and factors C0 once each, for the chain without and
-        # with the reference (10 and 11 modes); the oracle diagonalises each block of each many-body
-        # sector once: C(10, 5) = 252 states without the reference, and with it the 462 states of
-        # C(11, 5) split on the occupation of R, which never hops, into 252 (R empty) + 210
-        assert sorted(dims) == [10, 10, 11, 11, 210, 252, 252]
+        # with the reference (10 and 11 modes); the oracle diagonalises each chain sector once: the
+        # 462 states of C(11, 5) with the reference split on the occupation of R, which never hops,
+        # into 252 (R empty, the C(10, 5) states of the chain without it) + 210 (R occupied)
+        assert sorted(dims) == [10, 10, 11, 11, 210, 252]
 
 
 class TestCli:
