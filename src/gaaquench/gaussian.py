@@ -19,14 +19,14 @@ starts in the Gaussian Bell state (c_E^dag + c_R^dag)/sqrt(2)|vac>, whose
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
+from ._blas import _one_blas_thread
 from .model import LatticeSpec, build_hamiltonian
 from .spectral import diagonalize
 
@@ -189,8 +189,8 @@ class QuenchEvolution:
         c = c0.matrix
         if not c.imag.any():  # every state the package builds: the factor is real until it is folded
             c = c.real
+        self.energies, self.modes = diagonalize(h)
         with _one_blas_thread():
-            self.energies, self.modes = diagonalize(h)
             occupations, orbitals = np.linalg.eigh(self.modes.T @ c @ self.modes)
         _check_occupations(occupations)
         self.pure = bool(np.all(np.minimum(np.abs(occupations), np.abs(occupations - 1.0)) <= _PROJECTOR_TOL))
@@ -200,7 +200,7 @@ class QuenchEvolution:
     def _fill(self, time: float, v_rows: np.ndarray, out: np.ndarray) -> None:
         """C(t) on the rows of v_rows (the rows of `modes`) into `out`, a C-contiguous [m, m] complex
         array: W = V_rows e^{iEt} F from one real GEMM, then W W^dag. Where the kernel routines are
-        found (_kernel_routines), zherk writes only the lower triangle of `out` (row-major), the one
+        found (_blas._kernel_routines), zherk writes only the lower triangle of `out` (row-major), the one
         that eigvalsh(UPLO='L') and the kernel's zhetrd(UPLO='U') on the C-order buffer read; the
         strict upper triangle is left as it was. Otherwise numpy fills all of it."""
         m, k = v_rows.shape[0], self._factor.shape[1]
@@ -208,7 +208,7 @@ class QuenchEvolution:
             raise ValueError(f"_fill needs a C-contiguous complex ({m}, {m}) array")
         p = np.exp(1j * (self.energies * time))[:, None] * self._factor
         w = (v_rows @ p.view(float)).view(complex)  # one real GEMM: V_rows times the [dim, 2k] real view of p
-        routines = _kernel_routines()
+        routines = _blas._kernel_routines()
         if routines is None:
             np.matmul(w, w.conj().T, out=out)
         else:
@@ -375,58 +375,6 @@ class _RowGroup:
         self.starts = range(0, n_times, self.chunk)
 
 
-@functools.cache
-def _openblas():
-    """The OpenBLAS that numpy's core extension links, opened once per process; None without it.
-    Its one owner: the thread control and the kernel routines both take their symbols from it."""
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-
-        return ctypes.CDLL(_multiarray_umath.__file__)
-    except (ImportError, OSError):
-        return None
-
-
-@functools.cache
-def _blas_thread_control():
-    """(get, set) of the OpenBLAS thread count, looked up once per process. Without the library or a
-    symbol, get gives None and set does nothing."""
-    import ctypes
-
-    try:
-        lib = _openblas()
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:  # no symbol, or no library (None)
-        return (lambda: None), (lambda threads: None)
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@functools.cache
-def _kernel_routines():
-    """(zherk, zhetrd, dsterf) of the same OpenBLAS, or None where any of the three symbols is missing,
-    which puts the whole kernel on its numpy path (numpy's matmul and eigvalsh). zherk is the ILP64
-    CBLAS routine, its arguments by value; zhetrd and dsterf are ILP64 LAPACK with every argument
-    passed by address and zhetrd's hidden length of UPLO last."""
-    import ctypes
-
-    try:
-        lib = _openblas()
-        zherk, zhetrd, dsterf = lib.scipy_cblas_zherk64_, lib.scipy_zhetrd_64_, lib.scipy_dsterf_64_
-    except AttributeError:
-        return None
-    # order, uplo, trans, N, K, alpha, A, lda, beta, C, ldc
-    zherk.argtypes = [ctypes.c_int] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
-                                                                  ctypes.c_double, ctypes.c_void_p, ctypes.c_int64]
-    zherk.restype = None
-    zhetrd.argtypes, zhetrd.restype = [ctypes.c_void_p] * 10 + [ctypes.c_size_t], None
-    dsterf.argtypes, dsterf.restype = [ctypes.c_void_p] * 4, None
-    return zherk, zhetrd, dsterf
-
-
 class _SideSpectra:
     """Spectra of every nonempty side of one row group, and of its carriers' leads, from one Householder
     reduction per side block: one thread's buffers for the group's chunks, cut from its `stack`.
@@ -522,29 +470,6 @@ class _SideSpectra:
         return self._table[0, :count]
 
 
-def _blas_threads() -> int | None:
-    """The OpenBLAS thread count of this process, or None where it cannot be read."""
-    return _blas_thread_control()[0]()
-
-
-def _cap_blas_threads() -> None:
-    """One OpenBLAS thread for the rest of this process (the initializer of each pool worker)."""
-    _blas_thread_control()[1](1)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body at one OpenBLAS thread and restore the count after; yields the count before (1
-    where unknown). Every Gaussian computation runs inside, so no value depends on the process's count."""
-    get, set_ = _blas_thread_control()
-    before = get()
-    set_(1)
-    try:
-        yield before or 1
-    finally:
-        set_(before)
-
-
 def _sample_times(times) -> np.ndarray:
     """`times` as a float array, which must be 1-D: the one rule for both engines' entropy tables."""
     times = np.asarray(times, dtype=float)
@@ -560,7 +485,7 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
     S(X) = S(complement of X) (Peschel, J. Phys. A 36, L205 (2003)), so a
     subset is replaced by its complement when that is strictly smaller; a tie
     keeps the subset. Equal sides are evaluated once. Where numpy's OpenBLAS
-    has zherk, zhetrd and dsterf (_kernel_routines), each side Y whose Y[:-1]
+    has zherk, zhetrd and dsterf (_blas._kernel_routines), each side Y whose Y[:-1]
     is also a side is paired with it (_pair_leads): the carrier Y's block gives
     both spectra from one tridiagonal reduction (_SideSpectra); at L = 100 the
     sic_profile plan has 18 pairs. The sides that are no lead are then put in
@@ -603,7 +528,7 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
             idx = np.flatnonzero(outside)
         sides.setdefault(tuple(idx), []).append(column)
     values = np.zeros((times.size, len(subsets)))
-    routines = _kernel_routines()
+    routines = _blas._kernel_routines()
     groups = _row_groups(sides, _pair_leads(sides) if routines else {}, dim, times.size)
 
     def work(group: _RowGroup, share: range) -> None:

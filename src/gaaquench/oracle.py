@@ -17,13 +17,14 @@ of the smaller side. Hard size guard: M <= 12 modes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .gaussian import QuenchSetup, _one_blas_thread, _sample_times, _site_indices, occupation_pattern
+from ._blas import _one_blas_thread
+from .gaussian import QuenchSetup, _sample_times, _site_indices, occupation_pattern
 from .model import LatticeSpec, build_hamiltonian
 
 MAX_MODES = 12
@@ -46,54 +47,56 @@ class FockBasis:
     def __len__(self) -> int:
         return len(self.states)
 
+    @functools.cached_property
+    def occupations(self) -> np.ndarray:
+        """Read-only [ket, mode] 0/1 occupations of the basis kets, built on first use."""
+        table = (np.asarray(self.states, dtype=np.int64)[:, None] >> np.arange(self.modes)) & 1
+        table.flags.writeable = False
+        return table
+
 
 def fixed_number_basis(modes: int, particles: int) -> FockBasis:
     _check_modes(modes)
     if not 0 <= particles <= modes:
         raise ValueError(f"particle number {particles} outside 0..{modes}")
-    states = tuple(sorted(sum(1 << b for b in occ) for occ in combinations(range(modes), particles)))
-    return FockBasis(modes, particles, states, {n: i for i, n in enumerate(states)})
-
-
-def _parity(bits: int) -> int:
-    return -1 if bin(bits).count("1") % 2 else 1
-
-
-def _occupation_table(basis: FockBasis) -> np.ndarray:
-    """[ket, mode] 0/1 occupations of the basis kets."""
-    return (np.asarray(basis.states, dtype=np.int64)[:, None] >> np.arange(basis.modes)) & 1
+    counts = np.zeros(1, dtype=int)  # the bit count of each ket 0..2^modes - 1, one mode more per step
+    for _ in range(modes):
+        counts = np.concatenate([counts, counts + 1])
+    states = tuple(np.flatnonzero(counts == particles).tolist())  # ascending
+    return FockBasis(modes, particles, states, dict(zip(states, range(len(states)))))
 
 
 def many_body_hamiltonian(h: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Matrix of sum_ij h_ij c_i^dag c_j in the given basis (real symmetric for real h).
 
-    Built one hopping term at a time over every ket of the occupation table.
     c_i^dag c_j with i != j maps a ket to one other ket, so each off-diagonal
     entry has a single term, with the sign (-1)^(occupied modes below j in n
-    plus occupied modes below i in n - j). The diagonal adds h_ii over the
+    plus occupied modes below i in n - j): every hop of every ket is set in one
+    vectorised pass over the occupation table. The diagonal adds h_ii over the
     occupied modes, mode by mode in ascending order.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (basis.modes, basis.modes):
         raise ValueError(f"single-particle matrix {h.shape} does not match {basis.modes} modes")
     states = np.asarray(basis.states, dtype=np.int64)
-    order = np.argsort(states)
-    occ = _occupation_table(basis).astype(bool)
+    occ = basis.occupations.astype(bool)
     below = np.cumsum(occ, axis=1) - occ  # occupied modes below each mode
     dim = len(basis)
     out = np.zeros((dim, dim))
     diagonal = out.reshape(-1)[:: dim + 1]
-    for i, j in zip(*np.nonzero(h)):
-        if i == j:
-            diagonal[occ[:, i]] += h[i, i]
-            continue
-        cols = np.flatnonzero(occ[:, j] & ~occ[:, i])
-        targets = states[cols] ^ (1 << j) | (1 << i)
-        rows = order[np.minimum(np.searchsorted(states, targets, sorter=order), dim - 1)]
-        if np.any(states[rows] != targets):  # a basis not closed under hopping
-            raise ValueError("basis is missing a ket that the Hamiltonian reaches")
-        swaps = below[cols, j] + below[cols, i] - (j < i)
-        out[rows, cols] = (1 - 2 * (swaps % 2)) * h[i, j]
+    for i in np.flatnonzero(np.diag(h)):
+        diagonal[occ[:, i]] += h[i, i]
+    i, j = np.nonzero(h)
+    i, j = i[i != j], j[i != j]
+    cols, hop = np.nonzero(occ[:, j] & ~occ[:, i])  # the kets with j occupied and i empty, for each hop
+    i, j = i[hop], j[hop]
+    position = np.full(1 << basis.modes, -1)
+    position[states] = np.arange(dim)
+    rows = position[states[cols] ^ (1 << j) | (1 << i)]
+    if np.any(rows < 0):  # a basis not closed under hopping
+        raise ValueError("basis is missing a ket that the Hamiltonian reaches")
+    swaps = below[cols, j] + below[cols, i] - (j < i)
+    out[rows, cols] = (1 - 2 * (swaps % 2)) * h[i, j]
     return out
 
 
@@ -127,8 +130,10 @@ class ChainSectors:
             kets = slice(start, start + energies.size)
             start = kets.stop
             state_eig = vectors.conj().T @ state[kets]  # shared by all times
+            forward = vectors.astype(complex)  # the cast numpy would make for each time's product, made once
             for k, time in enumerate(times):
-                out[k, kets] = vectors @ (np.exp(-1j * energies * time) * state_eig)
+                out[k, kets] = forward @ (np.exp(-1j * energies * time) * state_eig)
+            del forward  # freed before the next sector is built
         return out
 
 
@@ -153,7 +158,7 @@ def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.nd
     """
     in_a = np.zeros(basis.modes, dtype=bool)
     in_a[_site_indices(subset, basis.modes)] = True
-    occ = _occupation_table(basis)
+    occ = basis.occupations
     occ_a, occ_b = occ[:, in_a], occ[:, ~in_a]
     # at a subset mode, the running count of occupied complement modes is the count below it
     swaps = (occ_a * np.cumsum(occ * ~in_a, axis=1)[:, in_a]).sum(axis=1)
@@ -206,8 +211,8 @@ def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
     r_bit = L
     rest = int(sum(1 << i for i in np.flatnonzero(occ) if i != e_bit))
     basis = fixed_number_basis(L + 1, rest.bit_count() + 1)
-    sign_e = _parity(rest & ((1 << e_bit) - 1))
-    sign_r = _parity(rest)  # r is the last mode; swaps past every occupied site
+    sign_e = (-1) ** (rest & ((1 << e_bit) - 1)).bit_count()
+    sign_r = (-1) ** rest.bit_count()  # r is the last mode; swaps past every occupied site
     state = np.zeros(len(basis), dtype=complex)
     state[basis.index[rest | (1 << e_bit)]] += sign_e / math.sqrt(2.0)
     state[basis.index[rest | (1 << r_bit)]] += sign_r / math.sqrt(2.0)

@@ -29,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, gaussian, observables, oracle, spectral
-from .gaussian import (QuenchSetup, _blas_threads, _cap_blas_threads, entropies, quench_evolution,
-                       reference_information)
+from . import __version__, _blas, observables, oracle, spectral
+from ._blas import _blas_threads, _cap_blas_threads
+from .gaussian import QuenchSetup, entropies, quench_evolution, reference_information
 from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
@@ -530,7 +530,7 @@ def _environment(config: ExperimentConfig, threads: dict) -> dict:
         "numpy": np.__version__,
         "blas": getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name"),
         "blas_threads": _blas_threads(),
-        "lapack_pairs": gaussian._kernel_routines() is not None,  # zherk, zhetrd and dsterf found (see gaussian.entropies)
+        "lapack_pairs": _blas._kernel_routines() is not None,  # zherk, zhetrd and dsterf found (see gaussian.entropies)
         "cpu_count": os.cpu_count(),
         "workers": config.workers,
         **threads,

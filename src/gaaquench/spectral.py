@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import _one_blas_thread
 from .model import LatticeSpec, build_hamiltonian
 
 EXTENDED = "extended"
@@ -51,12 +52,14 @@ class SpectrumData:
 
 
 def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a symmetric matrix."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a symmetric matrix, from one `eigh`
+    at one OpenBLAS thread, so that no value depends on the process's thread count."""
     h = np.asarray(h)
     scale = max(1.0, float(np.max(np.abs(h))))
     if not np.max(np.abs(h - h.T.conj())) <= _SYMMETRY_TOL * scale:  # a NaN fails too
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigh(h)
+    with _one_blas_thread():
+        return np.linalg.eigh(h)
 
 
 def ipr(psi: np.ndarray) -> float:

@@ -3,9 +3,9 @@ bare textbook path (the entropy of one restricted block, Peschel 2003) built fro
 
 import numpy as np
 
-from gaaquench import gaussian
+from gaaquench import _blas, gaussian
 
-# what gaussian._kernel_routines looks up; hiding any one puts the kernel on its numpy path
+# what _blas._kernel_routines looks up; hiding any one puts the kernel on its numpy path
 KERNEL_SYMBOLS = ("scipy_cblas_zherk64_", "scipy_zhetrd_64_", "scipy_dsterf_64_")
 
 
@@ -15,7 +15,7 @@ def side_spectra(block, lead=False):
     m = block.shape[0]
     group = gaussian._RowGroup(set(range(m)), [(tuple(range(m)), [0], [1] if lead else None)], 1)
     stack = np.array(block, dtype=complex, order="C")[None]  # a copy: the routine reduces it in place
-    spectra = gaussian._SideSpectra(gaussian._kernel_routines(), group, stack)
+    spectra = gaussian._SideSpectra(_blas._kernel_routines(), group, stack)
     table = spectra(1)
     (side, _), *leads = spectra.segments
     return table[0, side].copy(), table[0, leads[0][0]].copy() if lead else None
@@ -24,7 +24,7 @@ def side_spectra(block, lead=False):
 def kernel_entropy(block):
     """The entropy the kernel gives a side in no pair: its lone-side routine where the kernel routines
     are found, stacked eigvalsh (entropy_of_block) where not; 0 for the empty side."""
-    if gaussian._kernel_routines() is None or block.shape[0] == 0:
+    if _blas._kernel_routines() is None or block.shape[0] == 0:
         return gaussian.entropy_of_block(block)
     return float(gaussian._binary_entropies(side_spectra(block)[0]))
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gaaquench import observables
 from gaaquench.gaussian import QuenchSetup, entropies, quench_evolution, reference_information
 from gaaquench.model import LatticeSpec, build_hamiltonian
 from gaaquench.observables import (
@@ -19,7 +20,6 @@ from gaaquench.observables import (
     half_chain_sites,
     pearson,
     quench_velocity,
-    saturation_value,
     sic_jump,
     sic_profile,
     subsystem_window,
@@ -115,7 +115,7 @@ def test_criterion_2_oracle_equivalence_sic():
     assert elapsed < 30.0
 
 
-def test_criterion_3_saturation_contrast():
+def test_criterion_3_saturation_contrast(saturation_points):
     # The contrast needs the deformed chain inside its mobility-edge phase. At
     # a = 0.3 that phase ends between lam = 1.37 and 1.40; beyond it E_c lies
     # below the whole spectrum, every state is localized, and both chains sit
@@ -134,7 +134,7 @@ def test_criterion_3_saturation_contrast():
     assert region(0.0, probe)[0] == PHASE_LOCALIZED
     assert region(0.3, control)[0] == PHASE_LOCALIZED
     sat = {
-        (a, lam): saturation_value(neel(200, lam, a), PROTOCOL)
+        (a, lam): saturation_points(neel(200, lam, a), PROTOCOL)
         for a, lam in ((0.0, 0.5), (0.0, probe), (0.3, 0.5), (0.3, probe), (0.3, control))
     }
     ratio_aa = sat[(0.0, probe)] / sat[(0.0, 0.5)]
@@ -145,7 +145,8 @@ def test_criterion_3_saturation_contrast():
         3,
         f"saturation ratios at lam={probe}: AA = {ratio_aa:.4f}, deformed = {ratio_gaa:.4f} "
         f"(n_e = {n_e:.3f}), enhancement = {ratio_gaa / ratio_aa:.2f}x; "
-        f"localized control at lam={control}: deformed = {ratio_control:.4f} ({elapsed:.0f} s)",
+        f"localized control at lam={control}: deformed = {ratio_control:.4f} "
+        f"({elapsed:.0f} s; {saturation_points.note()})",
     )
     assert elapsed < 300.0
     assert ratio_aa < 0.1
@@ -153,9 +154,11 @@ def test_criterion_3_saturation_contrast():
     assert ratio_control < 0.1
 
 
-def test_criterion_4_scaling_exponents():
+def test_criterion_4_scaling_exponents(saturation_points, monkeypatch):
     start = time.perf_counter()
-    # the points of one `gaa scaling` run, each at PROTOCOL
+    # the points of one `gaa scaling` run, each at PROTOCOL, through the runner's own path; the
+    # saturation_value it calls takes the points it shares with criteria 3 and 5 from the shared store
+    monkeypatch.setattr(observables, "saturation_value", saturation_points)
     config = ExperimentConfig("scaling", L=(80, 120, 160, 200, 240), lam=(0.5, 1.0, 1.5), a=(0.0, 0.3))
     results = {}
     for a, lam in ((0.0, 0.5), (0.0, 1.5), (0.3, 1.0)):
@@ -166,20 +169,21 @@ def test_criterion_4_scaling_exponents():
         f"alpha(a={a}, lam={lam}) = {alpha:.3f} +- {err:.3f}"
         for (a, lam), (alpha, err) in results.items()
     )
-    report(4, f"{summary} ({elapsed:.0f} s)")
+    report(4, f"{summary} ({elapsed:.0f} s; {saturation_points.note()})")
     assert 0.8 <= results[(0.0, 0.5)][0] <= 1.1
     assert results[(0.0, 1.5)][0] < 0.2
     assert 0.8 <= results[(0.3, 1.0)][0] <= 1.1
     assert elapsed < 1200.0
 
 
-def test_criterion_5_saturation_tracks_extended_fraction():
+def test_criterion_5_saturation_tracks_extended_fraction(saturation_points):
     start = time.perf_counter()
-    s_sat = [saturation_value(neel(200, lam, 0.3), PROTOCOL) for lam in LAMBDA_GRID]
+    s_sat = [saturation_points(neel(200, lam, 0.3), PROTOCOL) for lam in LAMBDA_GRID]
     n_e = [analyze(LatticeSpec(L=200, lam=lam, a=0.3)).n_e for lam in LAMBDA_GRID]
     r = pearson(s_sat, n_e)
     elapsed = time.perf_counter() - start
-    report(5, f"pearson(S_sat, n_e) = {r:.4f} over {len(LAMBDA_GRID)} lambda points ({elapsed:.0f} s)")
+    report(5, f"pearson(S_sat, n_e) = {r:.4f} over {len(LAMBDA_GRID)} lambda points "
+              f"({elapsed:.0f} s; {saturation_points.note()})")
     assert r > 0.95
     assert elapsed < 600.0
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaaquench import gaussian, observables
+from gaaquench import _blas, gaussian, observables
 from gaaquench.gaussian import (
     CorrelationMatrix,
     QuenchEvolution,
@@ -66,7 +66,7 @@ def per_time_entropies(ev, subsets, times):
     sides = chosen_sides(ev, subsets)
     distinct = sorted(dict.fromkeys(sides), key=len, reverse=True)  # a stable sort keeps the order of ties
     lead_of, paired = {}, set()
-    for side in distinct if gaussian._kernel_routines() else []:
+    for side in distinct if _blas._kernel_routines() else []:
         lead = side[:-1]
         if len(side) > 1 and lead in distinct and side not in paired and lead not in paired:
             lead_of[side] = lead
@@ -482,7 +482,7 @@ CHUNK_CASES = {
 
 
 class FakeBlas:
-    """Stands in for the OpenBLAS thread control of gaussian._blas_thread_control: a
+    """Stands in for the OpenBLAS thread control of _blas._blas_thread_control: a
     count that the kernel reads and sets, and every count it set."""
 
     def __init__(self, threads):
@@ -533,7 +533,7 @@ class TestStackedKernel:
             for threads in (1, 2):
                 # a stand-in count: the real one stays as it is, so both sides do the same arithmetic
                 blas = FakeBlas(threads)
-                patch.setattr(gaussian, "_blas_thread_control", blas.control)
+                patch.setattr(_blas, "_blas_thread_control", blas.control)
                 for count in (0, 1, k - 1, k, k + 1, 2 * k + 3):
                     expected, _ = per_time_entropies(ev, subsets, times[:count])
                     got = entropies(ev, subsets, times[:count])
@@ -550,7 +550,7 @@ class TestStackedKernel:
     @pytest.mark.parametrize("symbol", KERNEL_SYMBOLS)
     def test_numpy_path_equals_per_time_blocks_exactly(self, symbol, monkeypatch, hide_openblas):
         hide_openblas([symbol])
-        assert gaussian._kernel_routines() is None
+        assert _blas._kernel_routines() is None
         for case in sorted(CHUNK_CASES):
             self.check_chunks(case, monkeypatch)
 
@@ -582,7 +582,7 @@ class TestStackedKernel:
             setup, subsets = neel_setup(200), [range(1, 101)]
         ev = quench_evolution(setup)
         times = np.random.default_rng(31).uniform(1e4, 2e4, 30)
-        monkeypatch.setattr(gaussian, "_blas_thread_control", FakeBlas(1).control)  # one thread, one group at a time
+        monkeypatch.setattr(_blas, "_blas_thread_control", FakeBlas(1).control)  # one thread, one group at a time
         _, groups = per_time_entropies(ev, subsets, times[:1])
         budget, floor, orbitals = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE, ev._factor.shape[1]
         limit = 0
@@ -610,7 +610,7 @@ class TestStackedKernel:
 
 def real_blas():
     """(get, set) of numpy's OpenBLAS thread count; skips the test where the symbols are missing."""
-    get, set_ = gaussian._blas_thread_control()
+    get, set_ = _blas._blas_thread_control()
     if get() is None:
         pytest.skip("numpy's OpenBLAS thread control is not available")
     return get, set_
@@ -652,7 +652,7 @@ class TestChunkThreads:
         ev, half = self.half_chain()
         times = np.linspace(1e4, 2e4, 30)
         blas = FakeBlas(2)
-        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        monkeypatch.setattr(_blas, "_blas_thread_control", blas.control)
         caller = threading.get_ident()
         fill = QuenchEvolution._fill
 
@@ -699,14 +699,14 @@ class TestChunkThreads:
         protocol = observables.SamplingProtocol(n_samples=30)
         with monkeypatch.context() as patch:
             blas = FakeBlas(2)
-            patch.setattr(gaussian, "_blas_thread_control", blas.control)
+            patch.setattr(_blas, "_blas_thread_control", blas.control)
             seen = record_fill_threads(patch, lambda: blas.threads)
             profile = observables.sic_profile(setup, sizes, "center", protocol)
         assert profile.mi.shape == (48,)
         assert len(seen) == 60 and len({ident for ident, _ in seen}) == 2
         assert {threads for _, threads in seen} == {1}
-        # capped and restored around the evolution's eigh calls and around entropies
-        assert blas.history == [1, 2, 1, 2] and blas.threads == 2
+        # capped and restored around each of the evolution's two eigh calls and around entropies
+        assert blas.history == [1, 2, 1, 2, 1, 2] and blas.threads == 2
         get, set_ = real_blas()
         ev, times = quench_evolution(setup), observables.sample_times(protocol)
         before = get()
@@ -721,8 +721,8 @@ class TestChunkThreads:
 
     def test_missing_blas_symbol_runs_serially(self, monkeypatch, hide_openblas):
         hide_openblas(("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_") + KERNEL_SYMBOLS)
-        assert gaussian._blas_threads() is None and gaussian._kernel_routines() is None
-        with gaussian._one_blas_thread() as threads:
+        assert _blas._blas_threads() is None and _blas._kernel_routines() is None
+        with _blas._one_blas_thread() as threads:
             assert threads == 1
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)
@@ -774,34 +774,35 @@ class TestOneBlasThread:
 
     def test_evolution_is_built_at_one_blas_thread(self, monkeypatch):
         blas = FakeBlas(2)
-        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        monkeypatch.setattr(_blas, "_blas_thread_control", blas.control)
         seen = []
-        diagonalize = gaussian.diagonalize
+        eigh = np.linalg.eigh
 
-        def recording_diagonalize(h):
+        def recording_eigh(a):
             seen.append(blas.threads)
-            return diagonalize(h)
+            return eigh(a)
 
-        monkeypatch.setattr(gaussian, "diagonalize", recording_diagonalize)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         quench_evolution(neel_setup(12))
-        assert seen == [1] and blas.history == [1, 2]
+        # diagonalize's eigh of H, then the eigh of C0 in the eigenbasis: each capped and restored
+        assert seen == [1, 1] and blas.history == [1, 2, 1, 2]
 
     def test_count_restored_after_a_failed_build(self, monkeypatch):
         blas = FakeBlas(2)
-        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        monkeypatch.setattr(_blas, "_blas_thread_control", blas.control)
         c0 = CorrelationMatrix(np.diag([1.5, 0.0]).astype(complex))
         with pytest.raises(ValueError, match="outside"):
             QuenchEvolution(c0, np.zeros((2, 2)))
-        assert blas.history == [1, 2] and blas.threads == 2
+        assert blas.history == [1, 2, 1, 2] and blas.threads == 2
 
     def test_symbols_looked_up_once_per_process(self, monkeypatch):
-        control = gaussian._blas_thread_control()
+        control = _blas._blas_thread_control()
 
         def forbidden(*args, **kwargs):
             raise AssertionError("opened the library again")
 
         monkeypatch.setattr(ctypes, "CDLL", forbidden)
-        assert gaussian._blas_thread_control() is control
+        assert _blas._blas_thread_control() is control
         ev, half = quench_evolution(neel_setup(12)), [range(1, 7)]
         assert entropies(ev, half, [1.0e4]).shape == (1, 1)
 
@@ -966,7 +967,7 @@ def plan_sides(ev, subsets):
 
 
 def needs_kernel_routines():
-    if gaussian._kernel_routines() is None:
+    if _blas._kernel_routines() is None:
         pytest.skip("numpy's OpenBLAS exports no zherk, zhetrd and dsterf")
 
 
@@ -1062,7 +1063,7 @@ class TestPairedSides:
         monkeypatch.setattr(gaussian, "_SideSpectra", forbidden)
         for symbol in KERNEL_SYMBOLS:  # any one of the three missing gives the numpy path
             hide_openblas([symbol])
-            assert gaussian._kernel_routines() is None
+            assert _blas._kernel_routines() is None
             got = entropies(ev, subsets, times)
             expected, groups = per_time_entropies(ev, subsets, times)  # pairs nothing either
             assert [len(rows) for rows in groups] == [51, 51]
@@ -1074,7 +1075,7 @@ class TestPairedSides:
         # each call of a chunk writes an INFO of its own: a failure at its 3rd time is not overwritten by the
         # 4th and 5th, and a failed reduction is caught before any dsterf runs
         needs_kernel_routines()
-        routines, calls = list(gaussian._kernel_routines()), {1: 0, 2: 0}
+        routines, calls = list(_blas._kernel_routines()), {1: 0, 2: 0}
 
         def failing(which):
             real = routines[which]
@@ -1090,9 +1091,9 @@ class TestPairedSides:
             return call
 
         wrapped = (routines[0], failing(1), failing(2))
-        monkeypatch.setattr(gaussian, "_kernel_routines", lambda: wrapped)
+        monkeypatch.setattr(_blas, "_kernel_routines", lambda: wrapped)
         ev, blas = quench_evolution(neel_setup(12)), FakeBlas(2)
-        monkeypatch.setattr(gaussian, "_blas_thread_control", blas.control)
+        monkeypatch.setattr(_blas, "_blas_thread_control", blas.control)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             entropies(ev, [range(1, 7)], np.linspace(1e4, 2e4, 5))  # one side, one chunk of 5 times
         assert calls == ({1: 5, 2: 0} if routine == 1 else {1: 5, 2: 5})
@@ -1107,6 +1108,6 @@ class TestPairedSides:
         assert len(gaussian._pair_leads(plan_sides(ev, subsets))) == pairs
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             entropies(ev, subsets, [1.0e4, np.inf])
-        if gaussian._kernel_routines() is not None:
+        if _blas._kernel_routines() is not None:
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                 side_spectra(np.full((len(subsets[-1]),) * 2, np.nan, dtype=complex), lead=pairs == 1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaaquench import gaussian, oracle
+from gaaquench import _blas, oracle
 from gaaquench.gaussian import (
     QuenchSetup,
     entropies,
@@ -479,7 +479,7 @@ class TestSpectatorBlocks:
             assert np.max(np.abs(state - exact_evolve(psi, hm, t))) <= 1e-12
 
     def test_many_body_eigh_runs_at_one_blas_thread(self, monkeypatch):
-        get, set_ = gaussian._blas_thread_control()
+        get, set_ = _blas._blas_thread_control()
         if get() is None:
             pytest.skip("numpy's OpenBLAS thread control is not available")
         setup, basis, psi, _ = reference_quench(10, "center")
@@ -508,7 +508,7 @@ class TestStackedStates:
     @pytest.mark.parametrize("count", [0, 1, 5])
     def test_stack_equals_each_state_exactly(self, subset, count):
         setup, basis, psi, _ = reference_quench(8, "center")
-        with gaussian._one_blas_thread():  # as exact_entropies runs
+        with _blas._one_blas_thread():  # as exact_entropies runs
             states = ChainSectors(setup.spec).evolve(psi, basis, np.linspace(0.0, 10.0, count))
             rho = reduced_density_matrix(states, basis, subset)
             values = exact_entropy(states, basis, subset)
@@ -575,3 +575,30 @@ class TestProductionKernelAgreesWithOracle:
             exact = [exact_mutual_information(psi_t, basis, w, L + 1) for w in windows]
             assert mi[0] == pytest.approx(exact, abs=1e-8)
 
+
+def combinations_basis(modes, particles):
+    """The kets of a fixed-number basis from itertools.combinations, sorted, with their occupation table."""
+    states = tuple(sorted(sum(1 << b for b in occ) for occ in combinations(range(modes), particles)))
+    table = np.array([[n >> m & 1 for m in range(modes)] for n in states], dtype=np.int64).reshape(len(states), modes)
+    return states, table
+
+
+class TestVectorisedSetUp:
+    @pytest.mark.parametrize("modes", range(MAX_MODES + 1))
+    def test_fixed_number_basis_equals_combinations(self, modes):
+        for particles in range(modes + 1):
+            basis = fixed_number_basis(modes, particles)
+            states, table = combinations_basis(modes, particles)
+            assert basis.states == states
+            assert basis.index == {n: i for i, n in enumerate(states)}
+            assert basis.occupations.dtype == table.dtype and np.array_equal(basis.occupations, table)
+            assert not basis.occupations.flags.writeable
+
+    def test_hand_made_basis_gives_the_same_results(self):
+        setup, basis, psi, hm = reference_quench(8, "center")
+        bare = FockBasis(basis.modes, basis.particles, basis.states, basis.index)
+        assert bare == basis and np.array_equal(bare.occupations, basis.occupations)
+        assert bare.occupations is bare.occupations  # built once per basis
+        assert np.array_equal(many_body_hamiltonian(setup_hamiltonian(setup), bare), hm)
+        for subset in ([], [4], [2, 5, 9], [1, 2, 3, 4, 5, 6]):
+            assert np.array_equal(reduced_density_matrix(psi, bare, subset), reduced_density_matrix(psi, basis, subset))
