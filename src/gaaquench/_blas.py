@@ -66,8 +66,8 @@ def _cap_blas_threads() -> None:
 @contextmanager
 def _one_blas_thread():
     """Run the body at one OpenBLAS thread and restore the count after; yields the count before (1
-    where unknown). Every `eigh`, `eigvalsh` and kernel call of the package runs inside, so no value
-    depends on the process's count."""
+    where unknown). Every `eigh` and `eigvalsh` of the package (spectral's), every Gaussian block build
+    and every kernel call runs inside, so no value depends on the process's count."""
     get, set_ = _blas_thread_control()
     before = get()
     set_(1)

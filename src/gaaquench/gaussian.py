@@ -28,7 +28,7 @@ import numpy as np
 from . import _blas
 from ._blas import _one_blas_thread
 from .model import LatticeSpec, build_hamiltonian
-from .spectral import diagonalize
+from .spectral import _stacked_eigvalsh, diagonalize
 
 _HERMITICITY_TOL = 1e-10
 _PROJECTOR_TOL = 1e-10
@@ -190,8 +190,11 @@ class QuenchEvolution:
         if not c.imag.any():  # every state the package builds: the factor is real until it is folded
             c = c.real
         self.energies, self.modes = diagonalize(h)
-        with _one_blas_thread():
-            occupations, orbitals = np.linalg.eigh(self.modes.T @ c @ self.modes)
+        with _one_blas_thread():  # its GEMMs gave other bits at two threads (L = 100 with R, L = 400)
+            rotated = self.modes.T @ c @ self.modes
+        # C0 is Hermitian only to 1e-10, which the rotation can spread past diagonalize's check; eigh reads
+        # the lower triangle alone, so mirroring it changes no bit
+        occupations, orbitals = diagonalize(_mirror_lower(rotated))
         _check_occupations(occupations)
         self.pure = bool(np.all(np.minimum(np.abs(occupations), np.abs(occupations - 1.0)) <= _PROJECTOR_TOL))
         kept = occupations > _CLAMP
@@ -216,12 +219,13 @@ class QuenchEvolution:
             zherk(101, 122, 111, m, k, 1.0, w.ctypes.data, max(k, 1), 0.0, out.ctypes.data, max(m, 1))
 
     def _block(self, time: float, v_rows: np.ndarray) -> np.ndarray:
-        """A fresh C(t) on the rows of v_rows, its strict upper triangle mirrored from the lower one,
-        so that it is exactly Hermitian and its lower triangle is the kernel's."""
+        """A fresh C(t) on the rows of v_rows, built at one OpenBLAS thread as in the kernel, its strict
+        upper triangle mirrored from the lower one, so that it is exactly Hermitian and its lower triangle
+        is the kernel's."""
         out = np.empty((v_rows.shape[0],) * 2, dtype=complex)
-        self._fill(time, v_rows, out)
-        np.copyto(out, out.T.conj(), where=np.tri(out.shape[0], k=-1, dtype=bool).T)  # the strict upper triangle
-        return out
+        with _one_blas_thread():
+            self._fill(time, v_rows, out)
+        return _mirror_lower(out)
 
     def correlation_at(self, time: float) -> CorrelationMatrix:
         return CorrelationMatrix(self._block(time, self.modes), self.reference_index)
@@ -229,6 +233,12 @@ class QuenchEvolution:
     def block_at(self, time: float, sites) -> np.ndarray:
         """Restricted correlation matrix C(t)[sites, sites] without forming all of C(t)."""
         return self._block(time, self.modes[_site_indices(sites, self.dim)])
+
+
+def _mirror_lower(matrix: np.ndarray) -> np.ndarray:
+    """`matrix` with its strict upper triangle set, in place, to the conjugate transpose of its lower one."""
+    np.copyto(matrix, matrix.T.conj(), where=np.tri(matrix.shape[0], k=-1, dtype=bool).T)
+    return matrix
 
 
 def _site_indices(sites, dim: int) -> np.ndarray:
@@ -259,14 +269,15 @@ def _binary_entropies(nu: np.ndarray) -> np.ndarray:
 def block_entropies(blocks: np.ndarray) -> np.ndarray:
     """Entropy in nats of each restricted correlation matrix in a stack [..., n, n] (Hermitian): array [...].
 
-    One eigvalsh call and one binary-entropy reduction serve the whole stack;
-    numpy diagonalises each matrix on its own, so every value equals that of
-    the matrix alone. n = 0 gives entropies 0.
+    One eigvalsh call (spectral._stacked_eigvalsh, at one OpenBLAS thread) and
+    one binary-entropy reduction serve the whole stack; numpy diagonalises each
+    matrix on its own, so every value equals that of the matrix alone. n = 0
+    gives entropies 0.
     """
     blocks = np.asarray(blocks)
     if blocks.shape[-1] == 0:
         return np.zeros(blocks.shape[:-2])
-    return _binary_entropies(np.linalg.eigvalsh(blocks))
+    return _binary_entropies(_stacked_eigvalsh(blocks))
 
 
 def binary_entropy(nu: np.ndarray) -> float:

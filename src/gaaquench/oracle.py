@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import _one_blas_thread
 from .gaussian import QuenchSetup, _sample_times, _site_indices, occupation_pattern
 from .model import LatticeSpec, build_hamiltonian
+from .spectral import _stacked_eigvalsh, diagonalize
 
 MAX_MODES = 12
 
@@ -102,7 +102,7 @@ def many_body_hamiltonian(h: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 class ChainSectors:
     """The chain Hamiltonian's many-body eigendecomposition per particle number over the L sites, each
-    made on first use at one OpenBLAS thread. The reference mode R (mode L + 1) never hops, so a sector
+    made on first use by spectral.diagonalize. The reference mode R (mode L + 1) never hops, so a sector
     over L + 1 modes is the chain's N-particle kets (R empty), then its N - 1 with R's bit set, and H on
     each part is that chain sector's: one store serves the chain with and without R. It lives only as
     long as its caller keeps it, so a repeated run repeats every `eigh`."""
@@ -124,8 +124,7 @@ class ChainSectors:
         for particles in (n for n in counts if 0 <= n <= L):  # R empty, then R occupied
             if particles not in self._sectors:
                 hamiltonian = many_body_hamiltonian(self._h, fixed_number_basis(L, particles))
-                with _one_blas_thread():
-                    self._sectors[particles] = np.linalg.eigh(hamiltonian)
+                self._sectors[particles] = diagonalize(hamiltonian)
             energies, vectors = self._sectors[particles]
             kets = slice(start, start + energies.size)
             start = kets.stop
@@ -138,12 +137,11 @@ class ChainSectors:
 
 
 def exact_evolve(state: np.ndarray, hamiltonian: np.ndarray, time: float) -> np.ndarray:
-    """One-shot exp(-i H t) |state> from one `eigh` of any many-body H at one OpenBLAS thread: the
-    direct reference for ChainSectors.evolve."""
+    """One-shot exp(-i H t) |state> from one spectral.diagonalize of any many-body H: the direct
+    reference for ChainSectors.evolve."""
     if hamiltonian.shape[0] > 2**MAX_MODES:
         raise ValueError("many-body dimension exceeds the oracle guard")
-    with _one_blas_thread():
-        energies, vectors = np.linalg.eigh(hamiltonian)
+    energies, vectors = diagonalize(hamiltonian)
     return vectors @ (np.exp(-1j * energies * time) * (vectors.conj().T @ np.asarray(state, dtype=complex)))
 
 
@@ -170,20 +168,28 @@ def reduced_density_matrix(state: np.ndarray, basis: FockBasis, subset) -> np.nd
     return psi @ psi.conj().swapaxes(-1, -2)
 
 
+def _smaller_side(subset, modes: int) -> tuple[int, ...]:
+    """The sorted 1-based labels of `subset`, or of its complement among the `modes` modes where that is
+    strictly smaller: a state vector is pure, so both sides have one entropy."""
+    labels = (_site_indices(subset, modes) + 1).tolist()
+    if 2 * len(labels) > modes:
+        labels = sorted(set(range(1, modes + 1)) - set(labels))
+    return tuple(labels)
+
+
 def exact_entropy(state: np.ndarray, basis: FockBasis, subset):
     """Von Neumann entropy in nats of the reduced density matrix on `subset` (1-based modes): a float
     for one state [dim], an array [n_states] for a stack [n_states, dim].
 
     The state vector is pure, so the larger side is replaced by its complement
-    (a tie keeps `subset`); an empty side has entropy 0 and builds no matrix.
+    (_smaller_side; a tie keeps `subset`); an empty side has entropy 0 and
+    builds no matrix.
     """
     state = np.asarray(state, dtype=complex)
-    labels = (_site_indices(subset, basis.modes) + 1).tolist()
-    if 2 * len(labels) > basis.modes:
-        labels = sorted(set(range(1, basis.modes + 1)) - set(labels))
+    labels = _smaller_side(subset, basis.modes)
     values = np.zeros(state.shape[:-1])
     if labels:
-        spectra = np.linalg.eigvalsh(reduced_density_matrix(state, basis, labels))
+        spectra = _stacked_eigvalsh(reduced_density_matrix(state, basis, labels))
         for index in np.ndindex(values.shape):
             p = spectra[index][spectra[index] > 1e-14]
             values[index] = -(p * np.log(p)).sum()
@@ -203,7 +209,7 @@ def initial_state(setup: QuenchSetup) -> tuple[FockBasis, np.ndarray]:
     occ = occupation_pattern(setup)
     L = setup.spec.L
     if setup.reference_site is None:
-        basis = fixed_number_basis(L, L // 2)
+        basis = fixed_number_basis(L, int(occ.sum()))
         state = np.zeros(len(basis), dtype=complex)
         state[basis.index[int(sum(1 << i for i in np.flatnonzero(occ)))]] = 1.0
         return basis, state
@@ -228,10 +234,11 @@ def exact_entropies(setup: QuenchSetup, subsets, times, sectors: ChainSectors | 
     subset (1-based modes) at each time, [n_times, n_subsets]; `times` must be 1-D.
 
     The state evolves on `sectors`, a store of the setup's chain (by default the call's own); a caller
-    that evaluates the chain with and without R passes one store to both. Each subset's reduced
-    density matrices are built and diagonalised once per chunk of sample times; a chunk holds
-    _CHUNK_AMPLITUDES >> modes times, so memory does not grow with the number of times. All runs at
-    one OpenBLAS thread, so no value depends on the process's thread count.
+    that evaluates the chain with and without R passes one store to both. Each subset is replaced by
+    its smaller side (_smaller_side), and each distinct side's reduced density matrices are built and
+    diagonalised once per chunk of sample times; a chunk holds _CHUNK_AMPLITUDES >> modes times, so
+    memory does not grow with the number of times. Every eigensolve runs at one OpenBLAS thread in
+    `spectral`, so no value depends on the process's thread count.
     """
     times = _sample_times(times)
     if sectors is None:
@@ -239,11 +246,13 @@ def exact_entropies(setup: QuenchSetup, subsets, times, sectors: ChainSectors | 
     elif sectors.spec != setup.spec:
         raise ValueError("the sector store is of another chain")
     basis, state = initial_state(setup)
+    sides = {}  # side -> the table columns it fills
+    for column, subset in enumerate(subsets):
+        sides.setdefault(_smaller_side(subset, basis.modes), []).append(column)
     chunk = max(1, _CHUNK_AMPLITUDES >> basis.modes)
     values = np.zeros((times.size, len(subsets)))
-    with _one_blas_thread():
-        for start in range(0, times.size, chunk):
-            states = sectors.evolve(state, basis, times[start : start + chunk])
-            for j, subset in enumerate(subsets):
-                values[start : start + chunk, j] = exact_entropy(states, basis, subset)
+    for start in range(0, times.size, chunk):
+        states = sectors.evolve(state, basis, times[start : start + chunk])
+        for side, columns in sides.items():
+            values[start : start + chunk, columns] = exact_entropy(states, basis, side)[:, None]
     return values

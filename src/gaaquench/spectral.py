@@ -1,5 +1,9 @@
 """Spectrum analysis: diagonalization, IPR, mobility edge, and state classification.
 
+This module owns numpy's symmetric eigensolvers: every `eigh` of the package
+is `diagonalize` and every `eigvalsh` is `_stacked_eigvalsh`, both at one
+OpenBLAS thread, so no eigenvalue depends on the process's thread count.
+
 For a deformed chain (a != 0, lam != 0) the critical energy
 
     E_c = 2 * sgn(lam) * (|t| - |lam|) / a
@@ -60,6 +64,14 @@ def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix is not symmetric")
     with _one_blas_thread():
         return np.linalg.eigh(h)
+
+
+def _stacked_eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of a stack [..., n, n], from one `eigvalsh` at one
+    OpenBLAS thread; numpy diagonalises each matrix on its own, so every value equals that of the matrix
+    alone. No symmetry check: it serves the entropy hot paths, whose blocks are Hermitian by construction."""
+    with _one_blas_thread():
+        return np.linalg.eigvalsh(stack)
 
 
 def ipr(psi: np.ndarray) -> float:

@@ -37,6 +37,18 @@ def hide_openblas(monkeypatch):
     return hide
 
 
+@pytest.fixture
+def blas_count():
+    """set(threads): numpy's real OpenBLAS thread count, restored to its value before the test at teardown;
+    the test is skipped where the thread-control symbols are missing."""
+    get, set_ = _blas._blas_thread_control()
+    before = get()
+    if before is None:
+        pytest.skip("numpy's OpenBLAS thread control is not available")
+    yield set_
+    set_(before)
+
+
 class SaturationPoints:
     """saturation_value(setup, protocol) from a store shared by the whole session, so that a point that
     several acceptance criteria evaluate at the same protocol is computed once; `reused` lists the

@@ -174,6 +174,15 @@ class TestInitialCorrelation:
         with pytest.raises(ValueError):
             CorrelationMatrix(bad)
 
+    def test_c0_within_the_hermiticity_tolerance_evolves(self):
+        # 3e-12 above the diagonal: C0 passes its 1e-10 check, while its rotation into the eigenbasis of h is
+        # 1.4e-10 from symmetric, past diagonalize's check; the evolution reads the rotation's lower triangle
+        L = 100
+        c = np.diag((np.arange(L) % 2).astype(complex)) + 3e-12 * np.triu(np.ones((L, L)), 1)
+        ev = QuenchEvolution(CorrelationMatrix(c), build_hamiltonian(LatticeSpec(L=L, lam=1.0, a=0.3)))
+        assert ev.pure
+        assert np.max(np.abs(ev.correlation_at(0.0).matrix - np.diag(np.diag(c)))) <= 1e-9
+
 
 # each tolerance check compares a deviation with its bound; NaN compares False either way round
 NAN_CHECKS = {
@@ -536,12 +545,14 @@ class TestStackedKernel:
                 patch.setattr(_blas, "_blas_thread_control", blas.control)
                 for count in (0, 1, k - 1, k, k + 1, 2 * k + 3):
                     expected, _ = per_time_entropies(ev, subsets, times[:count])
+                    blas.history.clear()  # the reference's blocks and eigvalsh set counts of their own
                     got = entropies(ev, subsets, times[:count])
                     assert got.shape == (count, len(subsets))
                     assert np.array_equal(got, expected), f"{count} times, {threads} threads"
                     assert blas.threads == threads
-                # capped at one thread and restored around every call, whatever its plan
-                assert blas.history == [1, threads] * 6
+                    # capped at one thread and restored around every call, whatever its plan: the numpy
+                    # path's stacked eigvalsh caps again inside, at the count 1 it finds
+                    assert blas.history[0] == 1 and set(blas.history[:-1]) == {1} and blas.history[-1] == threads
 
     @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
     def test_equals_per_time_blocks_exactly(self, case, monkeypatch):
@@ -608,14 +619,6 @@ class TestStackedKernel:
         assert entropies(ev, [], [1.0, 2.0]).shape == (2, 0)
 
 
-def real_blas():
-    """(get, set) of numpy's OpenBLAS thread count; skips the test where the symbols are missing."""
-    get, set_ = _blas._blas_thread_control()
-    if get() is None:
-        pytest.skip("numpy's OpenBLAS thread control is not available")
-    return get, set_
-
-
 class TestChunkThreads:
     """A serial run deals every row group's chunks of sample times to its BLAS threads, at most one
     thread per chunk; BLAS runs one thread in every plan."""
@@ -625,22 +628,17 @@ class TestChunkThreads:
     def half_chain(self):
         return quench_evolution(neel_setup(self.L)), [range(1, self.L // 2 + 1)]
 
-    def test_threads_give_the_values_of_one_blas_thread_exactly(self, monkeypatch):
-        get, set_ = real_blas()
+    def test_threads_give_the_values_of_one_blas_thread_exactly(self, monkeypatch, blas_count):
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)  # chunks of 6, 6, 6 and 2 times
-        seen = record_fill_threads(monkeypatch, get)
-        before = get()
-        try:
-            set_(1)  # as in a pool worker: one thread
-            serial = entropies(ev, half, times)
-            serial_seen = list(seen)
-            set_(2)
-            seen.clear()
-            threaded = entropies(ev, half, times)
-            assert get() == 2
-        finally:
-            set_(before)
+        seen = record_fill_threads(monkeypatch, _blas._blas_threads)
+        blas_count(1)  # as in a pool worker: one thread
+        serial = entropies(ev, half, times)
+        serial_seen = list(seen)
+        blas_count(2)
+        seen.clear()
+        threaded = entropies(ev, half, times)
+        assert _blas._blas_threads() == 2
         assert len({ident for ident, _ in serial_seen}) == 1
         assert len({ident for ident, _ in seen}) == 2
         assert {blas for _, blas in serial_seen + seen} == {1}
@@ -668,30 +666,25 @@ class TestChunkThreads:
         assert blas.history == [1, 2] and blas.threads == 2
         assert threading.active_count() == alive  # every helper has ended
 
-    def test_sic_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch):
-        get, set_ = real_blas()
+    def test_sic_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count):
         setup, subsets = sic_sides_at_L_100()
         ev = quench_evolution(setup)
         times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, 4 chunks of 10 times
-        seen = record_fill_threads(monkeypatch, get)
-        before = get()
-        try:
-            set_(1)
-            serial = entropies(ev, subsets, times)
-            serial_seen = list(seen)
-            set_(2)
-            seen.clear()
-            threaded = entropies(ev, subsets, times)
-            assert get() == 2
-        finally:
-            set_(before)
+        seen = record_fill_threads(monkeypatch, _blas._blas_threads)
+        blas_count(1)
+        serial = entropies(ev, subsets, times)
+        serial_seen = list(seen)
+        blas_count(2)
+        seen.clear()
+        threaded = entropies(ev, subsets, times)
+        assert _blas._blas_threads() == 2
         assert len({ident for ident, _ in serial_seen}) == 1
         assert len({ident for ident, _ in seen}) == 2
         assert {blas for _, blas in serial_seen + seen} == {1}
         assert len(seen) == 2 * times.size  # one block per time in each of the two row groups
         assert (threaded == serial).all()
 
-    def test_L_233_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch):
+    def test_L_233_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count):
         # the sic_profile plan at L = 233: row groups of 116 and 114 rows at 5 times per chunk, where only
         # the sides of m >= 101 pass 5 * m > 500; 30 times give each group 6 chunks
         sizes = sorted(set(range(0, 234, 5)) | {233})
@@ -705,18 +698,13 @@ class TestChunkThreads:
         assert profile.mi.shape == (48,)
         assert len(seen) == 60 and len({ident for ident, _ in seen}) == 2
         assert {threads for _, threads in seen} == {1}
-        # capped and restored around each of the evolution's two eigh calls and around entropies
-        assert blas.history == [1, 2, 1, 2, 1, 2] and blas.threads == 2
-        get, set_ = real_blas()
+        # capped and restored around each of the evolution's two eigh calls, its rotation of C0 and entropies
+        assert blas.history == [1, 2] * 4 and blas.threads == 2
         ev, times = quench_evolution(setup), observables.sample_times(protocol)
-        before = get()
-        try:
-            set_(1)
-            serial = entropies(ev, subsets, times)
-            set_(2)
-            threaded = entropies(ev, subsets, times)
-        finally:
-            set_(before)
+        blas_count(1)
+        serial = entropies(ev, subsets, times)
+        blas_count(2)
+        threaded = entropies(ev, subsets, times)
         assert (threaded == serial).all()
 
     def test_missing_blas_symbol_runs_serially(self, monkeypatch, hide_openblas):
@@ -757,20 +745,29 @@ class TestOneBlasThread:
     """Every Gaussian computation runs at one OpenBLAS thread, so the process's count changes no bit."""
 
     @pytest.mark.parametrize("plan", sorted(BLAS_COUNT_PLANS))
-    def test_tables_equal_at_blas_counts_1_and_2(self, plan):
-        get, set_ = real_blas()
+    def test_tables_equal_at_blas_counts_1_and_2(self, plan, blas_count):
         setup, subsets = BLAS_COUNT_PLANS[plan]()
         times = np.random.default_rng(3).uniform(1e4, 2e4, 30)
         tables = []
-        before = get()
-        try:
-            for threads in (1, 2):
-                set_(threads)
-                tables.append(entropies(quench_evolution(setup), subsets, times))
-                assert get() == threads
-        finally:
-            set_(before)
+        for threads in (1, 2):
+            blas_count(threads)
+            tables.append(entropies(quench_evolution(setup), subsets, times))
+            assert _blas._blas_threads() == threads
         assert (tables[0] == tables[1]).all()
+
+    def test_blocks_and_block_entropy_equal_at_blas_counts_1_and_2(self, blas_count):
+        # at L = 400 the block builds of correlation_at and block_at, and the eigvalsh of entropy_of_block on
+        # one fixed half-chain block, gave other bits at two OpenBLAS threads than at one
+        setup, half, time = neel_setup(400), range(1, 201), 1.5e4
+        fixed = quench_evolution(setup).block_at(time, half)
+        runs = []
+        for threads in (1, 2):
+            blas_count(threads)
+            ev = quench_evolution(setup)
+            runs.append((ev.correlation_at(time).matrix, ev.block_at(time, half), entropy_of_block(fixed)))
+            assert _blas._blas_threads() == threads
+        for name, one, two in zip(("correlation_at", "block_at", "entropy_of_block"), *runs):
+            assert np.array_equal(one, two), name
 
     def test_evolution_is_built_at_one_blas_thread(self, monkeypatch):
         blas = FakeBlas(2)
@@ -784,8 +781,9 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         quench_evolution(neel_setup(12))
-        # diagonalize's eigh of H, then the eigh of C0 in the eigenbasis: each capped and restored
-        assert seen == [1, 1] and blas.history == [1, 2, 1, 2]
+        # diagonalize's eigh of H, the rotation of C0 into its eigenbasis, then diagonalize's eigh of the
+        # rotated C0: each capped and restored
+        assert seen == [1, 1] and blas.history == [1, 2] * 3
 
     def test_count_restored_after_a_failed_build(self, monkeypatch):
         blas = FakeBlas(2)
@@ -793,7 +791,7 @@ class TestOneBlasThread:
         c0 = CorrelationMatrix(np.diag([1.5, 0.0]).astype(complex))
         with pytest.raises(ValueError, match="outside"):
             QuenchEvolution(c0, np.zeros((2, 2)))
-        assert blas.history == [1, 2, 1, 2] and blas.threads == 2
+        assert blas.history == [1, 2] * 3 and blas.threads == 2
 
     def test_symbols_looked_up_once_per_process(self, monkeypatch):
         control = _blas._blas_thread_control()

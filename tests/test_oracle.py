@@ -478,26 +478,20 @@ class TestSpectatorBlocks:
         for state, t in zip(split, (0.7, 3.0)):
             assert np.max(np.abs(state - exact_evolve(psi, hm, t))) <= 1e-12
 
-    def test_many_body_eigh_runs_at_one_blas_thread(self, monkeypatch):
-        get, set_ = _blas._blas_thread_control()
-        if get() is None:
-            pytest.skip("numpy's OpenBLAS thread control is not available")
+    def test_many_body_eigh_runs_at_one_blas_thread(self, monkeypatch, blas_count):
+        get = _blas._blas_threads
         setup, basis, psi, _ = reference_quench(10, "center")
         subsets = [[5], [4, 5, 6], list(range(1, 11)), [11], [4, 5, 6, 11]]
         times = np.linspace(0.0, 10.0, 7)
         seen = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m, *args, **kw: seen.append(get()) or eigh(m, *args, **kw))
-        before = get()
-        try:
-            tables = []
-            for threads in (1, 2):
-                set_(threads)
-                tables.append(exact_entropies(setup, subsets, times))
-                ChainSectors(setup.spec).evolve(psi, basis, times)
-                assert get() == threads
-        finally:
-            set_(before)
+        tables = []
+        for threads in (1, 2):
+            blas_count(threads)
+            tables.append(exact_entropies(setup, subsets, times))
+            ChainSectors(setup.spec).evolve(psi, basis, times)
+            assert get() == threads
         assert seen == [1] * 8
         assert np.array_equal(tables[0], tables[1])
 
@@ -508,14 +502,13 @@ class TestStackedStates:
     @pytest.mark.parametrize("count", [0, 1, 5])
     def test_stack_equals_each_state_exactly(self, subset, count):
         setup, basis, psi, _ = reference_quench(8, "center")
-        with _blas._one_blas_thread():  # as exact_entropies runs
-            states = ChainSectors(setup.spec).evolve(psi, basis, np.linspace(0.0, 10.0, count))
-            rho = reduced_density_matrix(states, basis, subset)
-            values = exact_entropy(states, basis, subset)
-            assert rho.shape == (count,) + (2 ** len(subset),) * 2 and values.shape == (count,)
-            for k, state in enumerate(states):
-                assert np.array_equal(rho[k], reduced_density_matrix(state, basis, subset))
-                assert values[k] == exact_entropy(state, basis, subset)
+        states = ChainSectors(setup.spec).evolve(psi, basis, np.linspace(0.0, 10.0, count))
+        rho = reduced_density_matrix(states, basis, subset)
+        values = exact_entropy(states, basis, subset)
+        assert rho.shape == (count,) + (2 ** len(subset),) * 2 and values.shape == (count,)
+        for k, state in enumerate(states):
+            assert np.array_equal(rho[k], reduced_density_matrix(state, basis, subset))
+            assert values[k] == exact_entropy(state, basis, subset)
         assert np.array_equal(exact_entropies(setup, [subset], np.linspace(0.0, 10.0, count))[:, 0], values)
 
     def test_chunked_times_equal_one_chunk(self, monkeypatch):
@@ -529,8 +522,9 @@ class TestStackedStates:
         whole = exact_entropies(setup, subsets, times)
         monkeypatch.setattr(oracle, "_CHUNK_AMPLITUDES", 3 << basis.modes)  # three times per chunk
         assert np.array_equal(exact_entropies(setup, subsets, times), whole)
-        # the empty subset builds no matrix; 50 times are 16 chunks of 3 and one of 2
-        assert stacks == [50] * 3 + [3] * 16 * 3 + [2] * 3
+        # the empty subset builds no matrix, and [2, 3, 5, 6] shares the side [1, 4, 7] (its complement), so
+        # one matrix per distinct side: 50 times are 16 chunks of 3 and one of 2
+        assert stacks == [50] * 2 + [3] * 16 * 2 + [2] * 2
 
 
 def _draw_subsets(data, modes, label):

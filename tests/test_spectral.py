@@ -48,25 +48,18 @@ class TestDiagonalize:
         with pytest.raises(ValueError):
             diagonalize(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
-    def test_values_do_not_depend_on_the_blas_thread_count(self):
+    def test_values_do_not_depend_on_the_blas_thread_count(self, blas_count):
         # at L = 1000 the eigh of two OpenBLAS threads gave other energies (lambda = 0.5) and IPRs (all three)
         # than that of one; diagonalize runs at one thread, so `spectrum` and `fractions` match across workers
-        get, set_ = _blas._blas_thread_control()
-        if get() is None:
-            pytest.skip("numpy's OpenBLAS thread control is not available")
-        before = get()
-        try:
-            for lam in (0.5, 1.0, 1.3):
-                spec = LatticeSpec(L=1000, lam=lam, a=0.3)
-                runs = []
-                for threads in (1, 2):
-                    set_(threads)
-                    runs.append(analyze(spec))
-                    assert get() == threads
-                assert np.array_equal(runs[0].energies, runs[1].energies), lam
-                assert np.array_equal(runs[0].ipr, runs[1].ipr), lam
-        finally:
-            set_(before)
+        for lam in (0.5, 1.0, 1.3):
+            spec = LatticeSpec(L=1000, lam=lam, a=0.3)
+            runs = []
+            for threads in (1, 2):
+                blas_count(threads)
+                runs.append(analyze(spec))
+                assert _blas._blas_threads() == threads
+            assert np.array_equal(runs[0].energies, runs[1].energies), lam
+            assert np.array_equal(runs[0].ipr, runs[1].ipr), lam
 
 
 class TestIpr:
