@@ -5,8 +5,8 @@ growth and saturation, subsystem information capacity, and a brute-force
 many-body oracle for small sizes.
 """
 
-from .model import GOLDEN_INVERSE, LatticeSpec, build_hamiltonian, potential
-from .spectral import SpectrumData, analyze, classify, diagonalize, ipr, mobility_edge, phase_region
+from .model import GOLDEN_INVERSE, LatticeSpec, build_hamiltonian
+from .spectral import SpectrumData, analyze, classify, diagonalize, mobility_edge, phase_region
 from .gaussian import (
     CorrelationMatrix,
     QuenchEvolution,
@@ -31,12 +31,10 @@ __all__ = [
     "GOLDEN_INVERSE",
     "LatticeSpec",
     "build_hamiltonian",
-    "potential",
     "SpectrumData",
     "analyze",
     "classify",
     "diagonalize",
-    "ipr",
     "mobility_edge",
     "phase_region",
     "CorrelationMatrix",

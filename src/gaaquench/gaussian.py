@@ -91,7 +91,7 @@ class QuenchSetup:
         if self.initial == "custom":
             if self.occupations is None:
                 raise ValueError("custom initial state needs an occupation vector")
-            occ = tuple(int(x) for x in self.occupations)
+            occ = tuple(_integer("an occupation", x) for x in self.occupations)
             if len(occ) != self.spec.L or any(x not in (0, 1) for x in occ):
                 raise ValueError("occupations must be a 0/1 vector of length L")
             if self.reference_site is None and sum(occ) != self.spec.L // 2:
@@ -101,7 +101,9 @@ class QuenchSetup:
             raise ValueError("occupations only apply to the custom initial state")
         if self.initial == "random_product" and self.initial_seed is None:
             raise ValueError("random_product needs initial_seed for reproducibility")
-        if self.reference_site is not None and not 1 <= self.reference_site <= self.spec.L:
+        if self.initial_seed is not None and _integer("initial_seed", self.initial_seed) < 0:
+            raise ValueError(f"initial_seed must be non-negative, got {self.initial_seed}")
+        if self.reference_site is not None and not 1 <= _integer("reference_site", self.reference_site) <= self.spec.L:
             raise ValueError(f"reference site {self.reference_site} outside 1..{self.spec.L}")
 
 
@@ -241,6 +243,15 @@ def _mirror_lower(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int, read with operator.index as _site_indices reads labels: 1.5 or 2.0 is rejected
+    with ValueError, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _site_indices(sites, dim: int) -> np.ndarray:
     """Sorted 0-based indices of distinct integer labels in 1..dim; 1.5 or 2.0 is rejected, not truncated."""
     try:
@@ -365,23 +376,23 @@ def _row_groups(sides: dict[tuple[int, ...], list[int]], leads: dict[tuple[int, 
 
 
 class _RowGroup:
-    """One row group of an `entropies` plan: its rows, the cut of each of its sides with the side's
-    positions in the rows, the table columns it fills and those of its lead (None for a side in no
-    pair), the size of its largest side that is not the whole block (`copy`), and its chunks of
-    sample times."""
+    """One row group of an `entropies` plan: its rows, the size of its largest side that is not the whole
+    block (`copy`), its chunks of sample times, and one record per nonempty side: its positions in the
+    rows, their contiguous runs (slices of the positions and of the rows), its table columns and those of
+    its lead (None for a side in no pair). The whole block comes last: _SideSpectra reduces it in place."""
 
     def __init__(self, rows: set[int], members: list[tuple[tuple[int, ...], list[int], list[int] | None]],
                  n_times: int):
         self.rows = np.array(sorted(rows), dtype=int)
-        self.cuts = []  # (cut of one block, positions, cols, lead cols)
+        self.sides = []  # (positions, runs, cols, lead cols)
         for side, cols, lead_cols in members:
-            pos = np.searchsorted(self.rows, side)
-            if pos.size and pos[-1] - pos[0] + 1 == pos.size:
-                cut = slice(pos[0], pos[-1] + 1)
-                self.cuts.append(((cut, cut), pos, cols, lead_cols))
-            else:
-                self.cuts.append(((pos[:, None], pos), pos, cols, lead_cols))
-        self.copy = max([pos.size for _, pos, _, _ in self.cuts if pos.size < self.rows.size], default=0)
+            if side:
+                pos = np.searchsorted(self.rows, side)
+                bounds = (np.flatnonzero(np.diff(pos) != 1) + 1).tolist()
+                runs = [(slice(a, b), slice(pos[a], pos[b - 1] + 1)) for a, b in zip([0, *bounds], [*bounds, pos.size])]
+                self.sides.append((pos, runs, cols, lead_cols))
+        self.sides.sort(key=lambda side: side[0].size == self.rows.size)
+        self.copy = max([pos.size for pos, *_ in self.sides if pos.size < self.rows.size], default=0)
         self.chunk = min(_chunk_times(self.rows.size, self.copy), max(n_times, 1))
         self.starts = range(0, n_times, self.chunk)
 
@@ -409,11 +420,9 @@ class _SideSpectra:
         import ctypes
 
         _, self._zhetrd, self._dsterf = routines
-        chunk, rows = group.chunk, group.rows.size
-        # (positions, cols, lead cols) of each nonempty side, the whole block last: its reduction overwrites it
-        sides = sorted([cut[1:] for cut in group.cuts if cut[1].size], key=lambda side: side[0].size == rows)
-        segments = [(pos.size, cols) for pos, cols, _ in sides]
-        segments += [(pos.size - 1, lead) for pos, _, lead in sides if lead is not None]
+        chunk, rows, sides = group.chunk, group.rows.size, group.sides
+        segments = [(pos.size, cols) for pos, _, cols, _ in sides]
+        segments += [(pos.size - 1, lead) for pos, _, _, lead in sides if lead is not None]
         sizes = [size for size, _ in segments]
         starts = np.cumsum([0] + sizes).tolist()
         self.segments = [(slice(start, start + size), cols) for start, (size, cols) in zip(starts, segments)]
@@ -442,19 +451,17 @@ class _SideSpectra:
         self._work = np.empty(max(int(query[0].real), 1), dtype=complex)
         self._ints[0], work = self._work.size, self._work.ctypes.data
         self._reductions = []  # (copies, the zhetrd arguments by time) of each side
-        for i, (pos, _, _) in enumerate(sides):
+        for i, (pos, runs, _, _) in enumerate(sides):
             whole = pos.size == rows
             matrix, lda = (stack, at(self._ints, 1)) if whole else (self._copy, at(self._ints, 2))
             n = at(self._ints, 4 + i)
-            bounds = (np.flatnonzero(np.diff(pos) != 1) + 1).tolist()
-            runs = [(slice(a, b), slice(pos[a], pos[b - 1] + 1)) for a, b in zip([0, *bounds], [*bounds, pos.size])]
             copies = [] if whole else [(self._copy[:, to_rows, to_cols], stack[:, rows_, cols_])
                                        for r, (to_rows, rows_) in enumerate(runs) for to_cols, cols_ in runs[: r + 1]]
             self._reductions.append((copies, [
                 (uplo, n, at(matrix, k), lda, at(self._table, 0, k, starts[i]), at(self._table, 1, k, starts[i]),
                  tau, work, lwork, at(self._info, k, i), 1) for k in range(chunk)
             ]))
-        carriers = [start for start, (_, _, lead) in zip(starts, sides) if lead is not None]
+        carriers = [start for start, (_, _, _, lead) in zip(starts, sides) if lead is not None]
         self._leads = [(self._table[:, :, start : start + size], self._table[:, :, carrier : carrier + size])
                        for start, size, carrier in zip(starts[len(sides) :], sizes[len(sides) :], carriers)]
         ns = [at(self._ints, 4 + j) for j in range(len(sizes))]
@@ -553,10 +560,11 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
                 evolution._fill(times[start + k], v_rows, stack[k])
             done = slice(start, start + count)
             if spectra is None:
-                for cut, _, cols, _ in group.cuts:
+                for pos, runs, cols, _ in group.sides:  # a view where the side is one run of the rows
+                    cut = (runs[0][1],) * 2 if len(runs) == 1 else (pos[:, None], pos)
                     values[done, cols] = block_entropies(stack[:count][(slice(None), *cut)])[:, None]
                 continue
-            terms = _entropy_terms(spectra(count))  # the empty side keeps its 0
+            terms = _entropy_terms(spectra(count))
             for segment, cols in spectra.segments:
                 values[done, cols] = -terms[:, segment].sum(axis=-1)[:, None]
 

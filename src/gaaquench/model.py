@@ -92,18 +92,9 @@ def _phase(spec: LatticeSpec, i):
     return 2.0 * math.pi * float(spec.b) * i + spec.phi
 
 
-def potential(spec: LatticeSpec, i: int) -> float:
-    """On-site energy mu_i = 2*lam*cos(theta_i) / (1 - a*cos(theta_i)), theta_i = 2*pi*b*i + phi.
-
-    Pure and deterministic; i is the 1-based site index.
-    """
-    if not 1 <= i <= spec.L:
-        raise ValueError(f"site index {i} outside 1..{spec.L}")
-    return float(potential_values(spec)[i - 1])
-
-
 def potential_values(spec: LatticeSpec) -> np.ndarray:
-    """The potential on every site, as a length-L array (site i at entry i-1)."""
+    """On-site energies mu_i = 2*lam*cos(theta_i) / (1 - a*cos(theta_i)), theta_i = 2*pi*b*i + phi, of
+    every site, as a length-L array: the 1-based site i at entry i-1."""
     c = np.cos(_phase(spec, np.arange(1, spec.L + 1)))
     return 2.0 * spec.lam * c / (1.0 - spec.a * c)
 

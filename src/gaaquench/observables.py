@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import QuenchEvolution, QuenchSetup, entropies, quench_evolution, reference_information
+from .gaussian import QuenchEvolution, QuenchSetup, _integer, entropies, quench_evolution, reference_information
 
 COUPLINGS = ("center", "edge")
 
@@ -64,8 +64,10 @@ class SamplingProtocol:
                              "a velocity fit needs 2 samples inside it")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
-        if not 2 <= self.n_samples <= MAX_POINTS:
+        if not 2 <= _integer("n_samples", self.n_samples) <= MAX_POINTS:
             raise ValueError(f"n_samples must lie in 2..{MAX_POINTS}, got {self.n_samples}")
+        if _integer("seed", self.seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.mean_interval > self.jitter >= 0:
             raise ValueError("need mean_interval > jitter >= 0")
         if hi > MAX_TIME:
@@ -166,6 +168,10 @@ def fit_power_law(sizes, values) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if sizes.size < 3:
         raise ValueError("power-law fit needs at least 3 sizes")
+    if not (np.isfinite(sizes).all() and np.isfinite(values).all()):
+        raise ValueError("power-law fit needs finite sizes and values")
+    if np.any(sizes <= 0):
+        raise ValueError("power-law fit needs positive sizes")
     if np.any(values <= 0):
         raise ValueError("non-positive saturation values are unfittable (localized freeze-out)")
     x, y = np.log(sizes), np.log(values)
@@ -189,7 +195,7 @@ def reference_site_for(L: int, coupling: str) -> int:
 def subsystem_window(L: int, coupling: str, size: int) -> list[int]:
     """The |A| sites probed at this size: centered on L/2 (left-biased, shifted
     to fit the chain at the |A| = L endpoint) or anchored at the edge."""
-    if not 0 <= size <= L:
+    if not 0 <= _integer("subsystem size", size) <= L:
         raise ValueError(f"subsystem size {size} outside 0..{L}")
     if size == 0:
         return []
@@ -219,7 +225,7 @@ def sic_profile(
             f"{coupling} coupling expects the reference at site {expected}, "
             f"got {setup.reference_site}"
         )
-    sizes = sorted(int(s) for s in sizes)
+    sizes = sorted(sizes)
     windows = [subsystem_window(L, coupling, s) for s in sizes]
     ev = quench_evolution(setup)
     ts = sample_times(protocol)

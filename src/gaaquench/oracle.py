@@ -42,10 +42,18 @@ class FockBasis:
     modes: int
     particles: int | None
     states: tuple[int, ...]
-    index: dict[int, int]
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """Read-only row of each ket 0..2^modes - 1 in `states`, -1 for a ket outside the basis, built on
+        first use."""
+        rows = np.full(1 << self.modes, -1)
+        rows[np.asarray(self.states, dtype=np.int64)] = np.arange(len(self.states))
+        rows.flags.writeable = False
+        return rows
 
     @functools.cached_property
     def occupations(self) -> np.ndarray:
@@ -62,8 +70,7 @@ def fixed_number_basis(modes: int, particles: int) -> FockBasis:
     counts = np.zeros(1, dtype=int)  # the bit count of each ket 0..2^modes - 1, one mode more per step
     for _ in range(modes):
         counts = np.concatenate([counts, counts + 1])
-    states = tuple(np.flatnonzero(counts == particles).tolist())  # ascending
-    return FockBasis(modes, particles, states, dict(zip(states, range(len(states)))))
+    return FockBasis(modes, particles, tuple(np.flatnonzero(counts == particles).tolist()))  # ascending
 
 
 def many_body_hamiltonian(h: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -90,9 +97,7 @@ def many_body_hamiltonian(h: np.ndarray, basis: FockBasis) -> np.ndarray:
     i, j = i[i != j], j[i != j]
     cols, hop = np.nonzero(occ[:, j] & ~occ[:, i])  # the kets with j occupied and i empty, for each hop
     i, j = i[hop], j[hop]
-    position = np.full(1 << basis.modes, -1)
-    position[states] = np.arange(dim)
-    rows = position[states[cols] ^ (1 << j) | (1 << i)]
+    rows = basis.index[states[cols] ^ (1 << j) | (1 << i)]
     if np.any(rows < 0):  # a basis not closed under hopping
         raise ValueError("basis is missing a ket that the Hamiltonian reaches")
     swaps = below[cols, j] + below[cols, i] - (j < i)

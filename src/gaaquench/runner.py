@@ -36,7 +36,6 @@ from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
 _ORACLE_TOLERANCE = 1e-8
-MAX_GRID_POINTS = observables.MAX_POINTS  # most points of a start:stop:step grid
 # longest chain: above every paper size (at most 240) and the L = 1000 spectral checks; the run
 # diagonalises an L x L Hamiltonian at each point
 MAX_L = 10**4
@@ -109,8 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} needs at least 3 chain lengths")
         if experiment.max_L is not None and self.L[0] > experiment.max_L:
             raise ConfigError(f"{self.experiment} is limited to L <= {experiment.max_L}")
-        if experiment.min_L is not None and self.L[0] < experiment.min_L:
-            raise ConfigError(f"{self.experiment} needs L >= {experiment.min_L}")
+        if experiment.fixed_sizes and self.L[0] < observables.JUMP_SIZE:
+            raise ConfigError(f"{self.experiment} needs L >= {observables.JUMP_SIZE}")
         if experiment.fixed_sizes and self.sizes is not None:
             raise ConfigError(f"sizes are fixed to {{0, {observables.JUMP_SIZE}, L}} for {self.experiment}")
         if self.sizes is not None:
@@ -135,8 +134,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_random must lie in 1..{observables.MAX_POINTS}, got {self.n_random}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.seed < 0 or (self.initial_seed is not None and self.initial_seed < 0):
-            raise ConfigError("seed and initial_seed must be non-negative")
         self.protocol(self.seed)  # surfaces invalid sampling parameters early
         for a, lam, L in product(self.a, self.lam, self.L):
             reference = None if experiment.even_L else observables.reference_site_for(L, self.coupling)
@@ -222,8 +219,8 @@ def _parse_float_list(value: str) -> tuple[float, ...]:
         if step <= 0 or stop < start:
             raise ValueError(f"invalid grid {value!r}")
         steps = (stop - start) / step
-        if not steps < MAX_GRID_POINTS - 0.5:
-            raise ValueError(f"grid {value!r} holds more than {MAX_GRID_POINTS} points")
+        if not steps < observables.MAX_POINTS - 0.5:
+            raise ValueError(f"grid {value!r} holds more than {observables.MAX_POINTS} points")
         n = round(steps)
         if not math.isclose(steps, n, rel_tol=1e-9):
             raise ValueError(f"grid {value!r}: span {stop - start:g} is not a whole number of steps of {step:g}")
@@ -418,8 +415,7 @@ class Experiment:
     lengths: str
     even_L: bool  # a half-filling quench without a reference mode
     max_L: int | None = None
-    min_L: int | None = None
-    fixed_sizes: bool = False  # sizes are {0, JUMP_SIZE, L}; the sizes key is rejected
+    fixed_sizes: bool = False  # sizes are {0, JUMP_SIZE, L}, so L >= JUMP_SIZE; the sizes key is rejected
     # on a lambda sweep at single a and L: (correlation.csv figure, fraction attribute, rows -> {lambda: value})
     figure: tuple[str, str, Callable[[list[tuple]], dict]] | None = None
     summary: Callable[[list[tuple]], dict] | None = None  # rows -> extra manifest keys
@@ -433,8 +429,7 @@ EXPERIMENTS = {
                              figure=("s_sat_vs_n_e", "n_e", lambda rows: {r[1]: r[3] for r in rows})),
     "scaling": Experiment(_point_scaling, "scaling.csv", "fit", even_L=True),
     "sic_profile": Experiment(_point_sic, "sic_profile.csv", "single", even_L=False),
-    "sic_jump": Experiment(_point_sic, "sic_profile.csv", "single", even_L=False,
-                           min_L=observables.JUMP_SIZE, fixed_sizes=True,
+    "sic_jump": Experiment(_point_sic, "sic_profile.csv", "single", even_L=False, fixed_sizes=True,
                            figure=("sic_jump_vs_n_l", "n_l",
                                    lambda rows: {r[3]: r[5] for r in rows if r[4] == observables.JUMP_SIZE})),
     "fractions": Experiment(_point_fractions, "fractions.csv", "single", even_L=False),

@@ -74,19 +74,9 @@ def _stacked_eigvalsh(stack: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(stack)
 
 
-def ipr(psi: np.ndarray) -> float:
-    """Inverse participation ratio sum|psi_i|^4 / (sum|psi_i|^2)^2.
-
-    1/L for a uniform state, 1 for a single-site peak.
-    """
-    column = np.asarray(psi).reshape(-1, 1)
-    if not column.any():
-        raise ValueError("zero vector has no IPR")
-    return float(ipr_values(column)[0])
-
-
 def ipr_values(eigenvectors: np.ndarray) -> np.ndarray:
-    """IPR of every eigenvector column at once."""
+    """Inverse participation ratio sum|psi_i|^4 / (sum|psi_i|^2)^2 of every eigenvector column psi at
+    once: 1/L for a uniform state, 1 for a single-site peak."""
     p = np.abs(eigenvectors) ** 2
     return (p**2).sum(axis=0) / p.sum(axis=0) ** 2
 
@@ -119,22 +109,21 @@ def _ipr_threshold(L: int) -> float:
 
 def classify(
     energies: np.ndarray,
-    e_c: float | None,
     spec: LatticeSpec,
     iprs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Label each state extended/localized and return the fractions (labels, n_e, n_l).
 
-    With a mobility edge, E < E_c is extended and E > E_c localized; a state
-    within TIE_BAND * max(1, |E_c|) of E_c, where rounding decides the side,
-    is resolved by the IPR tie-break (extended iff IPR < 2/sqrt(L)). Without
-    one, the AA criterion decides the whole spectrum, leaving labels undefined
-    (n_e = n_l = NaN) at |lam| = |t|.
+    With a mobility edge E_c = mobility_edge(spec), E < E_c is extended and
+    E > E_c localized; a state within TIE_BAND * max(1, |E_c|) of E_c, where
+    rounding decides the side, is resolved by the IPR tie-break (extended iff
+    IPR < 2/sqrt(L)). Without one, the AA criterion decides the whole
+    spectrum, leaving labels undefined (n_e = n_l = NaN) at |lam| = |t|.
     """
     energies = np.asarray(energies)
     L = energies.size
     labels = np.empty(L, dtype=object)
-
+    e_c = mobility_edge(spec)
     if e_c is None:
         label = _aubry_andre_label(spec)
         labels[:] = label
@@ -187,6 +176,5 @@ def analyze(spec: LatticeSpec) -> SpectrumData:
     """Diagonalize the chain and bundle energies, IPRs, labels, and fractions."""
     energies, vecs = diagonalize(build_hamiltonian(spec))
     iprs = ipr_values(vecs)
-    e_c = mobility_edge(spec)
-    labels, n_e, n_l = classify(energies, e_c, spec, iprs)
-    return SpectrumData(energies, vecs, iprs, e_c, labels, n_e, n_l)
+    labels, n_e, n_l = classify(energies, spec, iprs)
+    return SpectrumData(energies, vecs, iprs, mobility_edge(spec), labels, n_e, n_l)

@@ -16,5 +16,4 @@ def exact_mutual_information(state: np.ndarray, basis: FockBasis, a_modes, r_mod
 def full_basis(modes: int) -> FockBasis:
     """Every ket over `modes` modes, at any particle number."""
     _check_modes(modes)
-    states = tuple(range(2**modes))
-    return FockBasis(modes, None, states, {n: n for n in states})
+    return FockBasis(modes, None, tuple(range(2**modes)))

@@ -143,6 +143,18 @@ class TestQuenchSetup:
         with pytest.raises(ValueError):
             QuenchSetup(spec, "neel", reference_site=5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(initial="custom", occupations=(1, 0.7, 1, 0, 1, 0, 1, 0)), "an occupation must be an integer"),
+        (dict(reference_site=5.5), "reference_site must be an integer"),
+        (dict(reference_site=5.0), "reference_site must be an integer"),
+        (dict(initial="random_product", initial_seed=-1), "initial_seed must be non-negative"),
+        (dict(initial="random_product", initial_seed=1.5), "initial_seed must be an integer"),
+    ], ids=["occupation-0.7", "reference-5.5", "reference-5.0", "seed-negative", "seed-1.5"])
+    def test_malformed_integers_rejected_not_truncated(self, kwargs, message):
+        # 0.7 was stored as 0 and 5.5 accepted; 5.0 and both seeds failed only at first use
+        with pytest.raises(ValueError, match=message):
+            QuenchSetup(LatticeSpec(L=8, lam=1.0, a=0.0), **kwargs)
+
 
 class TestInitialCorrelation:
     def test_neel_diagonal(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaaquench.model import GOLDEN_INVERSE, LatticeSpec, build_hamiltonian, potential, potential_values
+from gaaquench.model import GOLDEN_INVERSE, LatticeSpec, build_hamiltonian, potential_values
 
 
 class TestLatticeSpec:
@@ -54,28 +54,21 @@ class TestPotential:
     def test_aa_limit_cosine(self):
         # a = 0 with b = 1/2: cos(2*pi*i/2) = +1 at even i
         spec = LatticeSpec(L=4, lam=1.0, a=0.0, b=0.5)
-        assert potential(spec, 2) == pytest.approx(2.0)
+        assert potential_values(spec)[1] == pytest.approx(2.0)
 
     def test_deformed_cos_plus_one(self):
         spec = LatticeSpec(L=4, lam=1.0, a=0.5, b=0.5)
-        assert potential(spec, 2) == pytest.approx(4.0)
+        assert potential_values(spec)[1] == pytest.approx(4.0)
 
     def test_deformed_cos_minus_one(self):
         spec = LatticeSpec(L=4, lam=1.0, a=0.5, b=0.5)
-        assert potential(spec, 1) == pytest.approx(-4.0 / 3.0)
-
-    def test_site_index_range_enforced(self):
-        spec = LatticeSpec(L=4, lam=1.0, a=0.0)
-        with pytest.raises(ValueError):
-            potential(spec, 0)
-        with pytest.raises(ValueError):
-            potential(spec, 5)
+        assert potential_values(spec)[0] == pytest.approx(-4.0 / 3.0)
 
     def test_reduces_to_plain_cosine_at_a_zero(self):
         spec = LatticeSpec(L=50, lam=0.7, a=0.0, phi=0.4)
         for i in (1, 7, 23, 50):
             expected = 2 * 0.7 * math.cos(2 * math.pi * GOLDEN_INVERSE * i + 0.4)
-            assert potential(spec, i) == pytest.approx(expected, abs=1e-14)
+            assert potential_values(spec)[i - 1] == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("lam,a", [(1.0, 0.3), (2.5, -0.7), (0.3, 0.9)])
     def test_amplitude_bound(self, lam, a):
@@ -107,9 +100,7 @@ class TestBuildHamiltonian:
 
     def test_diagonal_is_potential(self):
         spec = LatticeSpec(L=20, lam=1.5, a=0.3, phi=0.2)
-        h = build_hamiltonian(spec)
-        for i in range(1, 21):
-            assert h[i - 1, i - 1] == potential(spec, i)
+        assert np.array_equal(np.diag(build_hamiltonian(spec)), potential_values(spec))
 
     @pytest.mark.parametrize("boundary,b", [("open", GOLDEN_INVERSE), ("periodic", Fraction(7, 12))])
     def test_exactly_symmetric(self, boundary, b):

@@ -81,6 +81,16 @@ class TestSamplingProtocol:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SamplingProtocol(**{field: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_samples=10.5), "n_samples must be an integer"),
+        (dict(n_samples=10.0), "n_samples must be an integer"),
+        (dict(seed=-1), "seed must be non-negative"),
+    ], ids=["samples-10.5", "samples-10.0", "seed-negative"])
+    def test_malformed_integers_rejected_not_truncated(self, kwargs, message):
+        # 10.5 was accepted; 10.0 and the negative seed failed only in sample_times
+        with pytest.raises(ValueError, match=message):
+            SamplingProtocol(**kwargs)
+
     def test_time_tables_of_the_bound_accepted(self):
         protocol = SamplingProtocol(fit_window=(0.0, MAX_POINTS - 1.0), fit_dt=1.0, n_samples=MAX_POINTS)
         assert fit_window_times(protocol).size == sample_times(protocol).size == MAX_POINTS
@@ -281,6 +291,17 @@ class TestScalingFit:
         with pytest.raises(ValueError):
             fit_power_law([100, 200], [1.0, 2.0])
 
+    @pytest.mark.parametrize("sizes, values, message", [
+        ([0, 10, 20], [1.0, 2.0, 3.0], "positive sizes"),
+        ([-10, 10, 20], [1.0, 2.0, 3.0], "positive sizes"),
+        ([10, np.inf, 20], [1.0, 2.0, 3.0], "finite sizes and values"),
+        ([10, 15, 20], [1.0, np.nan, 3.0], "finite sizes and values"),
+    ], ids=["zero-size", "negative-size", "inf-size", "nan-value"])
+    def test_non_positive_or_non_finite_input_rejected(self, sizes, values, message):
+        # a zero size or a NaN value gave (nan, nan) with only RuntimeWarnings
+        with pytest.raises(ValueError, match=message):
+            fit_power_law(sizes, values)
+
     def test_scaling_exponent_of_real_quench(self):
         config = parse_config("experiment = scaling\nL = 12, 16, 20, 24\na = 0\nlambda = 0.5\n")
         [(_, _, alpha, stderr)] = _point_scaling(config, FAST, 0.0, 0.5)
@@ -308,6 +329,16 @@ class TestSubsystemWindow:
             subsystem_window(10, "center", 11)
         with pytest.raises(ValueError):
             subsystem_window(10, "center", -1)
+
+    @pytest.mark.parametrize("coupling", ["center", "edge"])
+    def test_non_integer_size_rejected_not_truncated(self, coupling):
+        # sic_profile truncated 2.5 to 2, and subsystem_window died with a TypeError from range
+        for size in (2.5, 2.0):
+            with pytest.raises(ValueError, match="subsystem size must be an integer"):
+                subsystem_window(10, coupling, size)
+        setup = QuenchSetup(LatticeSpec(L=8, lam=0.8, a=0.3), "neel", reference_site=reference_site_for(8, coupling))
+        with pytest.raises(ValueError, match="subsystem size must be an integer"):
+            sic_profile(setup, [0, 2.5, 8], coupling, FAST)
 
     def test_reference_sites(self):
         assert reference_site_for(10, "center") == 5

@@ -126,7 +126,7 @@ class TestManyBodyHamiltonian:
         assert np.array_equal(many_body_hamiltonian(h, basis), per_ket_hamiltonian(h, basis))
 
     def test_basis_missing_a_reached_ket_rejected(self):
-        basis = FockBasis(2, None, (0b01,), {0b01: 0})  # |10> is reached by hopping but absent
+        basis = FockBasis(2, None, (0b01,))  # |10> is reached by hopping but absent
         with pytest.raises(ValueError, match="missing a ket"):
             many_body_hamiltonian(np.array([[0.0, -1.0], [-1.0, 0.0]]), basis)
 
@@ -584,13 +584,15 @@ class TestVectorisedSetUp:
             basis = fixed_number_basis(modes, particles)
             states, table = combinations_basis(modes, particles)
             assert basis.states == states
-            assert basis.index == {n: i for i, n in enumerate(states)}
+            assert np.array_equal(np.flatnonzero(basis.index >= 0), states)
+            assert np.array_equal(basis.index[list(states)], np.arange(len(states)))
+            assert not basis.index.flags.writeable
             assert basis.occupations.dtype == table.dtype and np.array_equal(basis.occupations, table)
             assert not basis.occupations.flags.writeable
 
     def test_hand_made_basis_gives_the_same_results(self):
         setup, basis, psi, hm = reference_quench(8, "center")
-        bare = FockBasis(basis.modes, basis.particles, basis.states, basis.index)
+        bare = FockBasis(basis.modes, basis.particles, basis.states)
         assert bare == basis and np.array_equal(bare.occupations, basis.occupations)
         assert bare.occupations is bare.occupations  # built once per basis
         assert np.array_equal(many_body_hamiltonian(setup_hamiltonian(setup), bare), hm)

@@ -283,12 +283,12 @@ class TestParseConfig:
             parse_config("experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 0:1:1e-9\n")
         assert time.perf_counter() - started < 1.0
         grid = "experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 0:{}:1\n"
-        assert len(parse_config(grid.format(runner.MAX_GRID_POINTS - 1)).times) == runner.MAX_GRID_POINTS
+        assert len(parse_config(grid.format(observables.MAX_POINTS - 1)).times) == observables.MAX_POINTS
         with pytest.raises(ConfigError, match="line 5: key 'times'"):
-            parse_config(grid.format(runner.MAX_GRID_POINTS))
+            parse_config(grid.format(observables.MAX_POINTS))
         # (stop - start) / step = 99999.00000000001: the rounded count, 10^5, is accepted
         hair = "experiment = ee\nL = 8\na = 0\nlambda = 1\ntimes = 0:9999.900000000001:0.1\n"
-        assert len(parse_config(hair).times) == runner.MAX_GRID_POINTS
+        assert len(parse_config(hair).times) == observables.MAX_POINTS
 
     def test_chain_length_bounded(self):
         # L = 10^9 used to parse in about 1 ms, and the run would then diagonalise an L x L Hamiltonian

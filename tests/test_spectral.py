@@ -11,7 +11,6 @@ from gaaquench.spectral import (
     analyze,
     classify,
     diagonalize,
-    ipr,
     ipr_values,
     mobility_edge,
     phase_region,
@@ -65,26 +64,22 @@ class TestDiagonalize:
 class TestIpr:
     def test_uniform_state(self):
         L = 64
-        assert ipr(np.full(L, 1 / np.sqrt(L))) == pytest.approx(1 / L)
+        assert ipr_values(np.full((L, 1), 1 / np.sqrt(L)))[0] == pytest.approx(1 / L)
 
     def test_delta_peak(self):
-        psi = np.zeros(10)
+        psi = np.zeros((10, 1))
         psi[3] = 1.0
-        assert ipr(psi) == pytest.approx(1.0)
+        assert ipr_values(psi)[0] == pytest.approx(1.0)
 
     def test_two_site_state(self):
-        psi = np.zeros(8)
+        psi = np.zeros((8, 1))
         psi[2] = psi[5] = 1 / np.sqrt(2)
-        assert ipr(psi) == pytest.approx(0.5)
+        assert ipr_values(psi)[0] == pytest.approx(0.5)
 
     def test_normalization_independent(self):
         rng = np.random.default_rng(5)
-        psi = rng.normal(size=20)
-        assert ipr(3.7 * psi) == pytest.approx(ipr(psi))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            ipr(np.zeros(4))
+        psi = rng.normal(size=(20, 1))
+        assert ipr_values(3.7 * psi)[0] == pytest.approx(ipr_values(psi)[0])
 
     def test_bounds_on_real_spectrum(self):
         data = analyze(LatticeSpec(L=100, lam=1.0, a=0.3))
@@ -140,7 +135,7 @@ class TestClassify:
 
     def test_aa_critical_point_undefined(self):
         spec = LatticeSpec(L=10, lam=1.0, a=0.0)
-        labels, n_e, n_l = classify(np.linspace(-2, 2, 10), None, spec)
+        labels, n_e, n_l = classify(np.linspace(-2, 2, 10), spec)
         assert np.all(labels == UNDEFINED)
         assert np.isnan(n_e) and np.isnan(n_l)
 
@@ -154,33 +149,33 @@ class TestClassify:
         assert data.n_e + data.n_l == pytest.approx(1.0)
 
     def test_tie_break_uses_ipr(self):
-        spec = LatticeSpec(L=4, lam=0.5, a=0.3)
+        spec = LatticeSpec(L=4, lam=1.0, a=0.3)  # E_c = 0
         energies = np.array([-1.0, 0.0, 0.0, 1.0])
         iprs = np.array([0.3, 0.04, 0.9, 0.5])
-        labels, n_e, n_l = classify(energies, 0.0, spec, iprs)
+        labels, n_e, n_l = classify(energies, spec, iprs)
         # threshold 2/sqrt(4) = 1: both tied states fall below it
         assert labels[1] == EXTENDED and labels[2] == EXTENDED
         assert n_e + n_l == pytest.approx(1.0)
         with pytest.raises(ValueError):
-            classify(energies, 0.0, spec, None)
+            classify(energies, spec, None)
 
     def test_near_tie_follows_ipr(self):
-        spec = LatticeSpec(L=4, lam=0.5, a=0.3)
-        e_c = 0.7
+        spec = LatticeSpec(L=4, lam=0.79, a=0.6)
+        e_c = mobility_edge(spec)  # 0.7
         energies = np.array([e_c - 1, e_c + 1e-15, e_c + 1])
         # threshold 2/sqrt(4) = 1: each near-tie is sent against the side it rounds to
-        labels, _, _ = classify(energies, e_c, spec, np.array([0.5, 0.3, 0.5]))
+        labels, _, _ = classify(energies, spec, np.array([0.5, 0.3, 0.5]))
         assert list(labels) == [EXTENDED, EXTENDED, LOCALIZED]
-        labels, _, _ = classify(energies - 2e-15, e_c, spec, np.array([0.5, 1.5, 0.5]))
+        labels, _, _ = classify(energies - 2e-15, spec, np.array([0.5, 1.5, 0.5]))
         assert list(labels) == [EXTENDED, LOCALIZED, LOCALIZED]
         with pytest.raises(ValueError):
-            classify(energies, e_c, spec, None)
+            classify(energies, spec, None)
 
     def test_tie_band_scales_with_the_edge(self):
-        spec = LatticeSpec(L=4, lam=0.5, a=0.3)
-        e_c = -35.0  # band 3.5e-11: an offset of 1e-11 is a tie, 1e-10 is not
+        spec = LatticeSpec(L=4, lam=1.7, a=0.04)
+        e_c = mobility_edge(spec)  # -35.0: band 3.5e-11, so an offset of 1e-11 is a tie, 1e-10 is not
         energies = np.array([e_c - 1e-10, e_c + 1e-11, e_c + 1e-10])
-        labels, _, _ = classify(energies, e_c, spec, np.array([0.5, 0.3, 0.5]))
+        labels, _, _ = classify(energies, spec, np.array([0.5, 0.3, 0.5]))
         assert list(labels) == [EXTENDED, EXTENDED, LOCALIZED]
 
     def test_fraction_of_extended_states_non_increasing_in_lambda(self):
