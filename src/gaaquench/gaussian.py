@@ -35,8 +35,6 @@ _PROJECTOR_TOL = 1e-10
 _CLAMP = 1e-12
 # entries of the block stack that `entropies` fills per chunk of sample times: 640 KiB of complex128
 _CHUNK_ENTRIES = 40960
-# numpy's eigvalsh releases the GIL only on a stack of k m x m matrices with k * m above this
-_GIL_FREE_SIZE = 500
 
 INITIAL_STATES = ("neel", "domain_wall", "random_product", "custom")
 
@@ -202,31 +200,35 @@ class QuenchEvolution:
         kept = occupations > _CLAMP
         self._factor = np.ascontiguousarray(orbitals[:, kept] * np.sqrt(occupations[kept]), dtype=complex)
 
-    def _fill(self, time: float, v_rows: np.ndarray, out: np.ndarray) -> None:
+    def _fill(self, time: float, v_rows: np.ndarray, out: np.ndarray, p: np.ndarray, w: np.ndarray) -> None:
         """C(t) on the rows of v_rows (the rows of `modes`) into `out`, a C-contiguous [m, m] complex
-        array: W = V_rows e^{iEt} F from one real GEMM, then W W^dag. Where the kernel routines are
-        found (_blas._kernel_routines), zherk writes only the lower triangle of `out` (row-major), the one
-        that eigvalsh(UPLO='L') and the kernel's zhetrd(UPLO='U') on the C-order buffer read; the
-        strict upper triangle is left as it was. Otherwise numpy fills all of it."""
+        array, through the caller's buffers p (F's shape) and w (C-contiguous [m, k] complex), so that no
+        call allocates a [dim, k] or [m, k] array: p = e^{iEt} F, then W = V_rows p into w from one real
+        GEMM, then W W^dag. Where the kernel routines are found (_blas._kernel_routines), zherk writes only
+        the lower triangle of `out` (row-major), the one that eigvalsh(UPLO='L') and the kernel's
+        zhetrd(UPLO='U') on the C-order buffer read; the strict upper triangle is left as it was.
+        Otherwise numpy fills all of it."""
         m, k = v_rows.shape[0], self._factor.shape[1]
-        if out.shape != (m, m) or out.dtype != complex or not out.flags.c_contiguous:
-            raise ValueError(f"_fill needs a C-contiguous complex ({m}, {m}) array")
-        p = np.exp(1j * (self.energies * time))[:, None] * self._factor
-        w = (v_rows @ p.view(float)).view(complex)  # one real GEMM: V_rows times the [dim, 2k] real view of p
+        for array, shape in ((out, (m, m)), (w, (m, k))):
+            if array.shape != shape or array.dtype != complex or not array.flags.c_contiguous:
+                raise ValueError(f"_fill needs a C-contiguous complex {shape} array")
+        np.multiply(np.exp(1j * (self.energies * time))[:, None], self._factor, out=p)
+        np.matmul(v_rows, p.view(float), out=w.view(float))  # one real GEMM: V_rows times the [dim, 2k] real view of p
         routines = _blas._kernel_routines()
         if routines is None:
-            np.matmul(w, w.conj().T, out=out)
+            np.matmul(w, np.conjugate(w, out=p[:m]).T, out=out)  # p is spent once W is formed
         else:
             zherk = routines[0]  # row-major (101), lower (122), no transpose (111): out = 1.0 W W^dag + 0.0 out
             zherk(101, 122, 111, m, k, 1.0, w.ctypes.data, max(k, 1), 0.0, out.ctypes.data, max(m, 1))
 
     def _block(self, time: float, v_rows: np.ndarray) -> np.ndarray:
-        """A fresh C(t) on the rows of v_rows, built at one OpenBLAS thread as in the kernel, its strict
-        upper triangle mirrored from the lower one, so that it is exactly Hermitian and its lower triangle
-        is the kernel's."""
-        out = np.empty((v_rows.shape[0],) * 2, dtype=complex)
+        """A fresh C(t) on the rows of v_rows, built at one OpenBLAS thread as in the kernel, in buffers of
+        its own, its strict upper triangle mirrored from the lower one, so that it is exactly Hermitian
+        and its lower triangle is the kernel's."""
+        m = v_rows.shape[0]
+        out, w = np.empty((m, m), dtype=complex), np.empty((m, self._factor.shape[1]), dtype=complex)
         with _one_blas_thread():
-            self._fill(time, v_rows, out)
+            self._fill(time, v_rows, out, np.empty_like(self._factor), w)
         return _mirror_lower(out)
 
     def correlation_at(self, time: float) -> CorrelationMatrix:
@@ -326,13 +328,6 @@ def reference_information(a_subsets, reference_index: int | None, entropy_of_set
     return mi
 
 
-def _chunk_times(rows: int, copy: int) -> int:
-    """Sample times per chunk of `entropies`: as many times as fit a rows x rows block and a copy x copy
-    side copy each in _CHUNK_ENTRIES entries, but enough that chunk * rows exceeds _GIL_FREE_SIZE,
-    and at least one."""
-    return max(1, _CHUNK_ENTRIES // max(rows * rows + copy * copy, 1), _GIL_FREE_SIZE // max(rows, 1) + 1)
-
-
 def _pair_leads(sides: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, ...], tuple[int, ...]]:
     """carrier -> lead of an `entropies` plan. Largest side first, a side Y of two or more modes is
     paired with its lead Y[:-1] (Y without its largest mode) when that is also a side; each side is
@@ -379,7 +374,9 @@ class _RowGroup:
     """One row group of an `entropies` plan: its rows, the size of its largest side that is not the whole
     block (`copy`), its chunks of sample times, and one record per nonempty side: its positions in the
     rows, their contiguous runs (slices of the positions and of the rows), its table columns and those of
-    its lead (None for a side in no pair). The whole block comes last: _SideSpectra reduces it in place."""
+    its lead (None for a side in no pair). The whole block comes last: _SideSpectra reduces it in place.
+    A chunk holds as many times as fit one rows x rows block and one copy x copy side copy each in
+    _CHUNK_ENTRIES entries, and at least one."""
 
     def __init__(self, rows: set[int], members: list[tuple[tuple[int, ...], list[int], list[int] | None]],
                  n_times: int):
@@ -393,7 +390,7 @@ class _RowGroup:
                 self.sides.append((pos, runs, cols, lead_cols))
         self.sides.sort(key=lambda side: side[0].size == self.rows.size)
         self.copy = max([pos.size for pos, *_ in self.sides if pos.size < self.rows.size], default=0)
-        self.chunk = min(_chunk_times(self.rows.size, self.copy), max(n_times, 1))
+        self.chunk = min(max(1, _CHUNK_ENTRIES // max(self.rows.size**2 + self.copy**2, 1)), max(n_times, 1))
         self.starts = range(0, n_times, self.chunk)
 
 
@@ -512,24 +509,26 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
     two of 51 rows instead of one of 101. Each group slices its rows of the
     eigenvectors once and builds only its own rows, with one _fill per time
     (one real GEMM and one zherk into the lower triangle). Its times are taken
-    in chunks whose blocks fill a reused [chunk, rows, rows] stack; the chunk
-    budget also counts one copy per time of the group's largest side that is
-    not the whole block (_chunk_times). Per chunk, _SideSpectra copies each
-    nonempty side's lower triangle out of the stack once, reduces the side
-    that is the whole block in the stack itself, and runs the chunk's zhetrd
-    calls and then its dsterf calls back to back into one spectra table, a
-    carrier's second dsterf giving its lead; one elementwise binary-entropy
-    pass over the table and one sum per side follow. The empty side is 0.
-    Without the three routines nothing is paired, _fill uses numpy's matmul,
-    and each side gets one stacked block_entropies call per chunk (a view
-    where the side is contiguous in the rows), so numpy's per-call cost is
-    paid once per chunk, not once per time.
+    in chunks whose blocks fill a reused [chunk, rows, rows] stack: as many
+    times as fit in 640 KiB with one copy each of the group's largest side
+    that is not the whole block, and at least one (_RowGroup). Per chunk,
+    _SideSpectra copies each nonempty side's lower triangle out of the stack
+    once, reduces the side that is the whole block in the stack itself, and
+    runs the chunk's zhetrd calls and then its dsterf calls back to back into
+    one spectra table, a carrier's second dsterf giving its lead; one
+    elementwise binary-entropy pass over the table and one sum per side
+    follow. The empty side is 0. Without the three routines nothing is paired,
+    _fill uses numpy's matmul, and each side gets one stacked block_entropies
+    call per chunk (a view where the side is contiguous in the rows), so
+    numpy's per-call cost is paid once per chunk, not once per time.
 
     OpenBLAS runs one thread throughout (_one_blas_thread). Each group's chunks
     are dealt round-robin to as many threads as the process had in OpenBLAS, at
     most one per chunk: this one and the helpers of one ThreadPoolExecutor made
-    for the call, each with a stack and spectra buffers of its own. The groups run
-    one after the other. Every value is thus the same at every thread count.
+    for the call. Each takes one set of buffers (its stack, its _SideSpectra and
+    _fill's p and w), all made by this thread before the group's chunks start
+    and freed before the next group's are made; the groups run one after the
+    other. Every value is thus the same at every thread count.
     `times` must be a 1-D array of sample times.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so importing gaaquench.runner does not load it
@@ -549,15 +548,17 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
     routines = _blas._kernel_routines()
     groups = _row_groups(sides, _pair_leads(sides) if routines else {}, dim, times.size)
 
-    def work(group: _RowGroup, share: range) -> None:
-        rows, chunk = group.rows, group.chunk
-        v_rows = evolution.modes[rows]
-        stack = np.empty((chunk, rows.size, rows.size), dtype=complex)
-        spectra = _SideSpectra(routines, group, stack) if routines else None
+    def thread_buffers(group: _RowGroup) -> tuple:  # one chunk thread's: its block stack, spectra, _fill's p and w
+        stack = np.empty((group.chunk, group.rows.size, group.rows.size), dtype=complex)
+        return (stack, _SideSpectra(routines, group, stack) if routines else None, np.empty_like(evolution._factor),
+                np.empty((group.rows.size, evolution._factor.shape[1]), dtype=complex))
+
+    def work(group: _RowGroup, v_rows: np.ndarray, share: range, buffers: tuple) -> None:
+        stack, spectra, p, w = buffers
         for start in share:
-            count = min(chunk, times.size - start)
+            count = min(group.chunk, times.size - start)
             for k in range(count):
-                evolution._fill(times[start + k], v_rows, stack[k])
+                evolution._fill(times[start + k], v_rows, stack[k], p, w)
             done = slice(start, start + count)
             if spectra is None:
                 for pos, runs, cols, _ in group.sides:  # a view where the side is one run of the rows
@@ -572,11 +573,15 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
     with _one_blas_thread() as threads, ThreadPoolExecutor(max(threads - 1, 1)) as pool:
         for group in groups:
             count = max(min(threads, len(group.starts)), 1)  # a group of no times has no chunk
-            # this thread takes share 0 and the helpers the rest; leaving the block waits for every helper
-            helpers = [pool.submit(work, group, group.starts[first::count]) for first in range(1, count)]
-            work(group, group.starts[::count])
+            # this thread makes every share's buffers, takes share 0 and the helpers the rest; leaving the
+            # block waits for every helper
+            v_rows, shares = evolution.modes[group.rows], [thread_buffers(group) for _ in range(count)]
+            helpers = [pool.submit(work, group, v_rows, group.starts[first::count], shares[first])
+                       for first in range(1, count)]
+            work(group, v_rows, group.starts[::count], shares[0])
             for helper in helpers:
                 helper.result()  # waits, and raises a helper's error
+            del v_rows, shares  # before the next group's buffers are made
     return values
 
 

@@ -112,7 +112,7 @@ class SicProfile:
     boundary: str
 
     def __post_init__(self):
-        self.sizes = np.asarray(self.sizes, dtype=int)
+        self.sizes = np.asarray([_integer("a subsystem size", size) for size in self.sizes], dtype=int)
         self.mi = np.asarray(self.mi, dtype=float)
         if self.sizes.shape != self.mi.shape:
             raise ValueError("sizes and mi must have matching lengths")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, _blas, observables, oracle, spectral
 from ._blas import _blas_threads, _cap_blas_threads
-from .gaussian import QuenchSetup, entropies, quench_evolution, reference_information
+from .gaussian import QuenchSetup, _integer, entropies, quench_evolution, reference_information
 from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
@@ -130,9 +130,13 @@ class ExperimentConfig:
             raise ConfigError(f"coupling must be one of {observables.COUPLINGS}, got {self.coupling!r}")
         if self.initial == "random_product" and self.initial_seed is None:
             object.__setattr__(self, "initial_seed", 0)
-        if not 1 <= self.n_random <= observables.MAX_POINTS:  # before a setup is built for each of them
+        try:  # from the Python API, a float such as 2.5 would fail at first use in range
+            n_random, workers = _integer("n_random", self.n_random), _integer("workers", self.workers)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not 1 <= n_random <= observables.MAX_POINTS:  # before a setup is built for each of them
             raise ConfigError(f"n_random must lie in 1..{observables.MAX_POINTS}, got {self.n_random}")
-        if self.workers < 1:
+        if workers < 1:
             raise ConfigError("workers must be >= 1")
         self.protocol(self.seed)  # surfaces invalid sampling parameters early
         for a, lam, L in product(self.a, self.lam, self.L):

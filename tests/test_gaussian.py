@@ -98,14 +98,23 @@ def per_time_entropies(ev, subsets, times):
     return out, groups
 
 
+def chunk_times(rows, copy, n_times=10**6):
+    """The sample times per chunk of a row group of `rows` rows whose largest side that is not the whole
+    block has `copy` modes, for a call with n_times times."""
+    members = [(tuple(range(size)), [column], None) for column, size in enumerate(sorted({rows, copy})) if size]
+    group = gaussian._RowGroup(set(range(rows)), members, n_times)
+    assert group.copy == copy
+    return group.chunk
+
+
 def record_fill_rows(monkeypatch):
     """Patch _fill, which builds every block, to record for each call the 1-based modes of its rows."""
     built = []
     fill = QuenchEvolution._fill
 
-    def recording_fill(self, time, v_rows, out):
+    def recording_fill(self, time, v_rows, out, p, w):
         built.append([int(np.flatnonzero((self.modes == row).all(axis=1))[0]) + 1 for row in v_rows])
-        return fill(self, time, v_rows, out)
+        return fill(self, time, v_rows, out, p, w)
 
     monkeypatch.setattr(QuenchEvolution, "_fill", recording_fill)
     return built
@@ -523,9 +532,9 @@ def record_fill_threads(monkeypatch, blas_threads):
     seen = []
     fill = QuenchEvolution._fill
 
-    def recording_fill(self, time, v_rows, out):
+    def recording_fill(self, time, v_rows, out, p, w):
         seen.append((threading.get_ident(), blas_threads()))
-        return fill(self, time, v_rows, out)
+        return fill(self, time, v_rows, out, p, w)
 
     monkeypatch.setattr(QuenchEvolution, "_fill", recording_fill)
     return seen
@@ -548,8 +557,7 @@ class TestStackedKernel:
         copy = largest_copy(ev, subsets, rows)
         with monkeypatch.context() as patch:
             patch.setattr(gaussian, "_CHUNK_ENTRIES", 3 * (len(rows) ** 2 + copy**2))
-            patch.setattr(gaussian, "_GIL_FREE_SIZE", 0)  # no floor, and every stack counts as GIL-free
-            k = gaussian._chunk_times(len(rows), copy)
+            k = chunk_times(len(rows), copy)
             assert k == 3
             for threads in (1, 2):
                 # a stand-in count: the real one stays as it is, so both sides do the same arithmetic
@@ -579,25 +587,25 @@ class TestStackedKernel:
 
     def test_chunk_rule_stays_within_the_budget(self):
         # a time takes one block of the group's rows and one copy of its largest other side: both count
-        budget, floor = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE
-        assert (budget, floor) == (40960, 500)  # 640 KiB of complex128 per thread
-        assert gaussian._chunk_times(51, 50) == 10  # each sic_profile row group at L = 100: 8 would hold the GIL
-        assert gaussian._chunk_times(100, 0) == 6  # the half chain at L = 200 copies nothing
-        assert gaussian._chunk_times(116, 111) == gaussian._chunk_times(114, 109) == 5  # the groups at L = 233
-        assert gaussian._chunk_times(0, 0) >= 1
+        budget = gaussian._CHUNK_ENTRIES
+        assert budget == 40960  # 640 KiB of complex128 per thread
+        assert chunk_times(51, 50) == 8  # each sic_profile row group at L = 100
+        assert chunk_times(100, 0) == 4  # the half chain at L = 200 copies nothing
+        assert chunk_times(116, 111) == chunk_times(114, 109) == 1  # the groups at L = 233
+        assert chunk_times(0, 0) >= 1
+        assert chunk_times(100, 0, n_times=3) == 3 and chunk_times(100, 0, n_times=0) == 1  # capped by the times
         for rows in range(1, 600):
             for copy in {0, rows // 2, rows - 1}:
-                k, entries = gaussian._chunk_times(rows, copy), rows * rows + copy * copy
-                assert k * rows > floor  # a full chunk's eigvalsh runs without the GIL
-                fewest = (k - 1) * rows <= floor
-                fills_budget = k * entries <= budget < (k + 1) * entries
-                assert fewest or fills_budget, (rows, copy)
+                k, entries = chunk_times(rows, copy), rows * rows + copy * copy
+                assert k * entries <= budget < (k + 1) * entries or (k == 1 and entries > budget), (rows, copy)
 
     @pytest.mark.parametrize("plan", ["sic_L_100", "half_chain_L_200"])
     def test_peak_memory_stays_within_the_chunk_budget(self, plan, monkeypatch):
         # tracemalloc sees numpy's buffers. Per row group, one thread keeps the stack of its blocks and one
         # copy of its largest other side (none where the side is the whole block), which the chunk rule
-        # counts, besides one time's block build and the spectra: no [count, m, m] array of a side
+        # counts, besides its block-build buffers and the spectra: no [count, m, m] array of a side. The
+        # build buffers live through the group, so they meet numpy's iterator buffer of the broadcast
+        # product e^{iEt} F at every time
         needs_kernel_routines()
         if plan == "sic_L_100":
             setup, subsets = sic_sides_at_L_100()
@@ -607,14 +615,15 @@ class TestStackedKernel:
         times = np.random.default_rng(31).uniform(1e4, 2e4, 30)
         monkeypatch.setattr(_blas, "_blas_thread_control", FakeBlas(1).control)  # one thread, one group at a time
         _, groups = per_time_entropies(ev, subsets, times[:1])
-        budget, floor, orbitals = gaussian._CHUNK_ENTRIES, gaussian._GIL_FREE_SIZE, ev._factor.shape[1]
+        budget, orbitals = gaussian._CHUNK_ENTRIES, ev._factor.shape[1]
         limit = 0
         for rows in groups:
             m, copy = len(rows), largest_copy(ev, subsets, rows)
-            k = max(budget // (m * m + copy * copy), floor // m + 1)  # the budget, or the fewest times past the floor
+            k = max(budget // (m * m + copy * copy), 1)
             columns = sum(len(side) for side in set(chosen_sides(ev, subsets)) if set(side) <= set(rows))
             chunk = 16 * min(k, times.size) * (m * m + copy * copy)
-            build = 8 * m * ev.dim + 16 * (ev.dim + m) * orbitals  # the rows of the modes, V e^{iEt} F and W
+            build = 8 * m * ev.dim + 16 * (ev.dim + m) * orbitals  # the rows of the modes, e^{iEt} F and W
+            build += 16 * np.getbufsize()  # numpy's buffer for the product e^{iEt} F, of complex128
             spectra = 64 * min(k, times.size) * columns  # d, e and the entropy terms: 8 doubles a column
             limit = max(limit, chunk + build + spectra + 128 * 1024)  # and the plan and the LAPACK arguments
         entropies(ev, subsets, times[:2])  # first-use allocations outside the measurement
@@ -635,14 +644,14 @@ class TestChunkThreads:
     """A serial run deals every row group's chunks of sample times to its BLAS threads, at most one
     thread per chunk; BLAS runs one thread in every plan."""
 
-    L = 200  # the half chain of the saturation measurement: m = 100, 6 times per chunk
+    L = 200  # the half chain of the saturation measurement: m = 100, 4 times per chunk
 
     def half_chain(self):
         return quench_evolution(neel_setup(self.L)), [range(1, self.L // 2 + 1)]
 
     def test_threads_give_the_values_of_one_blas_thread_exactly(self, monkeypatch, blas_count):
         ev, half = self.half_chain()
-        times = np.random.default_rng(11).uniform(1e4, 2e4, 20)  # chunks of 6, 6, 6 and 2 times
+        times = np.random.default_rng(11).uniform(1e4, 2e4, 20)  # 5 chunks of 4 times
         seen = record_fill_threads(monkeypatch, _blas._blas_threads)
         blas_count(1)  # as in a pool worker: one thread
         serial = entropies(ev, half, times)
@@ -666,10 +675,10 @@ class TestChunkThreads:
         caller = threading.get_ident()
         fill = QuenchEvolution._fill
 
-        def failing_fill(self, time, v_rows, out):
+        def failing_fill(self, time, v_rows, out, p, w):
             if (threading.get_ident() == caller) == (raiser == "caller"):
                 raise RuntimeError(f"synthetic failure in the {raiser}")
-            return fill(self, time, v_rows, out)
+            return fill(self, time, v_rows, out, p, w)
 
         monkeypatch.setattr(QuenchEvolution, "_fill", failing_fill)
         alive = threading.active_count()
@@ -681,7 +690,7 @@ class TestChunkThreads:
     def test_sic_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count):
         setup, subsets = sic_sides_at_L_100()
         ev = quench_evolution(setup)
-        times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, 4 chunks of 10 times
+        times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, 5 chunks of 8 times
         seen = record_fill_threads(monkeypatch, _blas._blas_threads)
         blas_count(1)
         serial = entropies(ev, subsets, times)
@@ -697,8 +706,8 @@ class TestChunkThreads:
         assert (threaded == serial).all()
 
     def test_L_233_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count):
-        # the sic_profile plan at L = 233: row groups of 116 and 114 rows at 5 times per chunk, where only
-        # the sides of m >= 101 pass 5 * m > 500; 30 times give each group 6 chunks
+        # the sic_profile plan at L = 233: row groups of 116 and 114 rows at 1 time per chunk, as a block and
+        # the copy of the largest other side overrun the budget; 30 times give each group 30 chunks
         sizes = sorted(set(range(0, 234, 5)) | {233})
         setup, subsets = sic_sides_at(233, sizes)
         protocol = observables.SamplingProtocol(n_samples=30)
@@ -949,6 +958,38 @@ class TestFill:
         # round-off (1e-14) of the cut, the block with or without that orbital passes
         gaps = [np.abs(block - parent_block(c0, h, t, sites, cut)).max() for cut in (1e-12 - 1e-14, 1e-12 + 1e-14)]
         assert min(gaps) <= 1e-13
+
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    def test_fill_allocates_no_buffer_sized_array(self, path, hide_openblas):
+        # the caller's p [dim, k] and w [m, k] take e^{iEt} F and W (the numpy path puts W^* in p): a call
+        # allocates only its [dim] phases and numpy's iterator buffer of the broadcast product e^{iEt} F,
+        # below the smaller buffer, w, of 160 KB at the half chain of L = 200
+        if path == "numpy":
+            hide_openblas(KERNEL_SYMBOLS[:1])
+        else:
+            needs_kernel_routines()
+        ev = quench_evolution(neel_setup(200))
+        v_rows, (dim, k) = ev.modes[:100], ev._factor.shape
+        out, p = np.empty((100, 100), dtype=complex), np.empty((dim, k), dtype=complex)
+        w = np.empty((100, k), dtype=complex)
+        with _blas._one_blas_thread():
+            ev._fill(self.TIMES[0], v_rows, out, p, w)  # first-use allocations outside the measurement
+            tracemalloc.start()
+            try:
+                ev._fill(self.TIMES[1], v_rows, out, p, w)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 16 * np.getbufsize() + 4 * 16 * dim < w.nbytes, (peak, w.nbytes)
+        assert np.array_equal(gaussian._mirror_lower(out), ev.block_at(self.TIMES[1], range(1, 101)))
+
+    def test_fill_rejects_a_wrong_buffer(self):
+        ev = quench_evolution(neel_setup(8))
+        v_rows, (dim, k) = ev.modes[:4], ev._factor.shape
+        out, p = np.empty((4, 4), dtype=complex), np.empty((dim, k), dtype=complex)
+        for w in (np.empty((4, k + 1), dtype=complex), np.empty((k, 4), dtype=complex).T, np.empty((4, k))):
+            with pytest.raises(ValueError, match="_fill needs a C-contiguous complex"):
+                ev._fill(1.0, v_rows, out, p, w)
 
     def test_round_off_negative_occupation_is_dropped(self):
         setup = neel_setup(12)

@@ -217,6 +217,32 @@ class TestClosedFormAnchors:
             ratio = saturation_value(QuenchSetup(spec, "neel"), SamplingProtocol(seed=seed)) / typical
             assert 0.95 <= ratio <= 1.0, seed
 
+    @staticmethod
+    def typical_information(L, sizes):
+        """The SIC profile of a typical state in bits, for V = L + 1 modes and f = |A| / V: -log2(1 - f)
+        up to f = 1/2 and 2 + log2(f + 1/V) above, so 0 at |A| = 0 and 2 at |A| = L."""
+        f = np.asarray(sizes) / (L + 1)
+        return np.where(f <= 0.5, -np.log2(1 - f), 2 + np.log2(f + 1 / (L + 1)))
+
+    @pytest.mark.parametrize("coupling", ["center", "edge"])
+    def test_clean_chain_sic_profile_is_the_typical_curve(self, coupling):
+        # an anchor that needs no oracle: the clean chain (a = 0, lambda = 0) spreads the reference's
+        # information like a typical state. At L = 100, the default protocol and seed 0, every fifth size
+        # lies within 0.0297 (center) and 0.0183 (edge) bits of the curve
+        L = 100
+        setup = QuenchSetup(LatticeSpec(L=L, lam=0.0, a=0.0), "neel", reference_site=reference_site_for(L, coupling))
+        profile = sic_profile(setup, range(0, L + 1, 5), coupling, SamplingProtocol())
+        assert np.abs(profile.mi - self.typical_information(L, profile.sizes)).max() <= 0.05
+
+    def test_mobility_edge_chain_traps_the_information(self):
+        # the paper's information trapping: the mobility-edge chain (a = 0.3, lambda = 1, center coupling)
+        # keeps the reference's information near its site, 1.645 bits at |A| = 10 at L = 100, the default
+        # protocol and seed 0, 1.495 bits above the typical curve
+        L = 100
+        setup = QuenchSetup(LatticeSpec(L=L, lam=1.0, a=0.3), "neel", reference_site=reference_site_for(L, "center"))
+        profile = sic_profile(setup, [10], "center", SamplingProtocol())
+        assert profile.mi[0] - self.typical_information(L, [10])[0] > 1.0
+
 
 class TestSaturation:
     def test_frozen_dynamics_zero_entropy(self):
@@ -385,6 +411,12 @@ class TestSicProfile:
     def test_jump_of_flat_profile(self):
         profile = SicProfile("center", [0, 5, 10], [0.0, 0.0, 0.0], "open")
         assert sic_jump(profile) == 0.0
+
+    @pytest.mark.parametrize("size", [2.5, 2.0])
+    def test_non_integer_size_rejected(self, size):
+        # [0, 2.5, 8] used to be stored as [0, 2, 8]
+        with pytest.raises(ValueError, match=f"a subsystem size must be an integer, got {size}"):
+            SicProfile("center", [0, size, 8], [0.0, 1.0, 2.0], "open")
 
     def test_jump_requires_probe_size(self):
         profile = SicProfile("center", [0, 4, 8], [0.0, 1.0, 2.0], "open")

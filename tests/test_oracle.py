@@ -556,18 +556,21 @@ class TestProductionKernelAgreesWithOracle:
             initial_seed=data.draw(st.integers(0, 2**16), label="seed") if initial == "random_product" else None,
             reference_site=data.draw(st.integers(1, L), label="E") if reference else None,
         )
-        t = data.draw(st.floats(0.0, 10.0), label="t")
+        # an early time, and one where the measurements sample the steady state (t ~ 1e4-2e4): there the
+        # two engines differed by at most 3.6e-11 (median 5.7e-12) over 40 random setups
+        times = [data.draw(st.floats(0.0, 10.0), label="t"), data.draw(st.floats(1.0e4, 2.0e4), label="late t")]
         ev = quench_evolution(setup)
         subsets = _draw_subsets(data, ev.dim, "modes")
-        assert entropies(ev, subsets, [t]) == pytest.approx(exact_entropies(setup, subsets, [t]), abs=1e-8)
+        assert entropies(ev, subsets, times) == pytest.approx(exact_entropies(setup, subsets, times), abs=1e-8)
         if reference:
             windows = _draw_subsets(data, L, "sites")
-            mi = reference_information(windows, L + 1, lambda sets: entropies(ev, sets, [t]))
+            mi = reference_information(windows, L + 1, lambda sets: entropies(ev, sets, times))
             basis, psi = initial_state(setup)
             hm = many_body_hamiltonian(np.pad(build_hamiltonian(spec), (0, 1)), basis)
-            psi_t = exact_evolve(psi, hm, t)
-            exact = [exact_mutual_information(psi_t, basis, w, L + 1) for w in windows]
-            assert mi[0] == pytest.approx(exact, abs=1e-8)
+            for k, t in enumerate(times):
+                psi_t = exact_evolve(psi, hm, t)
+                exact = [exact_mutual_information(psi_t, basis, w, L + 1) for w in windows]
+                assert mi[k] == pytest.approx(exact, abs=1e-8)
 
 
 def combinations_basis(modes, particles):

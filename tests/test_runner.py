@@ -267,6 +267,15 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=r"n_random must lie in 1\.\.100000"):
                 parse_config(text.format(value))
 
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    @pytest.mark.parametrize("field", ["n_random", "workers"])
+    def test_integer_fields_checked_from_the_python_api(self, field, value):
+        # replace(config, n_random=2.5) used to be accepted, and every point then failed with a TypeError
+        # from range; workers = 2.5 was accepted too
+        config = parse_config("experiment = velocity\nL = 8\na = 0\nlambda = 1\ninitial = random_product\n")
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value}"):
+            replace(config, **{field: value})
+
     def test_fit_window_shorter_than_fit_dt_rejected(self, tmp_path):
         # 0:0.2 used to parse, and then every velocity point failed with "fewer than 2 samples inside the fit window"
         text = "experiment = velocity\nL = 8\na = 0\nlambda = 0.5, 1\nfit_window = {}\n"
@@ -673,7 +682,7 @@ class TestRun:
         assert _blas._blas_threads() == threads
 
     def test_serial_saturation_spreads_chunks_and_matches_the_pool(self, tmp_path):
-        # half chains of 20 modes in chunks of 163 times: 3 chunks, each stack GIL-free
+        # half chains of 20 modes in chunks of 102 times: 4 chunks
         text = ("experiment = saturation\nL = 40\na = 0.3\nlambda = 0.5, 1.5\nn_samples = 400\n"
                 "burn_in = 100\nmean_interval = 2\njitter = 1\n")
         threads = _blas._blas_threads()
