@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, _blas, observables, oracle, spectral
 from ._blas import _blas_threads, _cap_blas_threads
-from .gaussian import QuenchSetup, _integer, entropies, quench_evolution, reference_information
+from .gaussian import QuenchSetup, _integer, reference_information
 from .model import GOLDEN_INVERSE, LatticeSpec
 from .observables import SamplingProtocol
 
@@ -89,7 +89,7 @@ class ExperimentConfig:
         experiment = EXPERIMENTS.get(self.experiment)
         if experiment is None:
             raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}")
-        for name, kind in (("L", int), ("lam", float), ("a", float)):
+        for name, kind in (("L", lambda value: _config_integer("L", value)), ("lam", float), ("a", float)):
             key = _KEY_OF_FIELD.get(name, name)
             if not getattr(self, name):
                 raise ConfigError(f"sweep range for '{key}' is empty")
@@ -113,7 +113,7 @@ class ExperimentConfig:
         if experiment.fixed_sizes and self.sizes is not None:
             raise ConfigError(f"sizes are fixed to {{0, {observables.JUMP_SIZE}, L}} for {self.experiment}")
         if self.sizes is not None:
-            sizes = _sorted_distinct("sizes", map(int, self.sizes))
+            sizes = _sorted_distinct("sizes", (_config_integer("a size", size) for size in self.sizes))
             if not sizes:
                 raise ConfigError("sizes is empty")
             if sizes[0] < 0 or sizes[-1] > self.L[-1]:
@@ -123,17 +123,15 @@ class ExperimentConfig:
             times = _sorted_distinct("times", map(float, self.times))
             if not times:
                 raise ConfigError("times is empty")
-            if max(abs(t) for t in times) > observables.MAX_TIME:
-                raise ConfigError(f"times must lie within +-{observables.MAX_TIME:g}, got {max(times, key=abs):g}")
+            outside = [t for t in times if not abs(t) <= observables.MAX_TIME]  # NaN too, which no comparison holds
+            if outside:
+                raise ConfigError(f"times must lie within +-{observables.MAX_TIME:g}, got {outside[0]:g}")
             object.__setattr__(self, "times", times)
         if self.coupling not in observables.COUPLINGS:
             raise ConfigError(f"coupling must be one of {observables.COUPLINGS}, got {self.coupling!r}")
         if self.initial == "random_product" and self.initial_seed is None:
             object.__setattr__(self, "initial_seed", 0)
-        try:  # from the Python API, a float such as 2.5 would fail at first use in range
-            n_random, workers = _integer("n_random", self.n_random), _integer("workers", self.workers)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        n_random, workers = _config_integer("n_random", self.n_random), _config_integer("workers", self.workers)
         if not 1 <= n_random <= observables.MAX_POINTS:  # before a setup is built for each of them
             raise ConfigError(f"n_random must lie in 1..{observables.MAX_POINTS}, got {self.n_random}")
         if workers < 1:
@@ -190,6 +188,14 @@ class ExperimentConfig:
         if isinstance(kwargs.get("b"), str):
             kwargs["b"] = Fraction(kwargs["b"])
         return cls(**kwargs)
+
+
+def _config_integer(name: str, value) -> int:
+    """`value` as an int (gaussian._integer): from the Python API, 8.5 or 2.0 is a ConfigError, not truncated."""
+    try:
+        return _integer(name, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _sorted_distinct(key: str, values) -> tuple:
@@ -309,15 +315,12 @@ def derived_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _realization_setups(config: ExperimentConfig, a: float, lam: float, L: int,
-                        reference_site: int | None = None) -> list[QuenchSetup]:
-    """The initial states a point averages over (n_random for random products, else one)."""
-    if config.initial != "random_product":
-        return [config.setup_at(a, lam, L, reference_site)]
-    return [
-        config.setup_at(a, lam, L, reference_site, initial_seed=derived_seed(config.initial_seed, k))
-        for k in range(config.n_random)
-    ]
+def _realization_mean(config: ExperimentConfig, probe, a: float, lam: float, L: int,
+                      reference_site: int | None = None) -> np.ndarray:
+    """The mean of probe(setup) over a point's initial states: n_random seeded random products, else one."""
+    seeds = [None] if config.initial != "random_product" else [
+        derived_seed(config.initial_seed, k) for k in range(config.n_random)]
+    return np.mean([probe(config.setup_at(a, lam, L, reference_site, initial_seed=seed)) for seed in seeds], axis=0)
 
 
 def _default_sizes(L: int) -> tuple[int, ...]:
@@ -334,20 +337,18 @@ def _point_spectrum(config: ExperimentConfig, protocol: SamplingProtocol, a: flo
 
 def _point_ee(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
     times = config.times if config.times is not None else tuple(np.arange(0.0, 100.5, 0.5))
-    setups = _realization_setups(config, a, lam, config.L[0])
-    series = [observables.ee_timeseries(s, times) for s in setups]
-    entropies = np.mean([s.entropies for s in series], axis=0)
+    entropies = _realization_mean(config, lambda s: observables.ee_timeseries(s, times).entropies, a, lam, config.L[0])
     return list(zip(times, entropies))
 
 
 def _point_velocity(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
-    values = [observables.quench_velocity(s, protocol) for s in _realization_setups(config, a, lam, config.L[0])]
-    return [(a, lam, float(np.mean(values)))]
+    v_s = _realization_mean(config, lambda s: observables.quench_velocity(s, protocol), a, lam, config.L[0])
+    return [(a, lam, float(v_s))]
 
 
 def _point_saturation(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float, L: int) -> list[tuple]:
-    values = [observables.saturation_value(s, protocol) for s in _realization_setups(config, a, lam, L)]
-    return [(a, lam, L, float(np.mean(values)))]
+    s_sat = _realization_mean(config, lambda s: observables.saturation_value(s, protocol), a, lam, L)
+    return [(a, lam, L, float(s_sat))]
 
 
 def _point_scaling(config: ExperimentConfig, protocol: SamplingProtocol, a: float, lam: float) -> list[tuple]:
@@ -367,12 +368,8 @@ def _point_sic(config: ExperimentConfig, protocol: SamplingProtocol, a: float, l
         sizes = tuple(sorted({0, observables.JUMP_SIZE, L}))
     else:
         sizes = config.sizes if config.sizes is not None else _default_sizes(L)
-    reference = observables.reference_site_for(L, config.coupling)
-    profiles = [
-        observables.sic_profile(s, sizes, config.coupling, protocol)
-        for s in _realization_setups(config, a, lam, L, reference)
-    ]
-    mi = np.mean([p.mi for p in profiles], axis=0)
+    mi = _realization_mean(config, lambda s: observables.sic_profile(s, sizes, config.coupling, protocol).mi,
+                           a, lam, L, observables.reference_site_for(L, config.coupling))
     return [
         (config.coupling, config.boundary, a, lam, int(size), float(value))
         for size, value in zip(sizes, mi)
@@ -385,17 +382,16 @@ def _point_verify(config: ExperimentConfig, protocol: SamplingProtocol, a: float
     setup = config.setup_at(a, lam, L)
     half = [observables.half_chain_sites(L)]
     times = config.times if config.times is not None else (0.5, 1.0, 2.0, 5.0, 10.0)
-    gauss = entropies(quench_evolution(setup), half, times)[:, 0]
+    gauss = observables.ee_timeseries(setup, times).entropies
     sectors = oracle.ChainSectors(setup.spec)  # both checks' chain: each sector diagonalised once
     exact = oracle.exact_entropies(setup, half, times, sectors)[:, 0]
     rows = [("ee", t, len(half[0]), g, e, abs(g - e)) for t, g, e in zip(times, gauss, exact)]
 
     if L + 1 <= oracle.MAX_MODES:
         setup_r = config.setup_at(a, lam, L, reference_site=observables.reference_site_for(L, "center"))
-        ev_r = quench_evolution(setup_r)
         windows = [observables.subsystem_window(L, "center", size) for size in range(L + 1)]
         times = (1.0, 3.0, 7.0)
-        gauss = reference_information(windows, L + 1, lambda sets: entropies(ev_r, sets, times))
+        gauss = observables.information_table(setup_r, windows, times)
         exact = reference_information(windows, L + 1, lambda sets: oracle.exact_entropies(setup_r, sets, times, sectors))
         rows += [("sic", t, size, g, e, abs(g - e))
                  for t, g_t, e_t in zip(times, gauss, exact) for size, (g, e) in enumerate(zip(g_t, e_t))]

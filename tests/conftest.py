@@ -1,9 +1,14 @@
 import functools
 
 import pytest
+from hypothesis import settings
 
 from gaaquench import _blas
 from gaaquench.observables import saturation_value
+
+# the property tests draw new examples on every run: a failure prints the @reproduce_failure line that replays it
+settings.register_profile("gaaquench", print_blob=True)
+settings.load_profile("gaaquench")
 
 # the per-process lookups that take their symbols from _blas._openblas
 LOOKUPS = ("_blas_thread_control", "_kernel_routines")

@@ -11,6 +11,7 @@ from gaaquench.gaussian import (
     CorrelationMatrix,
     QuenchEvolution,
     QuenchSetup,
+    entropies,
     quench_evolution,
 )
 from gaaquench.model import LatticeSpec
@@ -25,6 +26,7 @@ from gaaquench.observables import (
     fit_power_law,
     fit_window_times,
     half_chain_sites,
+    information_table,
     pearson,
     quench_velocity,
     reference_site_for,
@@ -32,7 +34,6 @@ from gaaquench.observables import (
     saturation_value,
     sic_jump,
     sic_profile,
-    steady_entropy_mean,
     subsystem_window,
 )
 from gaaquench.runner import _point_scaling, parse_config
@@ -92,7 +93,9 @@ class TestSamplingProtocol:
             SamplingProtocol(**kwargs)
 
     def test_time_tables_of_the_bound_accepted(self):
-        protocol = SamplingProtocol(fit_window=(0.0, MAX_POINTS - 1.0), fit_dt=1.0, n_samples=MAX_POINTS)
+        # spacings of 2 +- 1: at the default 10 +- 5, 10^5 samples would run past MAX_TIME
+        protocol = SamplingProtocol(fit_window=(0.0, MAX_POINTS - 1.0), fit_dt=1.0, n_samples=MAX_POINTS,
+                                    mean_interval=2.0, jitter=1.0)
         assert fit_window_times(protocol).size == sample_times(protocol).size == MAX_POINTS
 
     @pytest.mark.parametrize("kwargs", [
@@ -102,7 +105,7 @@ class TestSamplingProtocol:
     ])
     def test_late_times_rejected(self, kwargs):
         # mean_interval = 1e308 used to be accepted; np.cumsum then gave inf and eigvalsh a NaN block
-        with pytest.raises(ValueError, match=r"after the latest time 1e\+08"):
+        with pytest.raises(ValueError, match=r"after the latest time 1e\+06"):
             SamplingProtocol(**kwargs)
 
     def test_latest_sample_time_of_the_bound_accepted(self):
@@ -249,7 +252,7 @@ class TestSaturation:
         # hopping-free test Hamiltonian: occupations commute with H
         c0 = CorrelationMatrix(np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
         ev = QuenchEvolution(c0, np.diag([0.4, -0.3, 1.0, 0.2]))
-        assert steady_entropy_mean(ev, [1, 2], FAST) == pytest.approx(0.0, abs=1e-9)
+        assert np.mean(entropies(ev, [[1, 2]], sample_times(FAST))) == pytest.approx(0.0, abs=1e-9)
 
     def test_deterministic_for_fixed_seed(self):
         setup = QuenchSetup(LatticeSpec(L=12, lam=0.8, a=0.3), "neel")
@@ -451,16 +454,30 @@ class TestSamplingKernelEquivalence:
         direct = [kernel_entropy(ev.block_at(t, half_chain_sites(24))) for t in times]
         assert ee_timeseries(setup, times).entropies.tolist() == direct
 
-    def test_steady_entropy_mean_unchanged(self):
-        ev = quench_evolution(QuenchSetup(LatticeSpec(L=24, lam=0.9, a=0.3), "neel"))
+    def test_saturation_value_unchanged(self):
+        setup = QuenchSetup(LatticeSpec(L=24, lam=0.9, a=0.3), "neel")
+        ev = quench_evolution(setup)
         half = half_chain_sites(24)
         direct = np.mean([kernel_entropy(ev.block_at(t, half)) for t in sample_times(LATE)])
-        assert steady_entropy_mean(ev, half, LATE) == direct
+        assert saturation_value(setup, LATE) == direct
         # with a reference mode the larger side is evaluated through its complement
         ev_r = quench_evolution(QuenchSetup(LatticeSpec(L=24, lam=0.9, a=0.3), "neel", reference_site=12))
         sites = list(range(3, 23))
         direct = np.mean([kernel_entropy(ev_r.block_at(t, sites)) for t in sample_times(LATE)])
-        assert steady_entropy_mean(ev_r, sites, LATE) / np.log(2.0) == pytest.approx(direct / np.log(2.0), abs=1e-9)
+        mean = np.mean(entropies(ev_r, [sites], sample_times(LATE)))
+        assert mean / np.log(2.0) == pytest.approx(direct / np.log(2.0), abs=1e-9)
+
+    def test_information_table_matches_mutual_information_per_time(self):
+        # the table sic_profile averages and `gaa verify` compares with the oracle, one row per time
+        L = 12
+        setup = QuenchSetup(LatticeSpec(L=L, lam=1.0, a=0.3), "neel", reference_site=reference_site_for(L, "edge"))
+        windows = [subsystem_window(L, "edge", size) for size in range(L + 1)]
+        times = [0.0, 2.5, 1.3e4]
+        table = information_table(setup, windows, times)
+        ev = quench_evolution(setup)
+        direct = [[bare_information(ev.correlation_at(t), w) for w in windows] for t in times]
+        assert table.shape == (len(times), L + 1)
+        assert table == pytest.approx(np.array(direct), abs=1e-9)
 
 
 class TestPearson:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gaaquench import _blas, observables, runner
 from gaaquench.cli import main
+from gaaquench.gaussian import QuenchSetup
 from gaaquench.model import GOLDEN_INVERSE
 from gaaquench.runner import ConfigError, ExperimentConfig, parse_config, run
 from kernel_references import KERNEL_SYMBOLS
@@ -276,6 +277,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value}"):
             replace(config, **{field: value})
 
+    def test_chain_length_checked_from_the_python_api(self):
+        # replace(config, L=(8.5,)) used to parse to L = (8,): __post_init__ truncated with int
+        config = parse_config("experiment = spectrum\nL = 8\na = 0\nlambda = 1\n")
+        assert replace(config, L=(np.int64(9),)).L == (9,)
+        for value in (8.5, 8.0):
+            with pytest.raises(ConfigError, match=f"L must be an integer, got {value}"):
+                replace(config, L=(value,))
+
+    def test_sizes_checked_from_the_python_api(self):
+        # replace(config, sizes=(0, 2.5)) used to parse to sizes = (0, 2)
+        config = parse_config("experiment = sic_profile\nL = 8\na = 0\nlambda = 1\nsizes = 0, 2\n")
+        assert replace(config, sizes=(np.int64(3), 0)).sizes == (0, 3)
+        for value in (2.5, 2.0):
+            with pytest.raises(ConfigError, match=f"a size must be an integer, got {value}"):
+                replace(config, sizes=(0, value))
+
     def test_fit_window_shorter_than_fit_dt_rejected(self, tmp_path):
         # 0:0.2 used to parse, and then every velocity point failed with "fewer than 2 samples inside the fit window"
         text = "experiment = velocity\nL = 8\na = 0\nlambda = 0.5, 1\nfit_window = {}\n"
@@ -311,24 +328,25 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("lines", [
         "mean_interval = 1e308\njitter = 0\nn_samples = 10",
-        "burn_in = 99999850.000001\nn_samples = 10",
-        "fit_window = 0:2e8\nfit_dt = 1e4",
+        "burn_in = 999850.000001\nn_samples = 10",
+        "fit_window = 0:2e6\nfit_dt = 1e4",
     ], ids=["mean_interval", "burn_in", "fit_window"])
     def test_late_sample_times_rejected(self, lines):
         # mean_interval = 1e308 used to parse; np.cumsum then gave inf, and the point failed inside eigvalsh
-        with pytest.raises(ConfigError, match=r"after the latest time 1e\+08"):
+        with pytest.raises(ConfigError, match=r"after the latest time 1e\+06"):
             parse_config(f"experiment = saturation\nL = 8\na = 0\nlambda = 1\n{lines}\n")
 
     def test_sample_times_up_to_the_bound_accepted(self):
         paper = "burn_in = 10000\nn_samples = 1000\nmean_interval = 10\njitter = 5\n"
         config = parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\n" + paper)
         assert config.protocol(0) == observables.SamplingProtocol()
-        # 99999850 + 10 * (10 + 5) reaches 1e8 exactly
-        edge = parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\nburn_in = 99999850\nn_samples = 10\n")
+        # 999850 + 10 * (10 + 5) reaches 1e6 exactly
+        edge = parse_config("experiment = saturation\nL = 8\na = 0\nlambda = 1\nburn_in = 999850\nn_samples = 10\n")
         assert observables.sample_times(edge.protocol(0)).max() <= observables.MAX_TIME
 
     @pytest.mark.parametrize("times, accepted", [
-        ("0, 1e8", True), ("-1e8, 5", True), ("1e308", False), ("0.5, 100000001", False), ("-2e8", False),
+        ("0, 1e6", True), ("-1e6, 5", True), ("1e308", False), ("0.5, 100000001", False), ("-2e8", False),
+        ("0, 1e8", False), ("0.5, 1000001", False),
     ])
     def test_time_table_bounded(self, times, accepted):
         # times = 1e308 used to parse, and `gaa ee` then failed inside eigvalsh on a NaN block
@@ -336,8 +354,15 @@ class TestParseConfig:
         if accepted:
             assert parse_config(text).times is not None
         else:
-            with pytest.raises(ConfigError, match=r"times must lie within \+-1e\+08"):
+            with pytest.raises(ConfigError, match=r"times must lie within \+-1e\+06"):
                 parse_config(text)
+
+    def test_nan_time_rejected_from_the_python_api(self):
+        # replace(config, times=(nan,)) used to be accepted, since NaN fails the > MAX_TIME comparison too;
+        # `gaa ee` then died inside the kernel with LinAlgError
+        config = parse_config("experiment = ee\nL = 8\na = 0\nlambda = 1\n")
+        with pytest.raises(ConfigError, match=r"times must lie within \+-1e\+06, got nan"):
+            replace(config, times=(0.5, float("nan")))
 
     def test_oversized_sweep_rejected_quickly(self):
         # 100 a x 10^4 lambda: each grid is within its bound, but a setup per point took 6 s to build
@@ -543,6 +568,33 @@ class TestRun:
             means = [runner._point_saturation(config, protocol, 0.0, lam, L)[0][3] for L in config.L]
             expected = (0.0, lam, *observables.fit_power_law(config.L, means))
             assert runner._point_scaling(config, protocol, 0.0, lam) == [expected]
+
+    @pytest.mark.parametrize("experiment, extra", [
+        ("ee", "times = 0:4:0.5\n"),
+        ("velocity", ""),
+        ("saturation", ""),
+        ("sic_profile", "sizes = 0, 3, 8\n"),
+    ])
+    def test_point_is_the_mean_over_realizations(self, experiment, extra):
+        # a random_product point averages its probe over the n_random setups seeded derived_seed(initial_seed, k)
+        config = parse_config(f"experiment = {experiment}\nL = 8\na = 0.3\nlambda = 0.5\ninitial = random_product\n"
+                              "initial_seed = 5\nn_random = 3\nn_samples = 20\nburn_in = 50\nmean_interval = 2\n"
+                              f"jitter = 1\n{extra}")
+        protocol = config.protocol(runner.derived_seed(config.seed, 0))
+        reference = observables.reference_site_for(8, "center") if experiment == "sic_profile" else None
+        setups = [QuenchSetup(config.spec_at(0.3, 0.5, 8), "random_product", initial_seed=runner.derived_seed(5, k),
+                              reference_site=reference) for k in range(3)]
+        probe = {
+            "ee": lambda s: observables.ee_timeseries(s, config.times).entropies,
+            "velocity": lambda s: observables.quench_velocity(s, protocol),
+            "saturation": lambda s: observables.saturation_value(s, protocol),
+            "sic_profile": lambda s: observables.sic_profile(s, config.sizes, "center", protocol).mi,
+        }[experiment]
+        values = [probe(s) for s in setups]
+        assert not np.array_equal(values[0], values[1])  # the realizations differ, so a point of one would fail
+        point = (0.3, 0.5, 8) if experiment == "saturation" else (0.3, 0.5)
+        rows = runner.EXPERIMENTS[experiment].point(config, protocol, *point)
+        assert [row[-1] for row in rows] == np.atleast_1d(np.mean(values, axis=0)).tolist()
 
     @pytest.mark.parametrize("experiment", ["saturation", "sic_jump"])
     def test_sweep_through_the_aa_critical_point_writes_no_figure(self, tmp_path, experiment):
