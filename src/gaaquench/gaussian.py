@@ -20,7 +20,11 @@ starts in the Gaussian Bell state (c_E^dag + c_R^dag)/sqrt(2)|vac>, whose
 from __future__ import annotations
 
 import math
+import mmap
 import operator
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -523,16 +527,18 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
     numpy's per-call cost is paid once per chunk, not once per time.
 
     OpenBLAS runs one thread throughout (_one_blas_thread). Each group's chunks
-    are dealt round-robin to as many threads as the process had in OpenBLAS, at
-    most one per chunk: this one and the helpers of one ThreadPoolExecutor made
-    for the call. Each takes one set of buffers (its stack, its _SideSpectra and
-    _fill's p and w), all made by this thread before the group's chunks start
-    and freed before the next group's are made; the groups run one after the
-    other. Every value is thus the same at every thread count.
+    are dealt round-robin to as many processes as this one had OpenBLAS
+    threads, at most one per chunk: this process takes share 0, and share k
+    goes to the k-th helper that _share_out forks for the call (none where
+    os.fork is missing, which runs the call serially). A helper inherits the
+    evolution and the plan, takes its share of every group in one pass, with
+    no wait between groups, and writes its rows into the values table, which
+    lives on an anonymous shared mmap and is copied out before the call
+    returns. Each process makes one set of buffers per group (its stack, its
+    _SideSpectra and _fill's p and w) and frees it before the next group's.
+    Every value is thus the same at every thread count.
     `times` must be a 1-D array of sample times.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, so importing gaaquench.runner does not load it
-
     times = _sample_times(times)
     dim = evolution.dim
     subsets = list(subsets)
@@ -544,45 +550,126 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
             outside[idx] = False
             idx = np.flatnonzero(outside)
         sides.setdefault(tuple(idx), []).append(column)
-    values = np.zeros((times.size, len(subsets)))
+    size = times.size * len(subsets)
     routines = _blas._kernel_routines()
     groups = _row_groups(sides, _pair_leads(sides) if routines else {}, dim, times.size)
 
-    def thread_buffers(group: _RowGroup) -> tuple:  # one chunk thread's: its block stack, spectra, _fill's p and w
-        stack = np.empty((group.chunk, group.rows.size, group.rows.size), dtype=complex)
-        return (stack, _SideSpectra(routines, group, stack) if routines else None, np.empty_like(evolution._factor),
-                np.empty((group.rows.size, evolution._factor.shape[1]), dtype=complex))
-
-    def work(group: _RowGroup, v_rows: np.ndarray, share: range, buffers: tuple) -> None:
-        stack, spectra, p, w = buffers
-        for start in share:
-            count = min(group.chunk, times.size - start)
-            for k in range(count):
-                evolution._fill(times[start + k], v_rows, stack[k], p, w)
-            done = slice(start, start + count)
-            if spectra is None:
-                for pos, runs, cols, _ in group.sides:  # a view where the side is one run of the rows
-                    cut = (runs[0][1],) * 2 if len(runs) == 1 else (pos[:, None], pos)
-                    values[done, cols] = block_entropies(stack[:count][(slice(None), *cut)])[:, None]
-                continue
-            terms = _entropy_terms(spectra(count))
-            for segment, cols in spectra.segments:
-                values[done, cols] = -terms[:, segment].sum(axis=-1)[:, None]
-
-    # an executor starts a thread only when a share is submitted to it
-    with _one_blas_thread() as threads, ThreadPoolExecutor(max(threads - 1, 1)) as pool:
+    def share(first: int, parent: int | None = None) -> None:
+        # chunks first, first + spread, ... of every group, spread = min(processes, chunks); a helper passes
+        # the pid of the process that forked it
         for group in groups:
-            count = max(min(threads, len(group.starts)), 1)  # a group of no times has no chunk
-            # this thread makes every share's buffers, takes share 0 and the helpers the rest; leaving the
-            # block waits for every helper
-            v_rows, shares = evolution.modes[group.rows], [thread_buffers(group) for _ in range(count)]
-            helpers = [pool.submit(work, group, v_rows, group.starts[first::count], shares[first])
-                       for first in range(1, count)]
-            work(group, v_rows, group.starts[::count], shares[0])
-            for helper in helpers:
-                helper.result()  # waits, and raises a helper's error
-            del v_rows, shares  # before the next group's buffers are made
-    return values
+            spread = min(processes, len(group.starts))
+            if first >= spread:
+                continue
+            stack = np.empty((group.chunk, group.rows.size, group.rows.size), dtype=complex)
+            spectra = _SideSpectra(routines, group, stack) if routines else None
+            p = np.empty_like(evolution._factor)
+            w = np.empty((group.rows.size, evolution._factor.shape[1]), dtype=complex)
+            v_rows = evolution.modes[group.rows]
+            for start in group.starts[first::spread]:
+                if parent is not None and os.getppid() != parent:
+                    raise ProcessLookupError("the process that forked this entropies helper is gone")
+                count = min(group.chunk, times.size - start)
+                for k in range(count):
+                    evolution._fill(times[start + k], v_rows, stack[k], p, w)
+                done = slice(start, start + count)
+                if spectra is None:
+                    for pos, runs, cols, _ in group.sides:  # a view where the side is one run of the rows
+                        cut = (runs[0][1],) * 2 if len(runs) == 1 else (pos[:, None], pos)
+                        values[done, cols] = block_entropies(stack[:count][(slice(None), *cut)])[:, None]
+                    continue
+                terms = _entropy_terms(spectra(count))
+                for segment, cols in spectra.segments:
+                    values[done, cols] = -terms[:, segment].sum(axis=-1)[:, None]
+            del stack, spectra, p, w, v_rows  # before the next group's buffers are made
+
+    with _one_blas_thread() as threads:
+        processes = threads if hasattr(os, "fork") else 1
+        shared = mmap.mmap(-1, max(8 * size, 1))  # zeros that the helpers share; mmap maps no zero length
+        values = np.frombuffer(shared, dtype=float, count=size).reshape(times.size, len(subsets))
+        _share_out(share, max((min(processes, len(group.starts)) - 1 for group in groups), default=0))
+    return values.copy()  # off the shared mapping, which is unmapped with its last view
+
+
+def _share_out(share, helpers: int) -> None:
+    """share(0) in this process and share(k), k = 1..helpers, each in a helper process forked for it
+    (_fork_helper); returns once every helper has ended and been reaped, and then raises the first
+    exception a helper sent. If this process's share raises or is interrupted, or the wait for a
+    helper is, every helper not yet reaped is killed and reaped before the exception goes on."""
+    parent, children, failed, errors = os.getpid(), [], True, []
+    try:
+        for first in range(1, helpers + 1):
+            children.append(_fork_helper(share, first, parent))
+        share(0)
+        failed = False
+    finally:
+        for pid, read in children:
+            try:
+                errors.append(_reap(pid, read, kill=failed))
+            except BaseException as interrupt:  # a wait cut short: the rest are killed, and it goes on below
+                failed = True
+                errors.append(interrupt)
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _fork_helper(share, first: int, parent: int) -> tuple[int, int]:
+    """Forks the helper that runs share(first): its pid and the read end of its pipe. The helper ends
+    in os._exit on every path, as any exception after the fork meets the `finally`: 0 after its share,
+    1 after an exception, which it pickles into the pipe with its traceback as a note (as a RuntimeError
+    with its type and message where it does not survive pickling). OpenBLAS's fork handler stops its thread
+    pool before the fork, and the caller runs one BLAS thread, so the helper starts with that one."""
+    read, write = os.pipe()
+    status = 1
+    try:
+        pid = os.fork()
+        if pid == 0:
+            share(first, parent)
+            status = 0
+    except BaseException as error:
+        if os.getpid() == parent:
+            os.close(read)
+            raise
+        import traceback
+
+        error.__notes__ = [*getattr(error, "__notes__", []),
+                           "raised in an entropies helper process:\n" + "".join(traceback.format_exception(error))]
+        try:
+            message = pickle.dumps(error)
+            pickle.loads(message)  # an exception whose __init__ takes other arguments pickles but fails here
+        except Exception:
+            stand_in = RuntimeError(f"{type(error).__name__}: {error}")
+            stand_in.__notes__ = error.__notes__
+            message = pickle.dumps(stand_in)
+        with open(write, "wb") as pipe:
+            pipe.write(message)
+    finally:
+        if os.getpid() != parent:
+            os._exit(status)
+        os.close(write)
+    return pid, read
+
+
+def _reap(pid: int, read: int, kill: bool) -> BaseException | None:
+    """Waits for helper `pid`, killed first if `kill` or if the wait is interrupted, and closes the read
+    end of its pipe; returns the exception the helper sent, or one for an exit without one (None if
+    killed)."""
+    with open(read, "rb") as pipe:
+        try:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            message = pipe.read()  # to its end, which comes when the helper exits
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if kill:
+        return None
+    if message:
+        return pickle.loads(message)  # bytes that the helper wrote
+    return RuntimeError(f"entropies helper process {pid} ended with wait status {status}") if status else None
 
 
 def quench_evolution(setup: QuenchSetup) -> QuenchEvolution:

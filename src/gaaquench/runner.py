@@ -495,11 +495,11 @@ def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list, failu
 def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[tuple], list[dict], list[float], dict]:
     """The sweep's rows, its failure records, the wall time of each point (in payload order)
     and the thread setup it ran with: the BLAS thread cap of each pool worker and the
-    threads `entropies` could spread its chunks over."""
+    processes `entropies` could spread its chunks over."""
     axes = (config.a, config.lam, config.L) if experiment.lengths == "swept" else (config.a, config.lam)
     payloads = [(config, index, point) for index, point in enumerate(product(*axes))]
     if config.workers == 1 or len(payloads) == 1:
-        results, cap, threads = [_run_point(p) for p in payloads], "uncapped", _blas_threads() or 1
+        results, cap, processes = [_run_point(p) for p in payloads], "uncapped", _blas_threads() or 1
     else:
         # imported here: multiprocessing costs every serial run about 1.4 MB of memory
         from concurrent.futures import ProcessPoolExecutor
@@ -509,11 +509,11 @@ def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[
         with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads) as pool:
             results = list(pool.map(_run_point, payloads))  # in payload order
         cap = 1 if _blas_threads() is not None else "uncapped"
-        threads = 1  # one BLAS thread per worker, or uncapped: either way entropies stays serial
+        processes = 1  # one BLAS thread per worker, or uncapped: either way entropies stays serial
     rows = [row for point_rows, _, _ in results for row in point_rows]
     failures = [failure for _, failure, _ in results if failure is not None]
     return rows, failures, [wall for _, _, wall in results], {"blas_threads_per_worker": cap,
-                                                              "entropy_threads": threads}
+                                                              "entropy_processes": processes}
 
 
 def _environment(config: ExperimentConfig, threads: dict) -> dict:

@@ -1,4 +1,5 @@
 import functools
+import os
 
 import pytest
 from hypothesis import settings
@@ -24,6 +25,17 @@ class HidingLibrary:
         if name in self._hidden:
             raise AttributeError(name)
         return getattr(self._library, name)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process unreaped: an `entropies` helper, a pool worker or any other."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)  # reaps one that has ended, so the next test starts clean
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid else "the test left a child process running")
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
+import collections
 import ctypes
-import threading
+import json
+import os
+import select
+import time
 import tracemalloc
 
 import numpy as np
@@ -526,18 +530,36 @@ class FakeBlas:
         return (lambda: self.threads), self.set
 
 
-def record_fill_threads(monkeypatch, blas_threads):
-    """Patch _fill, which builds every block, to record for each call its thread and the BLAS count
-    it ran with."""
-    seen = []
-    fill = QuenchEvolution._fill
+class TwoArgumentError(Exception):
+    """Pickles, but unpickling calls __init__ with its one message, so it cannot come back from a helper."""
 
-    def recording_fill(self, time, v_rows, out, p, w):
-        seen.append((threading.get_ident(), blas_threads()))
-        return fill(self, time, v_rows, out, p, w)
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
 
-    monkeypatch.setattr(QuenchEvolution, "_fill", recording_fill)
-    return seen
+
+class FillLog:
+    """Patches _fill, which builds every block, to append for each call the pid of its process and the
+    BLAS count it ran with, as one JSON line, to the file `path`: a forked helper writes there too, where
+    it could not append to a list of the caller's."""
+
+    def __init__(self, monkeypatch, path, blas_threads):
+        self.path = path
+        fill = QuenchEvolution._fill
+
+        def recording_fill(evolution, time, v_rows, out, p, w):
+            with open(path, "a") as log:  # one short append per call: the processes' lines do not mix
+                log.write(json.dumps([os.getpid(), blas_threads()]) + "\n")
+            return fill(evolution, time, v_rows, out, p, w)
+
+        monkeypatch.setattr(QuenchEvolution, "_fill", recording_fill)
+
+    def take(self) -> list[tuple[int, int | None]]:
+        """The (pid, BLAS count) of every call since the last take."""
+        if not self.path.exists():
+            return []
+        seen = [tuple(json.loads(line)) for line in self.path.read_text().splitlines()]
+        self.path.unlink()
+        return seen
 
 
 class TestStackedKernel:
@@ -641,71 +663,162 @@ class TestStackedKernel:
 
 
 class TestChunkThreads:
-    """A serial run deals every row group's chunks of sample times to its BLAS threads, at most one
-    thread per chunk; BLAS runs one thread in every plan."""
+    """A serial run deals every row group's chunks of sample times to as many processes as it had BLAS
+    threads, at most one per chunk: the caller and helpers forked for the call, which end and are reaped
+    before it returns. BLAS runs one thread in every process."""
 
     L = 200  # the half chain of the saturation measurement: m = 100, 4 times per chunk
 
     def half_chain(self):
         return quench_evolution(neel_setup(self.L)), [range(1, self.L // 2 + 1)]
 
-    def test_threads_give_the_values_of_one_blas_thread_exactly(self, monkeypatch, blas_count):
+    def test_threads_give_the_values_of_one_blas_thread_exactly(self, monkeypatch, blas_count, tmp_path):
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)  # 5 chunks of 4 times
-        seen = record_fill_threads(monkeypatch, _blas._blas_threads)
+        log = FillLog(monkeypatch, tmp_path / "fills", _blas._blas_threads)
         blas_count(1)  # as in a pool worker: one thread
         serial = entropies(ev, half, times)
-        serial_seen = list(seen)
+        serial_seen = log.take()
         blas_count(2)
-        seen.clear()
-        threaded = entropies(ev, half, times)
+        spread = entropies(ev, half, times)
+        seen = log.take()
         assert _blas._blas_threads() == 2
-        assert len({ident for ident, _ in serial_seen}) == 1
-        assert len({ident for ident, _ in seen}) == 2
+        assert {pid for pid, _ in serial_seen} == {os.getpid()}
+        assert len({pid for pid, _ in seen}) == 2 and os.getpid() in {pid for pid, _ in seen}
+        assert sum(pid == os.getpid() for pid, _ in seen) == 12  # chunks 0, 2 and 4 here, 1 and 3 in the helper
         assert {blas for _, blas in serial_seen + seen} == {1}
         assert len(seen) == times.size
-        assert (threaded == serial).all()
+        assert (spread == serial).all()
+
+    def test_three_processes_give_the_values_of_one_exactly(self, monkeypatch, tmp_path):
+        # two helpers and the caller write disjoint rows of one shared table
+        ev, half = self.half_chain()
+        times = np.random.default_rng(19).uniform(1e4, 2e4, 20)  # 5 chunks: 2 here, 2 and 1 in the helpers
+        blas = FakeBlas(1)
+        monkeypatch.setattr(_blas, "_blas_thread_control", blas.control)
+        serial = entropies(ev, half, times)
+        log = FillLog(monkeypatch, tmp_path / "fills", lambda: blas.threads)
+        blas.threads = 3
+        spread = entropies(ev, half, times)
+        seen = log.take()
+        assert len(seen) == times.size and {blas for _, blas in seen} == {1}
+        assert sorted(collections.Counter(pid for pid, _ in seen).values()) == [4, 8, 8]
+        assert np.array_equal(spread, serial)
 
     @pytest.mark.parametrize("raiser", ["helper", "caller"])
     def test_blas_count_restored_after_an_exception(self, raiser, monkeypatch):
         ev, half = self.half_chain()
         times = np.linspace(1e4, 2e4, 30)
-        blas = FakeBlas(2)
-        monkeypatch.setattr(_blas, "_blas_thread_control", blas.control)
-        caller = threading.get_ident()
+        caller = os.getpid()
         fill = QuenchEvolution._fill
+        for error in (RuntimeError, np.linalg.LinAlgError, ValueError):  # _fill's and the kernel's own, and another
 
-        def failing_fill(self, time, v_rows, out, p, w):
-            if (threading.get_ident() == caller) == (raiser == "caller"):
-                raise RuntimeError(f"synthetic failure in the {raiser}")
-            return fill(self, time, v_rows, out, p, w)
+            def failing_fill(self, time, v_rows, out, p, w):
+                if (os.getpid() == caller) == (raiser == "caller"):
+                    raise error(f"synthetic failure in the {raiser}")
+                return fill(self, time, v_rows, out, p, w)
+
+            blas = FakeBlas(2)
+            monkeypatch.setattr(_blas, "_blas_thread_control", blas.control)
+            monkeypatch.setattr(QuenchEvolution, "_fill", failing_fill)
+            with pytest.raises(error) as raised:
+                entropies(ev, half, times)
+            assert type(raised.value) is error and str(raised.value) == f"synthetic failure in the {raiser}"
+            notes = getattr(raised.value, "__notes__", [])
+            assert (raiser == "helper") == any("helper process" in note for note in notes)  # its traceback
+            assert blas.history == [1, 2] and blas.threads == 2
+            with pytest.raises(ChildProcessError):  # the helper has ended and been reaped
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_error_that_does_not_unpickle_arrives_as_a_runtime_error(self, monkeypatch):
+        ev, half = self.half_chain()
+        monkeypatch.setattr(_blas, "_blas_thread_control", FakeBlas(2).control)
+        caller, fill = os.getpid(), QuenchEvolution._fill
+
+        def failing_fill(self, *args):
+            if os.getpid() != caller:
+                raise TwoArgumentError(1, 2)
+            return fill(self, *args)
 
         monkeypatch.setattr(QuenchEvolution, "_fill", failing_fill)
-        alive = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"in the {raiser}"):
-            entropies(ev, half, times)
-        assert blas.history == [1, 2] and blas.threads == 2
-        assert threading.active_count() == alive  # every helper has ended
+        with pytest.raises(RuntimeError) as raised:
+            entropies(ev, half, np.linspace(1e4, 2e4, 30))
+        assert type(raised.value) is RuntimeError and str(raised.value) == "TwoArgumentError: 1 and 2"
+        assert any("helper process" in note for note in raised.value.__notes__)
 
-    def test_sic_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count):
+    def test_interrupted_caller_kills_the_helper(self, monkeypatch):
+        # the helper's share is one chunk of 4 blocks of 5 s each: the caller must end it, not wait for it
+        ev, half = self.half_chain()
+        times = np.linspace(1e4, 2e4, 8)
+        monkeypatch.setattr(_blas, "_blas_thread_control", FakeBlas(2).control)
+        caller = os.getpid()
+
+        def fill(self, *args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(5)
+
+        monkeypatch.setattr(QuenchEvolution, "_fill", fill)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            entropies(ev, half, times)
+        assert time.perf_counter() - start < 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_stops_when_its_caller_is_gone(self, monkeypatch, tmp_path):
+        # a caller forked here dies at its first block; its helper, whose first block waits a second, must
+        # stop at its next chunk (after at most one chunk of 4 blocks), not build the 20 blocks of its share.
+        # The helper is not a child of this process: the end of a pipe that both inherit tells when it exits
+        ev, half = self.half_chain()
+        times = np.linspace(1e4, 2e4, 40)  # 10 chunks of 4 times, 5 for each process
+        monkeypatch.setattr(_blas, "_blas_thread_control", FakeBlas(2).control)
+        log = FillLog(monkeypatch, tmp_path / "fills", lambda: None)
+        recording_fill, test = QuenchEvolution._fill, os.getpid()
+
+        def fill(self, *args):
+            if os.getppid() == test:  # the caller
+                os._exit(0)
+            if not log.path.exists():
+                time.sleep(1.0)
+            return recording_fill(self, *args)
+
+        monkeypatch.setattr(QuenchEvolution, "_fill", fill)
+        done, alive = os.pipe()
+        caller = os.fork()
+        if caller == 0:
+            try:
+                os.close(done)
+                entropies(ev, half, times)
+            finally:
+                os._exit(1)
+        os.close(alive)
+        assert os.waitpid(caller, 0)[1] == 0
+        ready, _, _ = select.select([done], [], [], 60)
+        assert ready and os.read(done, 1) == b""  # every holder of `alive` has exited
+        os.close(done)
+        seen = log.take()
+        assert len(seen) <= 4 and caller not in {pid for pid, _ in seen}
+
+    def test_sic_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count, tmp_path):
         setup, subsets = sic_sides_at_L_100()
         ev = quench_evolution(setup)
         times = np.random.default_rng(13).uniform(1e4, 2e4, 40)  # per group, 5 chunks of 8 times
-        seen = record_fill_threads(monkeypatch, _blas._blas_threads)
+        log = FillLog(monkeypatch, tmp_path / "fills", _blas._blas_threads)
         blas_count(1)
         serial = entropies(ev, subsets, times)
-        serial_seen = list(seen)
+        serial_seen = log.take()
         blas_count(2)
-        seen.clear()
-        threaded = entropies(ev, subsets, times)
+        spread = entropies(ev, subsets, times)
+        seen = log.take()
         assert _blas._blas_threads() == 2
-        assert len({ident for ident, _ in serial_seen}) == 1
-        assert len({ident for ident, _ in seen}) == 2
+        assert {pid for pid, _ in serial_seen} == {os.getpid()}
+        assert len({pid for pid, _ in seen}) == 2 and os.getpid() in {pid for pid, _ in seen}
         assert {blas for _, blas in serial_seen + seen} == {1}
         assert len(seen) == 2 * times.size  # one block per time in each of the two row groups
-        assert (threaded == serial).all()
+        assert (spread == serial).all()
 
-    def test_L_233_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count):
+    def test_L_233_plan_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count, tmp_path):
         # the sic_profile plan at L = 233: row groups of 116 and 114 rows at 1 time per chunk, as a block and
         # the copy of the largest other side overrun the budget; 30 times give each group 30 chunks
         sizes = sorted(set(range(0, 234, 5)) | {233})
@@ -714,10 +827,11 @@ class TestChunkThreads:
         with monkeypatch.context() as patch:
             blas = FakeBlas(2)
             patch.setattr(_blas, "_blas_thread_control", blas.control)
-            seen = record_fill_threads(patch, lambda: blas.threads)
+            log = FillLog(patch, tmp_path / "fills", lambda: blas.threads)
             profile = observables.sic_profile(setup, sizes, "center", protocol)
+        seen = log.take()
         assert profile.mi.shape == (48,)
-        assert len(seen) == 60 and len({ident for ident, _ in seen}) == 2
+        assert len(seen) == 60 and len({pid for pid, _ in seen}) == 2
         assert {threads for _, threads in seen} == {1}
         # capped and restored around each of the evolution's two eigh calls, its rotation of C0 and entropies
         assert blas.history == [1, 2] * 4 and blas.threads == 2
@@ -725,21 +839,50 @@ class TestChunkThreads:
         blas_count(1)
         serial = entropies(ev, subsets, times)
         blas_count(2)
-        threaded = entropies(ev, subsets, times)
-        assert (threaded == serial).all()
+        spread = entropies(ev, subsets, times)
+        assert (spread == serial).all()
 
-    def test_missing_blas_symbol_runs_serially(self, monkeypatch, hide_openblas):
+    def test_missing_blas_symbol_runs_serially(self, monkeypatch, hide_openblas, tmp_path):
         hide_openblas(("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_") + KERNEL_SYMBOLS)
         assert _blas._blas_threads() is None and _blas._kernel_routines() is None
         with _blas._one_blas_thread() as threads:
             assert threads == 1
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)
-        seen = record_fill_threads(monkeypatch, lambda: None)
+        log = FillLog(monkeypatch, tmp_path / "fills", lambda: None)
         got = entropies(ev, half, times)
-        assert len(seen) == times.size and len({ident for ident, _ in seen}) == 1
+        seen = log.take()
+        assert len(seen) == times.size and {pid for pid, _ in seen} == {os.getpid()}
         expected, _ = per_time_entropies(ev, half, times)
         assert np.array_equal(got, expected)
+
+    def test_no_fork_runs_serially(self, monkeypatch, blas_count, tmp_path):
+        ev, half = self.half_chain()
+        times = np.random.default_rng(11).uniform(1e4, 2e4, 20)
+        blas_count(1)
+        expected = entropies(ev, half, times)
+        blas_count(2)
+        monkeypatch.delattr(os, "fork")
+        log = FillLog(monkeypatch, tmp_path / "fills", _blas._blas_threads)
+        got = entropies(ev, half, times)
+        assert {pid for pid, _ in log.take()} == {os.getpid()}
+        assert np.array_equal(got, expected)
+
+    def test_numpy_path_spreads_and_equals_one_thread_exactly(self, monkeypatch, blas_count, hide_openblas,
+                                                              tmp_path):
+        # the kernel routines hidden, the thread control kept: numpy's path, dealt to a helper too
+        hide_openblas(KERNEL_SYMBOLS)
+        setup, subsets = sic_sides_at_L_100()
+        ev = quench_evolution(setup)
+        times = np.random.default_rng(17).uniform(1e4, 2e4, 40)
+        log = FillLog(monkeypatch, tmp_path / "fills", _blas._blas_threads)
+        blas_count(1)
+        serial = entropies(ev, subsets, times)
+        assert len({pid for pid, _ in log.take()}) == 1
+        blas_count(2)
+        spread = entropies(ev, subsets, times)
+        assert len({pid for pid, _ in log.take()}) == 2
+        assert np.array_equal(spread, serial)
 
 
 def sic_sides_at(L, sizes):

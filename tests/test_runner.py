@@ -710,7 +710,7 @@ class TestRun:
         assert env["blas_threads"] == _blas._blas_threads()
         assert env["cpu_count"] == os.cpu_count()
         assert (env["workers"], env["blas_threads_per_worker"]) == (1, "uncapped")
-        assert env["entropy_threads"] == (env["blas_threads"] or 1)
+        assert env["entropy_processes"] == (env["blas_threads"] or 1)
         assert env["lapack_pairs"] is (_blas._kernel_routines() is not None)
         assert "max_abs_delta" not in manifest and "verify_passed" not in manifest
 
@@ -718,7 +718,7 @@ class TestRun:
         threads = _blas._blas_threads()
         manifest = run(parse_config(VELOCITY_TOY + "workers = 2\n"), tmp_path)
         assert manifest["environment"]["blas_threads_per_worker"] == (1 if threads is not None else "uncapped")
-        assert manifest["environment"]["entropy_threads"] == 1
+        assert manifest["environment"]["entropy_processes"] == 1
         assert _blas._blas_threads() == threads  # the parent keeps its own count
         with ProcessPoolExecutor(max_workers=1, initializer=_blas._cap_blas_threads) as pool:
             assert pool.submit(_blas._blas_threads).result(timeout=60) == (1 if threads is not None else None)
@@ -740,7 +740,7 @@ class TestRun:
         threads = _blas._blas_threads()
         serial = run(parse_config(text), tmp_path / "serial")
         assert _blas._blas_threads() == threads
-        assert serial["environment"]["entropy_threads"] == (threads or 1)
+        assert serial["environment"]["entropy_processes"] == (threads or 1)
         run(parse_config(text + "workers = 2\n"), tmp_path / "pool")
         assert (tmp_path / "serial/saturation.csv").read_bytes() == (tmp_path / "pool/saturation.csv").read_bytes()
 
