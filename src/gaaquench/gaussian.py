@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _blas
 from ._blas import _one_blas_thread
-from .model import LatticeSpec, build_hamiltonian
+from .model import LatticeSpec, _integer, build_hamiltonian
 from .spectral import _stacked_eigvalsh, diagonalize
 
 _HERMITICITY_TOL = 1e-10
@@ -249,15 +249,6 @@ def _mirror_lower(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int, read with operator.index as _site_indices reads labels: 1.5 or 2.0 is rejected
-    with ValueError, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _site_indices(sites, dim: int) -> np.ndarray:
     """Sorted 0-based indices of distinct integer labels in 1..dim; 1.5 or 2.0 is rejected, not truncated."""
     try:
@@ -400,7 +391,7 @@ class _RowGroup:
 
 class _SideSpectra:
     """Spectra of every nonempty side of one row group, and of its carriers' leads, from one Householder
-    reduction per side block: one thread's buffers for the group's chunks, cut from its `stack`.
+    reduction per side block: one process's buffers for the group's chunks, cut from its `stack`.
 
     Once per chunk, each side's block is copied from the stack into one [chunk, copy, copy] buffer: one
     slice per pair of contiguous runs of its rows, only the pairs on and below the diagonal, which hold
@@ -527,10 +518,9 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
     numpy's per-call cost is paid once per chunk, not once per time.
 
     OpenBLAS runs one thread throughout (_one_blas_thread). Each group's chunks
-    are dealt round-robin to as many processes as this one had OpenBLAS
-    threads, at most one per chunk: this process takes share 0, and share k
-    goes to the k-th helper that _share_out forks for the call (none where
-    os.fork is missing, which runs the call serially). A helper inherits the
+    are dealt round-robin to _entropy_processes() processes, at most one per
+    chunk: this process takes share 0, and share k goes to the k-th helper
+    that _share_out forks for the call. A helper inherits the
     evolution and the plan, takes its share of every group in one pass, with
     no wait between groups, and writes its rows into the values table, which
     lives on an anonymous shared mmap and is copied out before the call
@@ -583,12 +573,18 @@ def entropies(evolution: QuenchEvolution, subsets, times) -> np.ndarray:
                     values[done, cols] = -terms[:, segment].sum(axis=-1)[:, None]
             del stack, spectra, p, w, v_rows  # before the next group's buffers are made
 
-    with _one_blas_thread() as threads:
-        processes = threads if hasattr(os, "fork") else 1
+    processes = _entropy_processes()
+    with _one_blas_thread():
         shared = mmap.mmap(-1, max(8 * size, 1))  # zeros that the helpers share; mmap maps no zero length
         values = np.frombuffer(shared, dtype=float, count=size).reshape(times.size, len(subsets))
         _share_out(share, max((min(processes, len(group.starts)) - 1 for group in groups), default=0))
     return values.copy()  # off the shared mapping, which is unmapped with its last view
+
+
+def _entropy_processes() -> int:
+    """The processes that `entropies` deals its chunks to (the run manifest's `entropy_processes`): this
+    process's OpenBLAS thread count (1 where it cannot be read) where os.fork exists, else 1."""
+    return (_blas._blas_threads() or 1) if hasattr(os, "fork") else 1
 
 
 def _share_out(share, helpers: int) -> None:

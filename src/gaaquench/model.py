@@ -12,6 +12,7 @@ The standard Aubry-Andre model is recovered at a = 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,15 @@ import numpy as np
 GOLDEN_INVERSE = (math.sqrt(5.0) - 1.0) / 2.0
 
 BOUNDARIES = ("open", "periodic")
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int, read with operator.index: 1.5 or 2.0 is rejected with ValueError, not truncated.
+    The one integer rule of the package, which every class and function that takes an integer reads."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,8 +66,8 @@ class LatticeSpec:
     boundary: str = "open"
 
     def __post_init__(self):
-        if not isinstance(self.L, (int, np.integer)) or self.L < 2:
-            raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
+        if _integer("L", self.L) < 2:
+            raise ValueError(f"L must be at least 2, got {self.L!r}")
         if self.t == 0:
             raise ValueError("hopping amplitude t must be nonzero")
         if abs(self.a) >= 1:

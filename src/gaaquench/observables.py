@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import QuenchSetup, _integer, entropies, quench_evolution, reference_information
+from .gaussian import QuenchSetup, entropies, quench_evolution, reference_information
+from .model import _integer
 
 COUPLINGS = ("center", "edge")
 
@@ -24,9 +25,9 @@ JUMP_SIZE = 5  # subsystem size probing information trapped by localized modes
 # and its 1000 sample times
 MAX_POINTS = 10**5
 
-# latest time of a sample, a fit window or a time table: 50 times the paper's 2e4, and the last decade where
-# the kernel meets the oracle's 1e-8 (9.0e-9 at worst, 9e-8 at 1e7); inf or 1e308 would turn blocks into NaN
-MAX_TIME = 1e6
+# latest time of a sample, a fit window or a time table: 5 times the paper's 2e4; there the kernel meets the oracle
+# at 3.9e-10 at worst, against 9.0e-9 at 1e6 (gate 1e-8); inf or 1e308 would turn blocks into NaN
+MAX_TIME = 1e5
 
 _WINDOW_TOL = 1e-12  # a sample time this far outside the fit window still counts as inside
 

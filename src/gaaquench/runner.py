@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__, _blas, observables, oracle, spectral
 from ._blas import _blas_threads, _cap_blas_threads
-from .gaussian import QuenchSetup, _integer, reference_information
-from .model import GOLDEN_INVERSE, LatticeSpec
+from .gaussian import QuenchSetup, _entropy_processes, reference_information
+from .model import GOLDEN_INVERSE, LatticeSpec, _integer
 from .observables import SamplingProtocol
 
 _ORACLE_TOLERANCE = 1e-8
@@ -86,91 +86,91 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        experiment = EXPERIMENTS.get(self.experiment)
-        if experiment is None:
-            raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}")
-        for name, kind in (("L", lambda value: _config_integer("L", value)), ("lam", float), ("a", float)):
-            key = _KEY_OF_FIELD.get(name, name)
-            if not getattr(self, name):
-                raise ConfigError(f"sweep range for '{key}' is empty")
-            object.__setattr__(self, name, _sorted_distinct(key, map(kind, getattr(self, name))))
-        if self.L[-1] > MAX_L:
-            raise ConfigError(f"L must be at most {MAX_L}, got {self.L[-1]}")
-        points = len(self.a) * len(self.lam) * len(self.L)
-        if points > observables.MAX_POINTS:  # before a setup is built for each of them
-            raise ConfigError(f"the sweep over a, lambda and L holds {points} points, "
-                              f"more than {observables.MAX_POINTS}")
-        if experiment.lengths == "point" and (len(self.L) > 1 or len(self.lam) > 1 or len(self.a) > 1):
-            raise ConfigError(f"experiment '{self.experiment}' takes a single (L, lambda, a) point")
-        if experiment.lengths == "single" and len(self.L) > 1:
-            raise ConfigError(f"experiment '{self.experiment}' takes a single L")
-        if experiment.lengths == "fit" and len(self.L) < 3:
-            raise ConfigError(f"{self.experiment} needs at least 3 chain lengths")
-        if experiment.max_L is not None and self.L[0] > experiment.max_L:
-            raise ConfigError(f"{self.experiment} is limited to L <= {experiment.max_L}")
-        if experiment.fixed_sizes and self.L[0] < observables.JUMP_SIZE:
-            raise ConfigError(f"{self.experiment} needs L >= {observables.JUMP_SIZE}")
-        if experiment.fixed_sizes and self.sizes is not None:
-            raise ConfigError(f"sizes are fixed to {{0, {observables.JUMP_SIZE}, L}} for {self.experiment}")
-        if self.sizes is not None:
-            sizes = _sorted_distinct("sizes", (_config_integer("a size", size) for size in self.sizes))
-            if not sizes:
-                raise ConfigError("sizes is empty")
-            if sizes[0] < 0 or sizes[-1] > self.L[-1]:
-                raise ConfigError(f"sizes must lie in 0..L, got {sizes}")
-            object.__setattr__(self, "sizes", sizes)
-        if self.times is not None:
-            times = _sorted_distinct("times", map(float, self.times))
-            if not times:
-                raise ConfigError("times is empty")
-            outside = [t for t in times if not abs(t) <= observables.MAX_TIME]  # NaN too, which no comparison holds
-            if outside:
-                raise ConfigError(f"times must lie within +-{observables.MAX_TIME:g}, got {outside[0]:g}")
-            object.__setattr__(self, "times", times)
-        if self.coupling not in observables.COUPLINGS:
-            raise ConfigError(f"coupling must be one of {observables.COUPLINGS}, got {self.coupling!r}")
-        if self.initial == "random_product" and self.initial_seed is None:
-            object.__setattr__(self, "initial_seed", 0)
-        n_random, workers = _config_integer("n_random", self.n_random), _config_integer("workers", self.workers)
-        if not 1 <= n_random <= observables.MAX_POINTS:  # before a setup is built for each of them
-            raise ConfigError(f"n_random must lie in 1..{observables.MAX_POINTS}, got {self.n_random}")
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
-        self.protocol(self.seed)  # surfaces invalid sampling parameters early
-        for a, lam, L in product(self.a, self.lam, self.L):
-            reference = None if experiment.even_L else observables.reference_site_for(L, self.coupling)
-            self.setup_at(a, lam, L, reference)
+        """Checks every field and every point's setup, each rule through its owner (LatticeSpec, QuenchSetup,
+        SamplingProtocol, model._integer): the one place where an owner's ValueError becomes a ConfigError."""
+        try:
+            experiment = EXPERIMENTS.get(self.experiment)
+            if experiment is None:
+                raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {self.experiment!r}")
+            for name, kind in (("L", lambda value: _integer("L", value)), ("lam", float), ("a", float)):
+                key = _KEY_OF_FIELD.get(name, name)
+                if not getattr(self, name):
+                    raise ConfigError(f"sweep range for '{key}' is empty")
+                object.__setattr__(self, name, _sorted_distinct(key, map(kind, getattr(self, name))))
+            if self.L[-1] > MAX_L:
+                raise ConfigError(f"L must be at most {MAX_L}, got {self.L[-1]}")
+            points = len(self.a) * len(self.lam) * len(self.L)
+            if points > observables.MAX_POINTS:  # before a setup is built for each of them
+                raise ConfigError(f"the sweep over a, lambda and L holds {points} points, "
+                                  f"more than {observables.MAX_POINTS}")
+            if experiment.lengths == "point" and (len(self.L) > 1 or len(self.lam) > 1 or len(self.a) > 1):
+                raise ConfigError(f"experiment '{self.experiment}' takes a single (L, lambda, a) point")
+            if experiment.lengths == "single" and len(self.L) > 1:
+                raise ConfigError(f"experiment '{self.experiment}' takes a single L")
+            if experiment.lengths == "fit" and len(self.L) < 3:
+                raise ConfigError(f"{self.experiment} needs at least 3 chain lengths")
+            if experiment.max_L is not None and self.L[0] > experiment.max_L:
+                raise ConfigError(f"{self.experiment} is limited to L <= {experiment.max_L}")
+            if experiment.fixed_sizes and self.L[0] < observables.JUMP_SIZE:
+                raise ConfigError(f"{self.experiment} needs L >= {observables.JUMP_SIZE}")
+            if experiment.fixed_sizes and self.sizes is not None:
+                raise ConfigError(f"sizes are fixed to {{0, {observables.JUMP_SIZE}, L}} for {self.experiment}")
+            if self.sizes is not None:
+                sizes = _sorted_distinct("sizes", (_integer("a size", size) for size in self.sizes))
+                if not sizes:
+                    raise ConfigError("sizes is empty")
+                if sizes[0] < 0 or sizes[-1] > self.L[-1]:
+                    raise ConfigError(f"sizes must lie in 0..L, got {sizes}")
+                object.__setattr__(self, "sizes", sizes)
+            if self.times is not None:
+                times = _sorted_distinct("times", map(float, self.times))
+                if not times:
+                    raise ConfigError("times is empty")
+                outside = [t for t in times if not abs(t) <= observables.MAX_TIME]  # NaN too, which no comparison holds
+                if outside:
+                    raise ConfigError(f"times must lie within +-{observables.MAX_TIME:g}, got {outside[0]:g}")
+                object.__setattr__(self, "times", times)
+            if self.coupling not in observables.COUPLINGS:
+                raise ConfigError(f"coupling must be one of {observables.COUPLINGS}, got {self.coupling!r}")
+            if self.initial == "random_product" and self.initial_seed is None:
+                object.__setattr__(self, "initial_seed", 0)
+            if not 1 <= _integer("n_random", self.n_random) <= observables.MAX_POINTS:  # before a setup per draw
+                raise ConfigError(f"n_random must lie in 1..{observables.MAX_POINTS}, got {self.n_random}")
+            if _integer("workers", self.workers) < 1:
+                raise ConfigError("workers must be >= 1")
+            self.protocol(self.seed)  # surfaces invalid sampling parameters early
+            for a, lam, L in product(self.a, self.lam, self.L):
+                reference = None if experiment.even_L else observables.reference_site_for(L, self.coupling)
+                self.setup_at(a, lam, L, reference)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def spec_at(self, a: float, lam: float, L: int) -> LatticeSpec:
+        """The chain of one point; the constructor built every point's, and other arguments raise ValueError."""
         b = self.b
         if b is None:
             b = GOLDEN_INVERSE
-        try:
-            return LatticeSpec(L=L, lam=lam, a=a, t=self.t, b=b, phi=self.phi, boundary=self.boundary)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return LatticeSpec(L=L, lam=lam, a=a, t=self.t, b=b, phi=self.phi, boundary=self.boundary)
 
     def setup_at(self, a: float, lam: float, L: int, reference_site: int | None = None,
                  initial_seed: int | None = None) -> QuenchSetup:
-        spec = self.spec_at(a, lam, L)
-        try:
-            return QuenchSetup(
-                spec,
-                initial=self.initial,
-                occupations=self.occupations,
-                initial_seed=self.initial_seed if initial_seed is None else initial_seed,
-                reference_site=reference_site,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """The initial state of one point; the constructor built every point's, and other arguments raise
+        the ValueError of LatticeSpec or QuenchSetup."""
+        return QuenchSetup(
+            self.spec_at(a, lam, L),
+            initial=self.initial,
+            occupations=self.occupations,
+            initial_seed=self.initial_seed if initial_seed is None else initial_seed,
+            reference_site=reference_site,
+        )
 
     def protocol(self, seed: int) -> SamplingProtocol:
-        """The sampling protocol of this config, seeded with `seed` (the fields share their names)."""
+        """The sampling protocol of this config, seeded with `seed` (the fields share their names); the
+        constructor checked it at the config's seed, and a seed that SamplingProtocol rejects raises ValueError."""
         settings = {f.name: getattr(self, f.name) for f in fields(SamplingProtocol) if f.name != "seed"}
-        try:
-            return SamplingProtocol(**settings, seed=seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SamplingProtocol(**settings, seed=seed)
 
     def to_dict(self) -> dict:
         """JSON-ready echo of every field, keyed as in a config file (the manifest's `config`)."""
@@ -188,14 +188,6 @@ class ExperimentConfig:
         if isinstance(kwargs.get("b"), str):
             kwargs["b"] = Fraction(kwargs["b"])
         return cls(**kwargs)
-
-
-def _config_integer(name: str, value) -> int:
-    """`value` as an int (gaussian._integer): from the Python API, 8.5 or 2.0 is a ConfigError, not truncated."""
-    try:
-        return _integer(name, value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _sorted_distinct(key: str, values) -> tuple:
@@ -499,7 +491,7 @@ def _run_points(config: ExperimentConfig, experiment: Experiment) -> tuple[list[
     axes = (config.a, config.lam, config.L) if experiment.lengths == "swept" else (config.a, config.lam)
     payloads = [(config, index, point) for index, point in enumerate(product(*axes))]
     if config.workers == 1 or len(payloads) == 1:
-        results, cap, processes = [_run_point(p) for p in payloads], "uncapped", _blas_threads() or 1
+        results, cap, processes = [_run_point(p) for p in payloads], "uncapped", _entropy_processes()
     else:
         # imported here: multiprocessing costs every serial run about 1.4 MB of memory
         from concurrent.futures import ProcessPoolExecutor

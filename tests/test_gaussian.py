@@ -565,7 +565,7 @@ class FillLog:
 class TestStackedKernel:
     """entropies takes the times in chunks of one [chunk, rows, rows] stack per row group; every value
     must be the one its own time gives, whatever the chunk count, the place of the time in its chunk
-    and the thread that takes the chunk."""
+    and the process that takes the chunk."""
 
     @staticmethod
     def check_chunks(case, monkeypatch):
@@ -610,7 +610,7 @@ class TestStackedKernel:
     def test_chunk_rule_stays_within_the_budget(self):
         # a time takes one block of the group's rows and one copy of its largest other side: both count
         budget = gaussian._CHUNK_ENTRIES
-        assert budget == 40960  # 640 KiB of complex128 per thread
+        assert budget == 40960  # 640 KiB of complex128 per process
         assert chunk_times(51, 50) == 8  # each sic_profile row group at L = 100
         assert chunk_times(100, 0) == 4  # the half chain at L = 200 copies nothing
         assert chunk_times(116, 111) == chunk_times(114, 109) == 1  # the groups at L = 233
@@ -623,7 +623,7 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("plan", ["sic_L_100", "half_chain_L_200"])
     def test_peak_memory_stays_within_the_chunk_budget(self, plan, monkeypatch):
-        # tracemalloc sees numpy's buffers. Per row group, one thread keeps the stack of its blocks and one
+        # tracemalloc sees numpy's buffers. Per row group, one process keeps the stack of its blocks and one
         # copy of its largest other side (none where the side is the whole block), which the chunk rule
         # counts, besides its block-build buffers and the spectra: no [count, m, m] array of a side. The
         # build buffers live through the group, so they meet numpy's iterator buffer of the broadcast
@@ -662,7 +662,7 @@ class TestStackedKernel:
         assert entropies(ev, [], [1.0, 2.0]).shape == (2, 0)
 
 
-class TestChunkThreads:
+class TestHelperProcesses:
     """A serial run deals every row group's chunks of sample times to as many processes as it had BLAS
     threads, at most one per chunk: the caller and helpers forked for the call, which end and are reaped
     before it returns. BLAS runs one thread in every process."""

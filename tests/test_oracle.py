@@ -558,7 +558,7 @@ class TestProductionKernelAgreesWithOracle:
         )
         # an early time, one where the measurements sample the steady state (t ~ 1e4-2e4): there the
         # two engines differed by at most 3.6e-11 (median 5.7e-12) over 40 random setups; and the latest
-        # time a config may reach, where the worst gap over 12000 random setups was 9.0e-9
+        # time a config may reach, where the worst gap over 3000 random setups was 3.9e-10
         times = [data.draw(st.floats(0.0, 10.0), label="t"), data.draw(st.floats(1.0e4, 2.0e4), label="late t"),
                  MAX_TIME]
         ev = quench_evolution(setup)
