@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import threading
 from contextlib import contextmanager
 
 
@@ -63,15 +65,38 @@ def _cap_blas_threads() -> None:
     _blas_thread_control()[1](1)
 
 
+# the guard's state: the threads inside it and the count the first of them found
+_guard = threading.Lock()
+_inside, _count_before = 0, None
+
+
+def _fresh_guard_lock() -> None:
+    """A forked child's lock: one held by a thread of the parent would never be released in the child."""
+    global _guard
+    _guard = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_guard_lock)
+
+
 @contextmanager
 def _one_blas_thread():
-    """Run the body at one OpenBLAS thread and restore the count after; yields the count before (1
-    where unknown). Every `eigh` and `eigvalsh` of the package (spectral's), every Gaussian block build
-    and every kernel call runs inside, so no value depends on the process's count."""
+    """Run the body at one OpenBLAS thread. Every `eigh` and `eigvalsh` of the package (spectral's), every
+    Gaussian block build and every kernel call runs inside, so no value depends on the process's count.
+    Threads may be inside at once: the first to enter saves the count and sets 1, the last to leave
+    restores it."""
+    global _inside, _count_before
     get, set_ = _blas_thread_control()
-    before = get()
-    set_(1)
+    with _guard:
+        if _inside == 0:
+            _count_before = get()
+            set_(1)
+        _inside += 1
     try:
-        yield before or 1
+        yield
     finally:
-        set_(before)
+        with _guard:
+            _inside -= 1
+            if _inside == 0:
+                set_(_count_before)

@@ -408,7 +408,7 @@ class Experiment:
     even_L: bool  # a half-filling quench without a reference mode
     max_L: int | None = None
     fixed_sizes: bool = False  # sizes are {0, JUMP_SIZE, L}, so L >= JUMP_SIZE; the sizes key is rejected
-    # on a lambda sweep at single a and L: (correlation.csv figure, fraction attribute, rows -> {lambda: value})
+    # on a lambda sweep at single a and L: (correlation.csv figure, fractions.csv column, rows -> {lambda: value})
     figure: tuple[str, str, Callable[[list[tuple]], dict]] | None = None
     summary: Callable[[list[tuple]], dict] | None = None  # rows -> extra manifest keys
 
@@ -464,23 +464,21 @@ def _write_csv(path: Path, name: str, rows: list[tuple]) -> dict:
 
 
 def _write_figure(out: Path, config: ExperimentConfig, figure, rows: list, failures: list) -> tuple[list, str | None]:
-    """fractions.csv and the Pearson row tying a lambda sweep at single a and L to them, or no files and why
-    not; ([], None) where the experiment draws no figure or the sweep has another shape."""
+    """fractions.csv, from the fractions experiment's point function one lambda at a time (each spectrum is
+    dropped once its row exists), and the Pearson row tying a lambda sweep at single a and L to one of its
+    columns; or no files and why not; ([], None) where the experiment draws no figure or the sweep has
+    another shape."""
     if figure is None or len(config.a) != 1 or len(config.L) != 1 or len(config.lam) < 3:
         return [], None
     if failures:
         return [], f"{len(failures)} sweep point(s) failed"
-    name, fraction, by_lambda = figure
-    keyed = by_lambda(rows)
-    fractions = [
-        spectral.analyze(config.spec_at(config.a[0], lam, config.L[0])) for lam in config.lam
-    ]
-    values = [keyed[lam] for lam in config.lam]
+    name, column, by_lambda = figure
+    keyed, at = by_lambda(rows), _SCHEMAS["fractions.csv"].index(column)
+    fraction_rows = [row for lam in config.lam for row in _point_fractions(config, None, config.a[0], lam)]
     try:
-        corr = [(name, observables.pearson(values, [getattr(d, fraction) for d in fractions]))]
+        corr = [(name, observables.pearson([keyed[lam] for lam in config.lam], [row[at] for row in fraction_rows]))]
     except ValueError as exc:  # a degenerate sweep: nothing meaningful to report
         return [], str(exc)
-    fraction_rows = [(config.a[0], lam, d.n_e, d.n_l) for lam, d in zip(config.lam, fractions)]
     return [_write_csv(out, "fractions.csv", fraction_rows), _write_csv(out, "correlation.csv", corr)], None
 
 

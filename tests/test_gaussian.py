@@ -3,6 +3,8 @@ import ctypes
 import json
 import os
 import select
+import signal
+import threading
 import time
 import tracemalloc
 
@@ -593,7 +595,7 @@ class TestStackedKernel:
                     assert np.array_equal(got, expected), f"{count} times, {threads} threads"
                     assert blas.threads == threads
                     # capped at one thread and restored around every call, whatever its plan: the numpy
-                    # path's stacked eigvalsh caps again inside, at the count 1 it finds
+                    # path's stacked eigvalsh, inside the call's guard, sets no count of its own
                     assert blas.history[0] == 1 and set(blas.history[:-1]) == {1} and blas.history[-1] == threads
 
     @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
@@ -845,8 +847,7 @@ class TestHelperProcesses:
     def test_missing_blas_symbol_runs_serially(self, monkeypatch, hide_openblas, tmp_path):
         hide_openblas(("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_") + KERNEL_SYMBOLS)
         assert _blas._blas_threads() is None and _blas._kernel_routines() is None
-        with _blas._one_blas_thread() as threads:
-            assert threads == 1
+        assert gaussian._entropy_processes() == 1
         ev, half = self.half_chain()
         times = np.random.default_rng(11).uniform(1e4, 2e4, 20)
         log = FillLog(monkeypatch, tmp_path / "fills", lambda: None)
@@ -967,6 +968,52 @@ class TestOneBlasThread:
         assert _blas._blas_thread_control() is control
         ev, half = quench_evolution(neel_setup(12)), [range(1, 7)]
         assert entropies(ev, half, [1.0e4]).shape == (1, 1)
+
+    def test_threads_inside_at_once_keep_one_thread_and_restore_the_count(self, monkeypatch):
+        # numpy releases the GIL in eigh, so two threads may be inside at once; the first to leave must not
+        # restore the count under the second, nor may the second save the first's 1 as the count to restore
+        blas = FakeBlas(2)
+        monkeypatch.setattr(_blas, "_blas_thread_control", blas.control)
+        both_inside, first_left, seen = threading.Barrier(2, timeout=30), threading.Event(), {}
+
+        def body(name):
+            with _blas._one_blas_thread():
+                seen[name, "entered"] = blas.threads
+                both_inside.wait()
+                if name == "second":
+                    first_left.wait(timeout=30)
+                seen[name, "leaving"] = blas.threads
+            if name == "first":
+                first_left.set()
+
+        workers = [threading.Thread(target=body, args=(name,)) for name in ("first", "second")]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert first_left.is_set() and set(seen.values()) == {1} and len(seen) == 4
+        assert blas.history == [1, 2] and blas.threads == 2 and gaussian._entropy_processes() == 2
+
+    def test_forked_child_enters_while_a_parent_thread_holds_the_lock(self, monkeypatch):
+        # entropies forks inside the guard, and its helpers enter it again on the numpy path: a child
+        # must not inherit a lock that a thread of the parent held at the fork
+        monkeypatch.setattr(_blas, "_blas_thread_control", FakeBlas(2).control)
+        with _blas._guard:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with _blas._one_blas_thread():
+                        code = 0
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestBlockEntropies:

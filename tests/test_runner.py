@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, replace
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from gaaquench import _blas, observables, runner
+from gaaquench import _blas, observables, runner, spectral
 from gaaquench.cli import main
 from gaaquench.gaussian import QuenchSetup
 from gaaquench.model import GOLDEN_INVERSE
@@ -648,6 +649,39 @@ class TestRun:
         corr = (tmp_path / "correlation.csv").read_text().splitlines()
         assert corr[0] == "figure,pearson_r"
         assert corr[1].startswith("sic_jump_vs_n_l,")
+
+    # the chains of a lambda-swept saturation (even L) and sic_jump (odd L, periodic) run
+    FIGURE_CHAINS = {"saturation": "L = 20\n", "sic_jump": "L = 21\nboundary = periodic\nb = 13/21\n"}
+    FIGURE_SWEEP = "a = 0.3\nlambda = 0.2, 0.8, 1.3, 2.2\n"
+
+    def run_figure(self, experiment, out):
+        config = f"experiment = {experiment}\n{self.FIGURE_CHAINS[experiment]}{self.FIGURE_SWEEP}"
+        manifest = run(parse_config(config + "n_samples = 20\nburn_in = 100\n"), out)
+        assert "figure_skipped" not in manifest
+
+    @pytest.mark.parametrize("experiment", sorted(FIGURE_CHAINS))
+    def test_figure_fractions_are_those_of_the_fractions_experiment(self, tmp_path, experiment):
+        # one producer: the figure's fractions.csv is byte for byte what gaa fractions writes over the sweep
+        self.run_figure(experiment, tmp_path / "figure")
+        run(parse_config(f"experiment = fractions\n{self.FIGURE_CHAINS[experiment]}{self.FIGURE_SWEEP}"),
+            tmp_path / "fractions")
+        assert (tmp_path / "figure/fractions.csv").read_bytes() == (tmp_path / "fractions/fractions.csv").read_bytes()
+
+    @pytest.mark.parametrize("experiment", sorted(FIGURE_CHAINS))
+    def test_figure_keeps_one_spectrum_alive_at_a_time(self, tmp_path, monkeypatch, experiment):
+        # each lambda's SpectrumData (L x L eigenvectors) is dropped once its fractions row exists
+        analyze, spectra = spectral.analyze, []
+
+        def tracked_analyze(spec):
+            alive = [ref for ref in spectra if ref() is not None]
+            assert not alive, f"{len(alive)} earlier spectra still alive"
+            data = analyze(spec)
+            spectra.append(weakref.ref(data))
+            return data
+
+        monkeypatch.setattr(spectral, "analyze", tracked_analyze)
+        self.run_figure(experiment, tmp_path)
+        assert len(spectra) == 4
 
     def test_sic_profile_default_sizes(self, tmp_path):
         config = parse_config(
